@@ -29,12 +29,11 @@ from .projection import (IcebergProfile, iceberg_profile, split_body,
 from .holding import (VERDICT_ESCAPE, VERDICT_EVIDENCE, VERDICT_INCONCLUSIVE,
                       ChainCertificate, Circle3, EscapeResult,
                       ExtremalityDiagnostics, HoldingReport,
-                      PenetrationWitness, SliceCircumProfile,
-                      TranslationBlock, chain_certificate,
-                      circle_interior_intersects, escape_search,
-                      extremality_diagnostics, holding_report,
-                      min_holding_circle, nonintersecting_edge_bound,
-                      sampled_penetration, slice_circum_profile,
+                      PenetrationWitness, TranslationBlock,
+                      chain_certificate, circle_interior_intersects,
+                      escape_search, extremality_diagnostics,
+                      holding_report, min_holding_circle,
+                      nonintersecting_edge_bound, sampled_penetration,
                       surrounds_slice, translation_block_certificate)
 from .families import (FAMILIES, FamilyInstance, PolytopeND, Prediction,
                        bevelled_cylinder, five_vertex_flat, flat_tetrahedron,
@@ -73,8 +72,8 @@ __all__ = [
     "split_body", "split_project", "IcebergProfile", "iceberg_profile",
     # holding
     "Circle3", "PenetrationWitness", "circle_interior_intersects",
-    "sampled_penetration", "SliceCircumProfile", "slice_circum_profile",
-    "TranslationBlock", "translation_block_certificate", "surrounds_slice",
+    "sampled_penetration", "TranslationBlock",
+    "translation_block_certificate", "surrounds_slice",
     "nonintersecting_edge_bound", "EscapeResult", "escape_search",
     "HoldingReport", "holding_report", "ChainCertificate",
     "chain_certificate", "min_holding_circle", "ExtremalityDiagnostics",

@@ -37,7 +37,10 @@ from .planar import (Circle2, Polygon2, best_fit_equilateral,
                      chebyshev_inscribed, clip_halfplane_2d, convex_hull_2d,
                      horizontal_width, min_enclosing_circle, width2)
 from .polytope import (HalfSpace, Polytope3, clip_halfspace, min_cylinder,
-                       plane_frame, segment_distance, width3)
+                       plane_frame, width3)
+# the scalar oracle of ``_edge_pair_distances``; bench/tracing.py wraps it
+# under this module's name
+from .polytope import segment_distance  # noqa: F401
 from .projection import _golden_refine
 from .tolerances import DEFAULT_SEED, TOL_GEOM, TOL_OPT
 
@@ -226,7 +229,7 @@ class _SliceScanner:
         P = self.points2(t)
         if len(P) == 0:
             return None
-        return min_enclosing_circle(convex_hull_2d(P), seed=1)
+        return min_enclosing_circle(P, seed=1)
 
     def diam(self, t: float) -> float:
         c = self.circum(t)
@@ -242,48 +245,6 @@ class _SliceScanner:
         g = np.sort(np.concatenate([[lo, hi], bp, np.linspace(lo, hi, n)]))
         keep = np.concatenate([[True], np.diff(g) > 1e-12 * span])
         return g[keep]
-
-
-@dataclass
-class SliceCircumProfile:
-    """Circumcircle of the cross-section at each scanned height."""
-
-    axis: np.ndarray
-    heights: np.ndarray
-    diameters: np.ndarray
-    centers2: np.ndarray
-    frame: tuple[np.ndarray, np.ndarray, np.ndarray]
-    origin: np.ndarray
-
-    def center3(self, i: int) -> np.ndarray:
-        e1, e2, n = self.frame
-        return (self.origin + self.centers2[i, 0] * e1
-                + self.centers2[i, 1] * e2 + self.heights[i] * n)
-
-
-def slice_circum_profile(K: Polytope3, axis, n_heights: int = 200,
-                         lo: float | None = None,
-                         hi: float | None = None) -> SliceCircumProfile:
-    """Scan cross-sections perpendicular to ``axis`` and record the minimal
-    enclosing circle of each.  The scan grid is a uniform grid joined with
-    every vertex height (where the profile kinks) and both endpoints."""
-    sc = _SliceScanner(K, axis)
-    lo = sc.h_min if lo is None else max(lo, sc.h_min)
-    hi = sc.h_max if hi is None else min(hi, sc.h_max)
-    if hi < lo:
-        raise InvalidInput("empty height range")
-    g = sc.grid(lo, hi, n_heights)
-    diams = np.empty(len(g))
-    cents = np.empty((len(g), 2))
-    for i, t in enumerate(g):
-        c = sc.circum(t)
-        if c is None:
-            diams[i], cents[i] = 0.0, (np.nan, np.nan)
-        else:
-            diams[i] = 2.0 * c.radius
-            cents[i] = c.center
-    e1, e2, n = sc.frame
-    return SliceCircumProfile(n, g, diams, cents, sc.frame, sc.origin)
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +329,55 @@ def surrounds_slice(K: Polytope3, C: Circle3,
     return bool(np.linalg.norm(P, axis=1).max() <= C.radius + tol * scale)
 
 
+def _edge_pair_distances(K: Polytope3) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]:
+    """Distances between all pairs of non-adjacent edges, as arrays
+    ``(i, j, dist)`` of edge indices (into ``K.edges``) and distances, in
+    ``(i, j)`` order with ``i < j``.
+
+    Same arithmetic as :func:`segment_distance`, vectorised over ``j`` one
+    edge ``i`` at a time so the temporaries stay O(E)."""
+    E = np.asarray(K.edges, int)
+    P = K.vertices[E[:, 0]]
+    U = K.vertices[E[:, 1]] - P
+    UU = np.einsum("ij,ij->i", U, U)
+    rows_i, rows_j = [np.empty(0, int)], [np.empty(0, int)]
+    rows_d = [np.empty(0)]
+    for i in range(len(E) - 1):
+        j = np.arange(i + 1, len(E))
+        j = j[(E[j] != E[i, 0]).all(axis=1) & (E[j] != E[i, 1]).all(axis=1)]
+        if not len(j):
+            continue
+        u, v, w = U[i], U[j], P[i] - P[j]
+        a, c = UU[i], UU[j]
+        b, d, e = v @ u, w @ u, np.einsum("ij,ij->i", v, w)
+        den = a * c - b * b
+        ok = den > 1e-14 * np.maximum(np.maximum(a, c), 1e-300)
+        s = np.zeros(len(j))
+        s[ok] = np.clip((b[ok] * e[ok] - c[ok] * d[ok]) / den[ok], 0.0, 1.0)
+        # edges have positive length, so a > 0 and c > 0
+        t = np.clip((b * s + e) / c, 0.0, 1.0)
+        s = np.clip((b * t - d) / a, 0.0, 1.0)
+        gap = P[i] + s[:, None] * u - (P[j] + t[:, None] * v)
+        rows_i.append(np.full(len(j), i))
+        rows_j.append(j)
+        rows_d.append(np.linalg.norm(gap, axis=1))
+    return (np.concatenate(rows_i), np.concatenate(rows_j),
+            np.concatenate(rows_d))
+
+
 def nonintersecting_edge_bound(K: Polytope3) -> tuple[float, tuple[int, int]]:
     """Minimum distance between non-adjacent edges, with the attaining pair
-    (indices into ``K.edges``).
+    (indices into ``K.edges``; the first in ``(i, j)`` order on ties).
 
     Any circle holding a polytope must let two such edges pass through it on
     opposite sides, so its diameter is at least this distance: a cheap lower
     bound to pair with the search's upper bound."""
-    segs = K.vertices[np.asarray(K.edges, int)]
-    best = np.inf
-    pair = (-1, -1)
-    for i, j in combinations(range(len(K.edges)), 2):
-        ei, ej = K.edges[i], K.edges[j]
-        if set(ei) & set(ej):
-            continue
-        dist = segment_distance(segs[i, 0], segs[i, 1], segs[j, 0], segs[j, 1])
-        if dist < best:
-            best, pair = dist, (i, j)
-    if pair == (-1, -1):
+    I, J, D = _edge_pair_distances(K)
+    if not len(D):
         raise InvalidInput("polytope has no pair of non-adjacent edges")
-    return float(best), pair
+    k = int(np.argmin(D))
+    return float(D[k]), (int(I[k]), int(J[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -1056,14 +1046,9 @@ def _axis_candidates(K: Polytope3, extra: bool = True) -> list[np.ndarray]:
         except Exception:
             pass
         segs = K.vertices[np.asarray(K.edges, int)]
-        dists = []
-        for i, j in combinations(range(len(K.edges)), 2):
-            if set(K.edges[i]) & set(K.edges[j]):
-                continue
-            dists.append((segment_distance(segs[i, 0], segs[i, 1],
-                                           segs[j, 0], segs[j, 1]), i, j))
-        dists.sort(key=lambda x: x[0])
-        for _, i, j in dists[:3]:
+        I, J, D = _edge_pair_distances(K)
+        for k in np.argsort(D, kind="stable")[:3]:
+            i, j = I[k], J[k]
             d1 = segs[i, 1] - segs[i, 0]
             d2 = segs[j, 1] - segs[j, 0]
             d1 /= np.linalg.norm(d1)

@@ -15,8 +15,10 @@ widths over all such strips containing it.  It is invariant under the shear
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from math import hypot
+from random import Random
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -30,7 +32,7 @@ def as_points(points) -> np.ndarray:
     """Coerce input to an ``(m, 2)`` float array."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
-        pts = pts.reshape(1, 2)
+        pts = pts.reshape(-1 if pts.size == 0 else 1, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidInput(f"expected (m, 2) points, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
@@ -315,15 +317,7 @@ def split_width_identities(P, level: float = 0.0, tol: float = TOL_GEOM) -> Spli
 # minimal enclosing circle (randomized incremental)
 # ---------------------------------------------------------------------------
 
-def _circum_2(p, q) -> Circle2:
-    c = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-    r = 0.5 * np.hypot(p[0] - q[0], p[1] - q[1])
-    return Circle2(c, float(r))
-
-def _circum_3(p, q, r) -> Circle2 | None:
-    ax, ay = p
-    bx, by = q
-    cx, cy = r
+def _circum_3(ax, ay, bx, by, cx, cy) -> tuple[float, float, float] | None:
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     if d == 0.0:
         return None
@@ -331,50 +325,72 @@ def _circum_3(p, q, r) -> Circle2 | None:
           + (cx * cx + cy * cy) * (ay - by)) / d
     uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
           + (cx * cx + cy * cy) * (bx - ax)) / d
-    return Circle2((float(ux), float(uy)), float(np.hypot(ax - ux, ay - uy)))
+    return ux, uy, hypot(ax - ux, ay - uy)
 
-def _inside(c: Circle2, p, eps: float) -> bool:
-    return np.hypot(p[0] - c.center[0], p[1] - c.center[1]) <= c.radius + eps
+
+@lru_cache(maxsize=256)
+def _shuffled_order(n: int, seed: int) -> tuple[int, ...]:
+    order = list(range(n))
+    Random(seed).shuffle(order)
+    return tuple(order)
+
+
+def _welzl(pts: list, eps: float, seed: int) -> tuple[float, float, float]:
+    """Smallest circle ``(cx, cy, r)`` around a non-empty list of finite
+    ``(x, y)`` pairs: Welzl's randomized incremental build on plain floats.
+
+    The points are taken in a fixed pseudo-random order per ``(len(pts),
+    seed)``; a point counts as inside when it is within ``eps`` of the
+    circle.
+    """
+    n = len(pts)
+    if n > 3:
+        pts = [pts[i] for i in _shuffled_order(n, seed)]
+    cx, cy = pts[0]
+    r = 0.0
+    for i in range(1, n):
+        px, py = pts[i]
+        if hypot(px - cx, py - cy) <= r + eps:
+            continue
+        cx, cy, r = px, py, 0.0
+        for j in range(i):
+            qx, qy = pts[j]
+            if hypot(qx - cx, qy - cy) <= r + eps:
+                continue
+            cx, cy = (px + qx) / 2.0, (py + qy) / 2.0
+            r = 0.5 * hypot(px - qx, py - qy)
+            for k in range(j):
+                sx, sy = pts[k]
+                if hypot(sx - cx, sy - cy) <= r + eps:
+                    continue
+                c3 = _circum_3(px, py, qx, qy, sx, sy)
+                if c3 is None:
+                    # collinear triple: fall back to the farthest pair
+                    pairs = ((px, py, qx, qy), (px, py, sx, sy),
+                             (qx, qy, sx, sy))
+                    ax, ay, bx, by = max(
+                        pairs, key=lambda e: hypot(e[0] - e[2], e[1] - e[3]))
+                    c3 = ((ax + bx) / 2.0, (ay + by) / 2.0,
+                          0.5 * hypot(ax - bx, ay - by))
+                cx, cy, r = c3
+    return cx, cy, r
 
 
 def min_enclosing_circle(points, seed: int = 1) -> Circle2:
     """Smallest circle containing all points (randomized incremental build).
 
     Deterministic for a given ``seed``.  The circle touches at least two of
-    the points; when it touches exactly two they are antipodal.
+    the points; when it touches exactly two they are antipodal.  No hull is
+    needed first: the smallest circle of a set is that of its hull.  Points
+    within ``1e-12`` times the largest coordinate magnitude (at least 1) of
+    the circle count as inside.
     """
-    pts = [tuple(p) for p in as_points(points)]
-    if not pts:
+    pts = as_points(points)
+    if not len(pts):
         raise InvalidInput("need at least one point")
-    scale = max(1.0, max(abs(x) for p in pts for x in p))
-    eps = 1e-12 * scale
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pts))
-    pts = [pts[i] for i in order]
-
-    circ = Circle2(pts[0], 0.0)
-    for i in range(1, len(pts)):
-        p = pts[i]
-        if _inside(circ, p, eps):
-            continue
-        circ = Circle2(p, 0.0)
-        for j in range(i):
-            q = pts[j]
-            if _inside(circ, q, eps):
-                continue
-            circ = _circum_2(p, q)
-            for k in range(j):
-                r = pts[k]
-                if _inside(circ, r, eps):
-                    continue
-                c3 = _circum_3(p, q, r)
-                if c3 is None:
-                    # collinear triple: fall back to the farthest pair
-                    pairs = [(p, q), (p, r), (q, r)]
-                    c3 = max((_circum_2(a, b) for a, b in pairs),
-                             key=lambda c: c.radius)
-                circ = c3
-    return circ
+    eps = 1e-12 * max(1.0, float(np.abs(pts).max()))
+    cx, cy, r = _welzl(pts.tolist(), eps, seed)
+    return Circle2((cx, cy), r)
 
 
 def circle_support_points(circle: Circle2, points, rtol: float = 1e-7) -> np.ndarray:

@@ -9,7 +9,8 @@ inputs raise :class:`~circlehold.errors.DegenerateInput`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -484,8 +485,10 @@ def slice_plane(K: Polytope3, normal, offset: float,
 # minimal circumscribing cylinder
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _icosphere_directions(level: int = 5) -> np.ndarray:
-    """Near-uniform unit directions from a subdivided icosahedron."""
+    """Near-uniform unit directions from a subdivided icosahedron (cached per
+    level, so the array is read-only)."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = []
     for s1 in (-1.0, 1.0):
@@ -514,16 +517,37 @@ def _icosphere_directions(level: int = 5) -> np.ndarray:
         tris = new
     dirs = np.array(pts)
     keep = dirs[:, 2] > -1e-12  # antipodal axes give the same cylinder
-    return dirs[keep]
+    out = dirs[keep]
+    out.setflags(write=False)
+    return out
 
 
 def _cylinder_radius_for_axis(V: np.ndarray, axis: np.ndarray,
                               seed: int = 1) -> tuple[float, Circle2]:
     e1, e2, _ = plane_frame(axis)
     p2 = np.stack([V @ e1, V @ e2], axis=1)
-    hull = convex_hull_2d(p2)
-    c = min_enclosing_circle(hull, seed=seed)
+    c = min_enclosing_circle(p2, seed=seed)
     return c.radius, c
+
+
+def _cylinder_radii(V: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Cylinder radius for each row of ``axes``: the frames of all axes at
+    once (the construction of :func:`plane_frame`), then the vertex
+    projections 256 axes at a time (all at once would hold every projected
+    coordinate as a Python float) and one enclosing circle each."""
+    N = axes / np.linalg.norm(axes, axis=1)[:, None]
+    k = np.argmin(np.abs(N), axis=1)
+    E1 = -N[np.arange(len(N)), k][:, None] * N
+    E1[np.arange(len(N)), k] += 1.0
+    E1 /= np.linalg.norm(E1, axis=1)[:, None]
+    E2 = np.cross(N, E1)
+    radii = np.empty(len(N))
+    for lo in range(0, len(N), 256):
+        P = np.stack([E1[lo:lo + 256] @ V.T, E2[lo:lo + 256] @ V.T],
+                     axis=2)  # (chunk, V, 2)
+        for i, pts in enumerate(P):
+            radii[lo + i] = min_enclosing_circle(pts, seed=1).radius
+    return radii
 
 
 def min_cylinder(K: Polytope3, refine: bool = True,
@@ -547,9 +571,7 @@ def min_cylinder(K: Polytope3, refine: bool = True,
     flip = cands[:, 2] < 0
     cands[flip] *= -1
 
-    radii = np.empty(len(cands))
-    for i, a in enumerate(cands):
-        radii[i], _ = _cylinder_radius_for_axis(V, a)
+    radii = _cylinder_radii(V, cands)
     order = np.argsort(radii)
 
     def spherical(a):

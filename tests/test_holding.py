@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from circlehold import (
     VERDICT_ESCAPE,
     VERDICT_EVIDENCE,
     VERDICT_INCONCLUSIVE,
+    bevelled_cylinder,
     build_hull,
     chain_certificate,
     circle_interior_intersects,
@@ -20,11 +23,13 @@ from circlehold import (
     nonintersecting_edge_bound,
     octahedron_iceberg,
     sampled_penetration,
+    segment_distance,
     skew_tetrahedron,
     surrounds_slice,
     translation_block_certificate,
     wd_tetrahedron,
 )
+from circlehold.holding import _edge_pair_distances
 
 CUBE = build_hull(np.array([
     [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
@@ -89,6 +94,35 @@ def test_translation_block_waist_vs_prism():
     # constant cross-sections never block
     tb2 = translation_block_certificate(CUBE, Circle3((0.5, 0.5, 0.5), 1.8, (0, 0, 1)))
     assert not tb2.above.blocked and not tb2.below.blocked
+
+
+def _edge_pairs_by_scalar_oracle(K):
+    """(i, j, distance) for every non-adjacent edge pair, one
+    :func:`segment_distance` call each, in (i, j) order."""
+    segs = K.vertices[np.asarray(K.edges, int)]
+    out = []
+    for i, j in combinations(range(len(K.edges)), 2):
+        if not set(K.edges[i]) & set(K.edges[j]):
+            out.append((i, j, segment_distance(*segs[i], *segs[j])))
+    return out
+
+
+@pytest.mark.parametrize("K", [
+    CUBE, octahedron_iceberg(1.2, 10).body, skew_tetrahedron(0.1).body,
+    bevelled_cylinder(3.0, 16).body,
+    build_hull(np.random.default_rng(8).standard_normal((30, 3)))])
+def test_edge_pair_distances_match_scalar_oracle(K):
+    I, J, D = _edge_pair_distances(K)
+    ref = _edge_pairs_by_scalar_oracle(K)
+    assert list(zip(I.tolist(), J.tolist())) == [(i, j) for i, j, _ in ref]
+    scale = max(1.0, float(np.abs(K.vertices).max()))
+    assert np.allclose(D, [d for _, _, d in ref], rtol=0, atol=1e-14 * scale)
+    # the bound keeps the first minimum in (i, j) order
+    best = min(d for _, _, d in ref)
+    first = next((i, j) for i, j, d in ref if d == best)
+    bound, pair = nonintersecting_edge_bound(K)
+    assert bound == pytest.approx(best, abs=1e-14 * scale)
+    assert pair == first
 
 
 def test_edge_bound_flat_tetrahedron():

@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from circlehold import (
     DegenerateInput,
+    InvalidInput,
     Polygon2,
     best_fit_equilateral,
     breadth2,
@@ -131,6 +134,99 @@ def test_min_enclosing_circle_random():
         assert d.max() <= c.radius + 1e-9
         # minimality: at least two points on the boundary
         assert len(circle_support_points(c, pts)) >= 2
+
+
+def _brute_force_circle(pts):
+    """Smallest of all 2-point and 3-point candidate circles containing every
+    point.  The support points of that circle are hull vertices, so for
+    larger sets the candidates are drawn from the hull only."""
+    P = np.unique(pts, axis=0)
+    if len(P) == 1:
+        return P[0], 0.0
+    S = P if len(P) <= 30 else convex_hull_2d(P)
+    pairs = np.array(list(combinations(range(len(S)), 2)))
+    centers = [(S[pairs[:, 0]] + S[pairs[:, 1]]) / 2.0]
+    radii = [np.linalg.norm(S[pairs[:, 0]] - S[pairs[:, 1]], axis=1) / 2.0]
+    if len(S) >= 3:
+        a, b, c = (S[list(t)] for t in zip(*combinations(range(len(S)), 3)))
+        b, c = b - a, c - a
+        d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        ok = np.abs(d) > 1e-9 * np.einsum("ij,ij->i", b, b)
+        bb = np.einsum("ij,ij->i", b, b)[ok]
+        cc = np.einsum("ij,ij->i", c, c)[ok]
+        b, c, d = b[ok], c[ok], d[ok]
+        u = np.stack([(c[:, 1] * bb - b[:, 1] * cc) / d,
+                      (b[:, 0] * cc - c[:, 0] * bb) / d], axis=1)
+        centers.append(a[ok] + u)
+        radii.append(np.linalg.norm(u, axis=1))
+    centers, radii = np.vstack(centers), np.concatenate(radii)
+    reach = np.linalg.norm(P[None] - centers[:, None], axis=2).max(axis=1)
+    scale = max(1.0, float(np.abs(P).max()))
+    ok = reach <= radii + 1e-9 * scale
+    k = np.flatnonzero(ok)[np.argmin(radii[ok])]
+    return centers[k], float(radii[k])
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(21)
+    cases = [np.array([[0.3, -0.7]]),                     # single point
+             np.array([[1.0, 2.0]] * 5),                  # one point, repeated
+             np.linspace([0.0, 0.0], [3.0, 1.0], 7),      # collinear
+             rng.permutation(np.linspace([-1.0, 2.0], [4.0, -3.0], 12))]
+    for _ in range(40):
+        cases.append(rng.standard_normal((int(rng.integers(1, 201)), 2)))
+    for _ in range(10):  # duplicated points
+        base = rng.random((int(rng.integers(2, 12)), 2))
+        cases.append(base[rng.integers(0, len(base), 3 * len(base))])
+    cases += [c * f for c in cases[4:14] for f in (1e-6, 1e6)]
+    return cases
+
+
+def test_min_enclosing_circle_matches_brute_force():
+    for pts in _oracle_cases():
+        c = min_enclosing_circle(pts)
+        center, radius = _brute_force_circle(pts)
+        scale = max(1.0, float(np.abs(pts).max()))
+        assert abs(c.radius - radius) <= 1e-11 * scale
+        assert np.allclose(c.center, center, rtol=0, atol=1e-9 * scale)
+        reach = np.linalg.norm(pts - np.asarray(c.center), axis=1).max()
+        assert reach <= c.radius + 1e-11 * scale
+
+
+def test_min_enclosing_circle_same_for_every_seed():
+    for pts in _oracle_cases():
+        c1 = min_enclosing_circle(pts, seed=1)
+        scale = max(1.0, float(np.abs(pts).max()))
+        for seed in (0, 2, 7, 12345):
+            c = min_enclosing_circle(pts, seed=seed)
+            assert abs(c.radius - c1.radius) <= 1e-11 * scale
+            assert np.allclose(c.center, c1.center, rtol=0, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("bad", [[], np.empty((0, 2)), [[0.0, np.nan]],
+                                 [[np.inf, 1.0], [0.0, 0.0]]])
+def test_min_enclosing_circle_rejects_bad_input(bad):
+    with pytest.raises(InvalidInput):
+        min_enclosing_circle(bad)
+
+
+def test_slice_circle_equals_circle_of_hull():
+    from circlehold import families
+    from circlehold.holding import _SliceScanner
+    bodies = [families.octahedron_iceberg(1.2, 10).body,
+              families.bevelled_cylinder(10, 16).body,
+              families.skew_tetrahedron(0.1).body,
+              families.wd_tetrahedron(2.0, 2.0, 1.0).body]
+    axes = np.vstack([np.eye(3)[[2, 0]],
+                      np.random.default_rng(3).standard_normal((3, 3))])
+    for K in bodies:
+        scale = max(1.0, float(np.abs(K.vertices).max()))
+        for axis in axes:
+            sc = _SliceScanner(K, axis)
+            for t in np.linspace(sc.h_min, sc.h_max, 23):
+                P = sc.points2(t)
+                old = min_enclosing_circle(convex_hull_2d(P), seed=1)
+                assert abs(sc.circum(t).radius - old.radius) <= 1e-12 * scale
 
 
 def test_chebyshev_square():

@@ -87,6 +87,30 @@ def test_min_cylinder_long_box():
     assert abs(np.asarray(res.axis_direction)[2]) > 0.999
 
 
+def test_batched_cylinder_radii_match_scalar_path():
+    from circlehold.polytope import (_cylinder_radii,
+                                     _cylinder_radius_for_axis,
+                                     _icosphere_directions)
+    rng = np.random.default_rng(4)
+    for K in (build_hull(CUBE), build_hull(3.0 * rng.standard_normal((40, 3)))):
+        V = K.vertices
+        axes = np.vstack([_icosphere_directions(3), np.eye(3),
+                          rng.standard_normal((20, 3))])
+        assert len(axes) > 256  # a full and a partial chunk
+        batched = _cylinder_radii(V, axes)
+        scalar = [_cylinder_radius_for_axis(V, a)[0] for a in axes]
+        scale = max(1.0, float(np.abs(V).max()))
+        assert np.allclose(batched, scalar, rtol=0, atol=1e-12 * scale)
+
+
+def test_icosphere_directions_are_cached_read_only():
+    from circlehold.polytope import _icosphere_directions
+    dirs = _icosphere_directions(3)
+    assert _icosphere_directions(3) is dirs
+    assert not dirs.flags.writeable
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+
+
 def test_point_location():
     K = build_hull(CUBE)
     assert point_location(K, (0.5, 0.5, 0.5)) == "interior"
