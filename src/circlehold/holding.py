@@ -24,6 +24,7 @@ constructive: it comes with a validated collision-free path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -36,8 +37,8 @@ from .errors import (CertificationError, InvalidInput, InvalidStart,
 from .planar import (Circle2, Polygon2, best_fit_equilateral,
                      chebyshev_inscribed, clip_halfplane_2d, convex_hull_2d,
                      horizontal_width, min_enclosing_circle, width2)
-from .polytope import (HalfSpace, Polytope3, clip_halfspace, min_cylinder,
-                       plane_frame, width3)
+from .polytope import (HalfSpace, Polytope3, _row_norms, clip_halfspace,
+                       min_cylinder, plane_frame, width3)
 # the scalar oracle of ``_edge_pair_distances``; bench/tracing.py wraps it
 # under this module's name
 from .polytope import segment_distance  # noqa: F401
@@ -406,32 +407,78 @@ def _canonical_normal(n: np.ndarray) -> np.ndarray:
     return n
 
 
-def _support_gap_exact(beta: np.ndarray, A: np.ndarray,
-                       B: np.ndarray) -> float:
+def _support_gap_exact(beta: np.ndarray, A: np.ndarray, B: np.ndarray,
+                       pairs: tuple[np.ndarray, np.ndarray]) -> float:
     """Exact ``min over t of max_f (beta_f + A_f cos t + B_f sin t)``.
 
     The upper envelope of sinusoids attains its minimum either at a
     critical angle of one sinusoid or where two of them cross, so those
-    angles are a complete candidate set.
+    angles are a complete candidate set.  ``pairs`` is
+    ``np.triu_indices(len(beta), 1)``: every face pair ``i < j``.
     """
-    cands = [np.arctan2(B, A) + np.pi]
-    F = len(beta)
-    for f in range(F):
-        dA = A[f] - A[f + 1:]
-        dB = B[f] - B[f + 1:]
-        rhs = beta[f + 1:] - beta[f]
-        Rc = np.hypot(dA, dB)
-        ok = Rc > 1e-15
-        x = np.clip(rhs[ok] / Rc[ok], -2.0, 2.0)
-        hit = np.abs(x) <= 1.0
-        if hit.any():
-            pc = np.arctan2(dB[ok][hit], dA[ok][hit])
-            al = np.arccos(x[hit])
-            cands.extend([pc + al, pc - al])
-    ts = np.concatenate([np.atleast_1d(c) for c in cands])
+    i, j = pairs
+    dA = A[i] - A[j]
+    dB = B[i] - B[j]
+    rhs = beta[j] - beta[i]
+    Rc = np.hypot(dA, dB)
+    ok = Rc > 1e-15
+    x = rhs[ok] / Rc[ok]
+    hit = np.abs(x) <= 1.0
+    pc = np.arctan2(dB[ok][hit], dA[ok][hit])
+    al = np.arccos(x[hit])
+    ts = np.concatenate([np.arctan2(B, A) + np.pi, pc + al, pc - al])
     vals = (beta[None, :] + np.cos(ts)[:, None] * A[None, :]
             + np.sin(ts)[:, None] * B[None, :])
     return float(vals.max(axis=1).min())
+
+
+class _SupportGapBound:
+    """Lower bound on ``min over t of max_f (beta_f + A_f cos t + B_f sin t)``
+    for inputs with a fixed number of faces: the smallest face support gap
+    of a circle, hence a lower bound on its distance to the body.
+
+    The maximum over a 128-angle grid minus its Lipschitz slack
+    ``R_max pi / 128`` answers when positive.  Otherwise the bound is exact
+    (:func:`_support_gap_exact`) for at most 12 faces.  Above that it is the
+    minimum over 8192 angles minus ``R_max pi / 8192``, where only the
+    coarse cells whose Lipschitz lower bound ``(G_k + G_k+1) / 2 - slack``
+    reaches the coarse minimum are sampled: no other cell can hold the fine
+    minimum, so the value is that of the full 8192-angle grid.
+    """
+
+    n_coarse = 128
+    n_fine = 8192
+    max_exact_faces = 12
+
+    def __init__(self, n_faces: int):
+        t = np.linspace(0.0, 2.0 * np.pi, self.n_coarse, endpoint=False)
+        self.cos_c, self.sin_c = np.cos(t)[:, None], np.sin(t)[:, None]
+        if n_faces <= self.max_exact_faces:
+            self.pairs = np.triu_indices(n_faces, 1)
+        else:
+            t = np.linspace(0.0, 2.0 * np.pi, self.n_fine, endpoint=False)
+            # row k: the fine angles of coarse cell [t_k, t_k+1)
+            shape = (self.n_coarse, self.n_fine // self.n_coarse, 1)
+            self.cos_f = np.cos(t).reshape(shape)
+            self.sin_f = np.sin(t).reshape(shape)
+
+    def __call__(self, beta: np.ndarray, A: np.ndarray,
+                 B: np.ndarray) -> float:
+        g = beta + self.cos_c * A + self.sin_c * B
+        r_max = float(np.hypot(A, B).max(initial=0.0))
+        slack = r_max * (np.pi / self.n_coarse)
+        G = g.max(axis=1)
+        U = float(G.min())
+        if U - slack > 0.0:
+            return U - slack
+        if len(beta) <= self.max_exact_faces:
+            return _support_gap_exact(beta, A, B, self.pairs)
+        # the pad only admits more cells, against rounding in G and slack
+        reach = 0.5 * (G + np.roll(G, -1)) - slack
+        cells = np.flatnonzero(reach <= U + 1e-12 * (abs(U) + r_max))
+        g = beta + self.cos_f[cells] * A + self.sin_f[cells] * B
+        return (float(g.max(axis=2).min())
+                - slack * (self.n_coarse / self.n_fine))
 
 
 def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
@@ -447,7 +494,9 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     ``h`` cannot cross the body when ``h < clearance(start pose) +
     clearance(end pose)``; segments that fail the test are bisected (with
     bounded depth) before being rejected.  Clearance lower bounds come from
-    the face support gaps, minimized exactly over the circle.  A consequence
+    the face support gaps minimized over the circle: exactly for bodies with
+    at most 12 faces; above that, over 8192 angles minus a Lipschitz slack,
+    sampled only in the 128-angle cells that can hold the minimum.  A consequence
     is that poses touching the body (zero clearance) admit no certified
     motion at all: escape paths keep strictly positive clearance, and a
     circle that can leave only by grazing the boundary is reported as not
@@ -480,13 +529,7 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
             f"start pose penetrates the body (depth {start_pen.penetration:.3g})")
 
     n_faces, b_faces = K.face_planes()
-    n_coarse = 128
-    t_coarse = np.linspace(0.0, 2.0 * np.pi, n_coarse, endpoint=False)
-    cos_c, sin_c = np.cos(t_coarse), np.sin(t_coarse)
-    n_fine = 8192
-    t_fine = np.linspace(0.0, 2.0 * np.pi, n_fine, endpoint=False)
-    cos_f, sin_f = np.cos(t_fine), np.sin(t_fine)
-
+    support_gap = _SupportGapBound(len(b_faces))
     checks = 0
 
     def clearance(center: np.ndarray, normal: np.ndarray) -> float:
@@ -497,22 +540,13 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
         beta = n_faces @ center - b_faces
         A = r * (n_faces @ e1)
         B = r * (n_faces @ e2)
-        g = (beta[None, :] + cos_c[:, None] * A[None, :]
-             + sin_c[:, None] * B[None, :])
-        slack = float(np.hypot(A, B).max(initial=0.0)) * (np.pi / n_coarse)
-        lb = float(g.max(axis=1).min()) - slack
-        if lb > 0.0:
-            return lb
-        if len(beta) <= 12:
-            return _support_gap_exact(beta, A, B)
-        g = (beta[None, :] + cos_f[:, None] * A[None, :]
-             + sin_f[:, None] * B[None, :])
-        return float(g.max(axis=1).min()) - slack * (n_coarse / n_fine)
+        return support_gap(beta, A, B)
 
     def sweep(c1, n1, c2, n2) -> float:
         """Max displacement of any circle point between the two poses."""
-        dot = abs(float(np.clip(n1 @ n2, -1.0, 1.0)))
-        return float(np.linalg.norm(c2 - c1)) + r * float(np.arccos(dot))
+        dot = abs(min(max(float(n1 @ n2), -1.0), 1.0))
+        dc = c2 - c1
+        return math.sqrt(dc @ dc) + r * float(np.arccos(dot))
 
     def certify(c1, n1, cl1, c2, n2, cl2, depth: int = 12) -> bool:
         """True iff the straight motion between the poses certifiably
@@ -591,6 +625,8 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     emb = [np.concatenate([c0, kappa * n0])]
     tree = cKDTree(np.array(emb))
     tree_size = 1
+    # the embeddings not yet in the tree, emb[tree_size:], as one block
+    fresh = np.empty((256, len(emb[0])))
 
     def rand_unit() -> np.ndarray:
         v = rng.normal(size=3)
@@ -607,10 +643,13 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
 
         _, idx = tree.query(q)
         best_i, best_d = int(idx), float(np.linalg.norm(emb[int(idx)] - q))
-        for j in range(tree_size, len(emb)):
-            dj = float(np.linalg.norm(emb[j] - q))
-            if dj < best_d:
-                best_i, best_d = j, dj
+        n_fresh = len(emb) - tree_size
+        if n_fresh:
+            # the first nearest fresh node wins only if strictly nearer
+            dist = _row_norms(fresh[:n_fresh] - q)
+            j = int(dist.argmin())
+            if dist[j] < best_d:
+                best_i, best_d = tree_size + j, float(dist[j])
         if best_d <= 1e-12:
             continue
 
@@ -646,7 +685,8 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
         nodes_cl.append(cl_new)
         parents.append(best_i)
         emb.append(np.concatenate([new_c, kappa * new_n]))
-        if len(emb) - tree_size >= 256:
+        fresh[len(emb) - 1 - tree_size] = emb[-1]
+        if len(emb) - tree_size >= len(fresh):
             tree = cKDTree(np.array(emb))
             tree_size = len(emb)
 

@@ -9,6 +9,7 @@ inputs raise :class:`~circlehold.errors.DegenerateInput`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -59,21 +60,34 @@ class CylinderResult:
 
 
 def _unit(v) -> np.ndarray:
-    v = np.asarray(v, float)
-    n = np.linalg.norm(v)
+    v = np.ascontiguousarray(v, float)
+    # the dot product that np.linalg.norm takes, without its dispatch
+    n = math.sqrt(v @ v)
     if n == 0:
         raise InvalidInput("zero vector has no direction")
     return v / n
 
 
 def plane_frame(normal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic right-handed frame ``(e1, e2, n)`` for a plane normal."""
+    """Deterministic right-handed frame ``(e1, e2, n)`` for a plane normal.
+
+    ``e1`` is the unit vector along ``e_k - n_k n`` for the first ``k`` with
+    the smallest ``|n_k|``, and ``e2 = n x e1``.  Written out on floats:
+    this runs once per escape-search clearance check.
+    """
     n = _unit(normal)
-    k = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    e1 = _unit(e - n[k] * n)
-    e2 = np.cross(n, e1)
+    nx, ny, nz = n.tolist()
+    k, nk = 0, nx
+    if abs(ny) < abs(nk):
+        k, nk = 1, ny
+    if abs(nz) < abs(nk):
+        k, nk = 2, nz
+    # 0.0 - t rather than -t, so that zeros keep the sign of e - n[k] * n
+    e = [0.0 - nk * nx, 0.0 - nk * ny, 0.0 - nk * nz]
+    e[k] = 1.0 - nk * nk
+    e1 = _unit(e)
+    ux, uy, uz = e1.tolist()
+    e2 = np.array([ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux])
     return e1, e2, n
 
 
@@ -224,60 +238,74 @@ class Polytope3:
 # hull construction
 # ---------------------------------------------------------------------------
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, with the same dot product per row."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
+
+
 def _merge_coplanar(points: np.ndarray, hull: ConvexHull,
                     angle_tol: float = 1e-7) -> list[list[int]]:
     """Group hull triangles into maximal coplanar facets and return ordered
     vertex cycles (counterclockwise from outside)."""
     eq = hull.equations  # (F, 4): n.x + d = 0, n outward
     simplices = hull.simplices
-    nf = len(simplices)
+    tris = simplices.tolist()
+    nf = len(tris)
     scale = max(1.0, float(np.abs(points).max()))
 
     # adjacency via shared undirected edges
     edge_owner: dict[tuple[int, int], list[int]] = {}
-    for fi, tri in enumerate(simplices):
+    for fi, tri in enumerate(tris):
         for i in range(3):
-            e = (min(tri[i], tri[(i + 1) % 3]), max(tri[i], tri[(i + 1) % 3]))
-            edge_owner.setdefault(e, []).append(fi)
+            a, b = tri[i], tri[(i + 1) % 3]
+            edge_owner.setdefault((min(a, b), max(a, b)), []).append(fi)
 
-    def coplanar(i: int, j: int) -> bool:
-        ni, nj = eq[i, :3], eq[j, :3]
-        if np.linalg.norm(np.cross(ni, nj)) > angle_tol:
-            return False
-        return abs(eq[i, 3] - eq[j, 3]) <= 1e-7 * scale
+    # coplanarity of every two triangles that share an edge, in one batch
+    pairs = np.array([p for owners in edge_owner.values()
+                      for p in combinations(owners, 2)])
+    eq_i, eq_j = eq[pairs[:, 0]], eq[pairs[:, 1]]
+    tilt = _row_norms(np.cross(eq_i[:, :3], eq_j[:, :3]))
+    flat = (tilt <= angle_tol) & (np.abs(eq_i[:, 3] - eq_j[:, 3])
+                                  <= 1e-7 * scale)
+    linked: list[list[int]] = [[] for _ in range(nf)]
+    for i, j in pairs[flat].tolist():
+        linked[i].append(j)
+        linked[j].append(i)
 
     group = [-1] * nf
-    g = 0
+    members: list[list[int]] = []  # the triangles of each facet, in order
     for fi in range(nf):
         if group[fi] != -1:
             continue
         stack = [fi]
-        group[fi] = g
+        group[fi] = len(members)
         while stack:
-            cur = stack.pop()
-            for i in range(3):
-                tri = simplices[cur]
-                e = (min(tri[i], tri[(i + 1) % 3]), max(tri[i], tri[(i + 1) % 3]))
-                for nb in edge_owner[e]:
-                    if group[nb] == -1 and coplanar(cur, nb):
-                        group[nb] = g
-                        stack.append(nb)
-        g += 1
+            for nb in linked[stack.pop()]:
+                if group[nb] == -1:
+                    group[nb] = len(members)
+                    stack.append(nb)
+        members.append([])
+    for fi, gi in enumerate(group):
+        members[gi].append(fi)
+
+    # orient each triangle so its winding matches the outward normal of its
+    # facet's first triangle
+    a = points[simplices[:, 0]]
+    wind = np.cross(points[simplices[:, 1]] - a, points[simplices[:, 2]] - a)
+    nrm = eq[[m[0] for m in members], :3][group]
+    flipped = ((wind[:, None, :] @ nrm[:, :, None]).ravel() < 0).tolist()
 
     faces: list[list[int]] = []
-    for gi in range(g):
-        tris = [simplices[i] for i in range(nf) if group[i] == gi]
-        nrm = eq[[i for i in range(nf) if group[i] == gi][0], :3]
-        # orient each triangle so its winding matches the outward normal,
-        # then keep only the directed edges used once (the facet boundary)
+    for facet in members:
+        # keep only the directed edges used once (the facet boundary)
         count: dict[tuple[int, int], int] = {}
         directed: list[tuple[int, int]] = []
-        for tri in tris:
-            a, b, c = (points[tri[0]], points[tri[1]], points[tri[2]])
-            if np.cross(b - a, c - a) @ nrm < 0:
-                tri = tri[[0, 2, 1]]
+        for fi in facet:
+            tri = tris[fi]
+            if flipped[fi]:
+                tri = [tri[0], tri[2], tri[1]]
             for i in range(3):
-                de = (int(tri[i]), int(tri[(i + 1) % 3]))
+                de = (tri[i], tri[(i + 1) % 3])
                 count[de] = count.get(de, 0) + 1
                 directed.append(de)
         boundary = [de for de in directed
@@ -285,12 +313,9 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull,
         cyc = _chain_cycle(boundary)
         # drop vertices interior to a boundary edge (collinear chain points)
         pts = points[cyc]
-        keep = []
-        m = len(cyc)
-        for i in range(m):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % m]
-            if np.linalg.norm(np.cross(b - a, c - b)) > 1e-9 * scale * scale:
-                keep.append(cyc[i])
+        bend = _row_norms(np.cross(pts - np.roll(pts, 1, axis=0),
+                                   np.roll(pts, -1, axis=0) - pts))
+        keep = [cyc[i] for i in np.flatnonzero(bend > 1e-9 * scale * scale)]
         faces.append(keep if len(keep) >= 3 else cyc)
     return faces
 

@@ -29,7 +29,9 @@ from circlehold import (
     translation_block_certificate,
     wd_tetrahedron,
 )
-from circlehold.holding import _edge_pair_distances
+from circlehold.holding import (_SupportGapBound, _edge_pair_distances,
+                                _support_gap_exact)
+from circlehold.polytope import plane_frame
 
 CUBE = build_hull(np.array([
     [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
@@ -164,6 +166,122 @@ def test_skewed_sliver_holds_its_circle():
     inst = skew_tetrahedron(0.05)
     res = escape_search(inst.body, inst.circle, budget=20000, seed=3)
     assert res.outcome == "not_found_within_budget"
+
+
+def _support_gap_by_face_loop(beta, A, B):
+    """The candidate-angle minimum with one pass per face ``f`` over the
+    faces after it: the reference for the all-pairs batch."""
+    cands = [np.arctan2(B, A) + np.pi]
+    F = len(beta)
+    for f in range(F):
+        dA = A[f] - A[f + 1:]
+        dB = B[f] - B[f + 1:]
+        rhs = beta[f + 1:] - beta[f]
+        Rc = np.hypot(dA, dB)
+        ok = Rc > 1e-15
+        x = np.clip(rhs[ok] / Rc[ok], -2.0, 2.0)
+        hit = np.abs(x) <= 1.0
+        if hit.any():
+            pc = np.arctan2(dB[ok][hit], dA[ok][hit])
+            al = np.arccos(x[hit])
+            cands.extend([pc + al, pc - al])
+    ts = np.concatenate([np.atleast_1d(c) for c in cands])
+    vals = (beta[None, :] + np.cos(ts)[:, None] * A[None, :]
+            + np.sin(ts)[:, None] * B[None, :])
+    return float(vals.max(axis=1).min())
+
+
+def _random_gap_inputs(rng, F):
+    beta = rng.normal(size=F)
+    A, B = rng.normal(size=(2, F)) * rng.uniform(0.1, 3.0)
+    if rng.random() < 0.2:  # repeated faces: pairs with no crossing
+        k = rng.integers(1, F) if F > 1 else 0
+        beta[k], A[k], B[k] = beta[0], A[0], B[0]
+    return beta, A, B
+
+
+def _grid_gap(beta, A, B, n):
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    g = (beta[None, :] + np.cos(t)[:, None] * A[None, :]
+         + np.sin(t)[:, None] * B[None, :])
+    return float(g.max(axis=1).min())
+
+
+@pytest.mark.parametrize("F", [1, 2, 4, 6, 8, 12])
+def test_support_gap_exact_matches_face_loop(F):
+    rng = np.random.default_rng(F)
+    pairs = np.triu_indices(F, 1)
+    for _ in range(400):
+        beta, A, B = _random_gap_inputs(rng, F)
+        assert (_support_gap_exact(beta, A, B, pairs)
+                == _support_gap_by_face_loop(beta, A, B))
+
+
+def test_support_gap_exact_is_the_dense_minimum():
+    rng = np.random.default_rng(11)
+    n = 2 ** 16
+    for F in (3, 5, 8, 12):
+        pairs = np.triu_indices(F, 1)
+        for _ in range(5):
+            beta, A, B = _random_gap_inputs(rng, F)
+            exact = _support_gap_exact(beta, A, B, pairs)
+            dense = _grid_gap(beta, A, B, n)
+            slack = float(np.hypot(A, B).max()) * np.pi / n
+            assert exact <= dense + 1e-12
+            assert dense - slack <= exact + 1e-12
+
+
+def _gap_inputs_for_pose(K, r, center, normal):
+    N, b = K.face_planes()
+    e1, e2, _ = plane_frame(normal)
+    return N @ center - b, r * (N @ e1), r * (N @ e2)
+
+
+def test_cell_restricted_clearance_equals_full_fine_grid():
+    inst = bevelled_cylinder(10.0, 64)
+    K, C = inst.body, inst.circle
+    gap = _SupportGapBound(len(K.faces))
+    assert len(K.faces) > gap.max_exact_faces
+    rng = np.random.default_rng(5)
+    c0, n0 = C.center_array, np.asarray(C.normal, float)
+    poses = []
+    for eps in (0.0, 1e-3, 1e-2, 5e-2):  # near the waist
+        for _ in range(15):
+            n = n0 + eps * rng.normal(size=3)
+            poses.append((C.radius * (1.0 + eps), c0 + eps * rng.normal(size=3),
+                          n / np.linalg.norm(n)))
+    for _ in range(60):  # anywhere near the body
+        n = rng.normal(size=3)
+        poses.append((rng.uniform(0.2, 1.5) * C.radius,
+                      K.centroid + K.circumradius * rng.uniform(-1, 1, 3),
+                      n / np.linalg.norm(n)))
+    fine = 0
+    for r, c, n in poses:
+        beta, A, B = _gap_inputs_for_pose(K, r, c, n)
+        slack = float(np.hypot(A, B).max()) * np.pi / 128
+        coarse = _grid_gap(beta, A, B, 128) - slack
+        if coarse > 0.0:
+            assert gap(beta, A, B) == coarse
+            continue
+        fine += 1
+        assert gap(beta, A, B) == _grid_gap(beta, A, B, 8192) - slack / 64
+    assert fine >= 40
+
+
+# escape searches on the inflated circles of the benchmark, at seed 7: the
+# outcome, checks and nodes pin the whole trajectory
+@pytest.mark.parametrize("inst, eps, budget, expected", [
+    (bevelled_cylinder(10.0, 64), 1e-2, 150,
+     ("not_found_within_budget", 150, 50)),
+    (flat_tetrahedron(0.2), 5e-2, 1500, ("found", 206, 0)),
+    (octahedron_iceberg(1.2, 10.0), 1e-2, 1500,
+     ("not_found_within_budget", 1500, 281)),
+])
+def test_escape_trajectory_is_pinned(inst, eps, budget, expected):
+    c = inst.circle
+    start = Circle3(c.center, c.diameter * (1.0 + eps), c.normal)
+    res = escape_search(inst.body, start, budget=budget, seed=7)
+    assert (res.outcome, res.checks_used, res.nodes) == expected
 
 
 # --- reports and certificates ------------------------------------------------

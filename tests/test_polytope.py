@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from circlehold import (
     DegenerateInput,
     HalfSpace,
+    InvalidInput,
+    bevelled_cylinder,
     build_hull,
     clip_halfspace,
+    flat_tetrahedron,
     min_cylinder,
+    octahedron_iceberg,
+    plane_frame,
     point_location,
     segment_distance,
     slice_plane,
@@ -42,6 +48,98 @@ def test_hull_of_cube():
     assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
     # interior point strictly inside every face plane
     assert np.all(normals @ np.full(3, 0.5) < offsets)
+
+
+def _merge_coplanar_by_np_cross(points, hull, angle_tol=1e-7):
+    """Facet cycles from one ``np.cross`` per triangle pair, triangle and
+    cycle vertex: the reference for the batched merge in ``build_hull``."""
+    from circlehold.polytope import _chain_cycle
+    eq = hull.equations
+    simplices = hull.simplices
+    nf = len(simplices)
+    scale = max(1.0, float(np.abs(points).max()))
+    edge_owner = {}
+    for fi, tri in enumerate(simplices):
+        for i in range(3):
+            e = (min(tri[i], tri[(i + 1) % 3]), max(tri[i], tri[(i + 1) % 3]))
+            edge_owner.setdefault(e, []).append(fi)
+
+    def coplanar(i, j):
+        if np.linalg.norm(np.cross(eq[i, :3], eq[j, :3])) > angle_tol:
+            return False
+        return abs(eq[i, 3] - eq[j, 3]) <= 1e-7 * scale
+
+    group = [-1] * nf
+    g = 0
+    for fi in range(nf):
+        if group[fi] != -1:
+            continue
+        stack = [fi]
+        group[fi] = g
+        while stack:
+            cur = stack.pop()
+            for i in range(3):
+                tri = simplices[cur]
+                e = (min(tri[i], tri[(i + 1) % 3]), max(tri[i], tri[(i + 1) % 3]))
+                for nb in edge_owner[e]:
+                    if group[nb] == -1 and coplanar(cur, nb):
+                        group[nb] = g
+                        stack.append(nb)
+        g += 1
+    faces = []
+    for gi in range(g):
+        tris = [simplices[i] for i in range(nf) if group[i] == gi]
+        nrm = eq[[i for i in range(nf) if group[i] == gi][0], :3]
+        count, directed = {}, []
+        for tri in tris:
+            a, b, c = points[tri[0]], points[tri[1]], points[tri[2]]
+            if np.cross(b - a, c - a) @ nrm < 0:
+                tri = tri[[0, 2, 1]]
+            for i in range(3):
+                de = (int(tri[i]), int(tri[(i + 1) % 3]))
+                count[de] = count.get(de, 0) + 1
+                directed.append(de)
+        boundary = [de for de in directed
+                    if count[de] == 1 and count.get((de[1], de[0]), 0) == 0]
+        cyc = _chain_cycle(boundary)
+        pts = points[cyc]
+        m = len(cyc)
+        keep = [cyc[i] for i in range(m)
+                if np.linalg.norm(np.cross(pts[i] - pts[i - 1],
+                                           pts[(i + 1) % m] - pts[i]))
+                > 1e-9 * scale * scale]
+        faces.append(keep if len(keep) >= 3 else cyc)
+    return faces
+
+
+def _hull_clouds():
+    rng = np.random.default_rng(12)
+    clouds = [rng.standard_normal((rng.integers(5, 16), 3)) for _ in range(60)]
+    # lattice points: coplanar triangles to merge, collinear cycle vertices
+    clouds += [rng.integers(0, 3, size=(rng.integers(8, 20), 3)).astype(float)
+               for _ in range(40)]
+    clouds += [CUBE, 1e-6 * CUBE, 1e6 * CUBE + 3.0]
+    clouds += [inst.body.vertices for inst in (
+        bevelled_cylinder(10.0, 64), octahedron_iceberg(1.2, 10.0),
+        flat_tetrahedron(0.2))]
+    return clouds
+
+
+def test_merge_coplanar_matches_np_cross_formulation():
+    from circlehold.polytope import _merge_coplanar
+    merged = 0
+    for cloud in _hull_clouds():
+        pts = np.unique(cloud, axis=0)
+        if len(pts) < 4 or np.linalg.matrix_rank(pts - pts.mean(axis=0)) < 3:
+            continue
+        hull = ConvexHull(pts)
+        faces = _merge_coplanar(pts, hull)
+        assert faces == _merge_coplanar_by_np_cross(pts, hull)
+        merged += len(faces) < len(hull.simplices)
+        K = build_hull(cloud)
+        used = sorted({i for f in faces for i in f})
+        assert K.vertices.tobytes() == pts[used].tobytes()
+    assert merged >= 30
 
 
 def test_hull_rejects_flat_input():
@@ -109,6 +207,44 @@ def test_icosphere_directions_are_cached_read_only():
     assert _icosphere_directions(3) is dirs
     assert not dirs.flags.writeable
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+
+
+def _plane_frame_by_np_cross(normal):
+    n = np.asarray(normal, float)
+    n = n / np.linalg.norm(n)
+    k = int(np.argmin(np.abs(n)))
+    e = np.zeros(3)
+    e[k] = 1.0
+    e1 = e - n[k] * n
+    e1 = e1 / np.linalg.norm(e1)
+    return e1, np.cross(n, e1), n
+
+
+def test_plane_frame_matches_np_cross_construction():
+    rng = np.random.default_rng(9)
+    normals = [s * v for v in np.vstack([np.eye(3), -np.eye(3)])
+               for s in (1.0, 1e-6, 1e6)]
+    for _ in range(300):
+        v = rng.standard_normal(3)
+        v[rng.random(3) < 0.3] = 0.0  # zero components, some signed
+        v[rng.random(3) < 0.1] = -0.0
+        if not v.any():
+            continue
+        normals += [v, 1e-6 * v, 1e6 * v, np.round(v)]
+    normals += [(1.0, 1.0, 1.0), (0.0, -0.0, 2.0), (-0.0, 3.0, 0.0), [1, 2, 2]]
+    checked = 0
+    for v in normals:
+        if not np.any(v):
+            continue
+        got, want = plane_frame(v), _plane_frame_by_np_cross(v)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        checked += 1
+    assert checked > 1000
+    with pytest.raises(InvalidInput):
+        plane_frame((0.0, 0.0, 0.0))
+    with pytest.raises(InvalidInput):
+        plane_frame((-0.0, 0.0, -0.0))
 
 
 def test_point_location():
