@@ -34,9 +34,12 @@ from scipy.spatial import cKDTree
 
 from .errors import (CertificationError, InvalidInput, InvalidStart,
                      NoBlockingSlice, NotFound)
-from .planar import (Circle2, Polygon2, best_fit_equilateral,
+from .planar import (Circle2, Polygon2, _welzl, best_fit_equilateral,
                      chebyshev_inscribed, clip_halfplane_2d, convex_hull_2d,
-                     horizontal_width, min_enclosing_circle, width2)
+                     horizontal_width, width2)
+# the public form of the slice kernel; bench/tracing.py wraps it under this
+# module's name
+from .planar import min_enclosing_circle  # noqa: F401
 from .polytope import (HalfSpace, Polytope3, _row_norms, clip_halfspace,
                        min_cylinder, plane_frame, width3)
 # the scalar oracle of ``_edge_pair_distances``; bench/tracing.py wraps it
@@ -200,37 +203,53 @@ class _SliceScanner:
 
     Works in the deterministic frame of :func:`plane_frame`; 2D coordinates
     are relative to ``origin`` so a circle centered there sits at the
-    2D origin."""
+    2D origin.  Vertex heights, 2D coordinates and edges are kept as
+    Python floats: a section of a few dozen edges is one short loop, where
+    numpy would spend most of its time on per-call overhead."""
 
     def __init__(self, K: Polytope3, axis, origin=None):
-        e1, e2, n = plane_frame(np.asarray(axis, float))
-        self.frame = (e1, e2, n)
+        axis = np.asarray(axis, float)
         self.origin = np.zeros(3) if origin is None else np.asarray(origin, float)
+        if not (np.isfinite(K.vertices).all() and np.isfinite(axis).all()
+                and np.isfinite(self.origin).all()):
+            raise InvalidInput("vertices, axis and origin must be finite")
+        e1, e2, n = plane_frame(axis)
+        self.frame = (e1, e2, n)
         rel = K.vertices - self.origin
-        self.V2 = np.stack([rel @ e1, rel @ e2], axis=1)
         self.h = rel @ n
-        self.edges = np.asarray(K.edges, dtype=int)
         self.scale = max(1.0, float(np.abs(K.vertices).max()))
         self.h_min = float(self.h.min())
         self.h_max = float(self.h.max())
+        h = self.h.tolist()
+        xy = np.stack([rel @ e1, rel @ e2], axis=1).tolist()
+        self._vertices = [(hv, x, y) for hv, (x, y) in zip(h, xy)]
+        self._edges = [(h[a], h[b], *xy[a], *xy[b]) for a, b in K.edges]
+
+    def _section(self, t: float) -> list[tuple[float, float]]:
+        """Points of the section at height ``t``: the vertices on the plane,
+        then the crossings of the edges that cut it, in edge order."""
+        eps = 1e-12 * self.scale
+        pts = [(x, y) for hv, x, y in self._vertices if abs(hv - t) <= eps]
+        for ha, hb, ax, ay, bx, by in self._edges:
+            da = ha - t
+            db = hb - t
+            if (da < -eps and db > eps) or (da > eps and db < -eps):
+                lam = da / (da - db)
+                pts.append((ax + lam * (bx - ax), ay + lam * (by - ay)))
+        return pts
 
     def points2(self, t: float) -> np.ndarray:
-        eps = 1e-12 * self.scale
-        d = self.h - t
-        parts = [self.V2[np.abs(d) <= eps]]
-        a, bb = self.edges[:, 0], self.edges[:, 1]
-        da, db = d[a], d[bb]
-        m = ((da < -eps) & (db > eps)) | ((da > eps) & (db < -eps))
-        if m.any():
-            lam = (da[m] / (da[m] - db[m]))[:, None]
-            parts.append(self.V2[a[m]] + lam * (self.V2[bb[m]] - self.V2[a[m]]))
-        return np.vstack(parts)
+        return np.array(self._section(float(t))).reshape(-1, 2)
 
     def circum(self, t: float) -> Circle2 | None:
-        P = self.points2(t)
-        if len(P) == 0:
+        """Smallest circle around the section (that of
+        :func:`~circlehold.planar.min_enclosing_circle`, seed 1)."""
+        pts = self._section(float(t))
+        if not pts:
             return None
-        return min_enclosing_circle(P, seed=1)
+        eps = 1e-12 * max(1.0, max(abs(c) for p in pts for c in p))
+        cx, cy, r = _welzl(pts, eps, 1)
+        return Circle2((cx, cy), r)
 
     def diam(self, t: float) -> float:
         c = self.circum(t)
@@ -1005,9 +1024,11 @@ def chain_certificate(K: Polytope3, C: Circle3, *, n_heights: int = 200,
         relp = verts3 - c0
         p1, p2, pt = relp @ e1, relp @ e2, relp @ nrm
 
+        # no hull first: a point set has the horizontal width of its hull,
+        # and the slopes of its point pairs include those of the hull's
         def wh_prism(th: float) -> float:
             s = p1 * np.cos(th) + p2 * np.sin(th)
-            wv, _ = horizontal_width(convex_hull_2d(np.stack([s, pt], axis=1)))
+            wv, _ = horizontal_width(np.stack([s, pt], axis=1))
             return wv
 
         _, min_wh_region = _min_over_theta(wh_prism, theta_samples)
@@ -1022,7 +1043,7 @@ def chain_certificate(K: Polytope3, C: Circle3, *, n_heights: int = 200,
 
         def wh_far(th: float) -> float:
             s = s1 * np.cos(th) + s2 * np.sin(th)
-            wv, _ = horizontal_width(convex_hull_2d(np.stack([s, tt], axis=1)))
+            wv, _ = horizontal_width(np.stack([s, tt], axis=1))
             return wv
 
         _, min_wh_far = _min_over_theta(wh_far, theta_samples)

@@ -14,14 +14,15 @@ widths over all such strips containing it.  It is invariant under the shear
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import hypot
+from math import hypot, inf
 from random import Random
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInput, InvalidInput
@@ -405,41 +406,71 @@ def circle_support_points(circle: Circle2, points, rtol: float = 1e-7) -> np.nda
 # largest inscribed circle (Chebyshev center)
 # ---------------------------------------------------------------------------
 
+def _offset_apex(n: list, b: list, i: int, j: int,
+                 k: int) -> tuple[float, float, float] | None:
+    """The point ``c`` and distance ``r`` with ``n_l . c + r = b_l`` for
+    ``l = i, j, k``: where the three edge lines, moved inward by ``r``,
+    meet.  Closed form on floats; ``None`` when two of the normals agree."""
+    (xi, yi), (xj, yj), (xk, yk) = n[i], n[j], n[k]
+    a1, a2, a3 = xi - xj, yi - yj, b[i] - b[j]
+    c1, c2, c3 = xj - xk, yj - yk, b[j] - b[k]
+    det = a1 * c2 - a2 * c1
+    if det == 0.0:
+        return None
+    cx = (a3 * c2 - a2 * c3) / det
+    cy = (a1 * c3 - a3 * c1) / det
+    return cx, cy, b[j] - (xj * cx + yj * cy)
+
+
 def chebyshev_inscribed(P, tol: float = TOL_GEOM) -> Circle2:
     """Largest circle inscribed in a convex polygon.
 
-    Solved as the linear program ``max r  s.t.  n_i . c + r <= b_i`` and then
-    polished by solving the 3x3 systems of near-active edge triples exactly,
-    which recovers the optimum to machine precision (the LP solver alone
-    stops around 1e-9).  The radius is unique; the returned center is one
+    Found by the wavefront of the polygon's straight skeleton (Aichholzer,
+    Aurenhammer, Alberts & Gärtner, 1995): all edges move inward at unit
+    speed, and an edge vanishes at the offset ``r`` where its line and its
+    two current neighbours' lines meet.  Edges vanish in order of ``r``,
+    each linking its two neighbours; the last three lines meet at the
+    center of a largest inscribed circle.  An edge that continues its
+    predecessor's line (a straight angle) is merged into it first.  The
+    radius is ``min_i(b_i - n_i . c)`` over all edges, so it never
+    overstates the circle; it is unique, and the returned center is one
     optimizer.
     """
     poly = P if isinstance(P, Polygon2) else Polygon2.from_points(P)
     n, b = poly.edge_lines()
-    m = len(b)
-    A = np.column_stack([n, np.ones(m)])
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=b,
-                  bounds=[(None, None)] * 3, method="highs")
-    if not res.success:
-        raise DegenerateInput(f"inscribed-circle LP failed: {res.message}")
-    c = np.array(res.x[:2])
+    nl, bl = n.tolist(), b.tolist()
+    live = [i for i in range(len(bl))
+            if abs(nl[i - 1][0] * nl[i][1] - nl[i - 1][1] * nl[i][0]) > 1e-14
+            or nl[i - 1][0] * nl[i][0] + nl[i - 1][1] * nl[i][1] < 0.0]
+    nl, bl = [nl[i] for i in live], [bl[i] for i in live]
+    m = len(bl)
+    prv = [(p - 1) % m for p in range(m)]
+    nxt = [(p + 1) % m for p in range(m)]
 
-    def true_radius(center):
-        return float(np.min(b - n @ center))
+    def vanish(p: int) -> float:
+        apex = _offset_apex(nl, bl, prv[p], p, nxt[p])
+        return inf if apex is None else apex[2]
 
-    best_c, best_r = c, true_radius(c)
-    slack = b - n @ c - best_r
-    active = np.flatnonzero(slack <= 1e-6 * max(1.0, abs(best_r)))
-    for trip in combinations(active.tolist(), 3):
-        M = A[list(trip)]
-        try:
-            sol = np.linalg.solve(M, b[list(trip)])
-        except np.linalg.LinAlgError:
-            continue
-        r = true_radius(sol[:2])
-        if r > best_r:
-            best_c, best_r = sol[:2], r
-    return Circle2((float(best_c[0]), float(best_c[1])), best_r)
+    when: list[float | None] = [vanish(p) for p in range(m)]
+    heap = [(r, p) for p, r in enumerate(when)]
+    heapq.heapify(heap)
+    last = 0
+    for _ in range(m - 3):
+        r, p = heapq.heappop(heap)
+        while r != when[p]:  # superseded by a later event time
+            r, p = heapq.heappop(heap)
+        when[p] = None
+        a, c = prv[p], nxt[p]
+        nxt[a], prv[c] = c, a
+        for q in (a, c):
+            when[q] = vanish(q)
+            heapq.heappush(heap, (when[q], q))
+        last = a
+    apex = _offset_apex(nl, bl, prv[last], last, nxt[last]) if m >= 3 else None
+    # fewer than three distinct lines: the polygon is a segment
+    center = poly.vertices.mean(axis=0) if apex is None else np.array(apex[:2])
+    return Circle2((float(center[0]), float(center[1])),
+                   float(np.min(b - n @ center)))
 
 
 # ---------------------------------------------------------------------------

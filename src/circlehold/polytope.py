@@ -10,6 +10,7 @@ inputs raise :class:`~circlehold.errors.DegenerateInput`.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -295,7 +296,7 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull,
     nrm = eq[[m[0] for m in members], :3][group]
     flipped = ((wind[:, None, :] @ nrm[:, :, None]).ravel() < 0).tolist()
 
-    faces: list[list[int]] = []
+    cycles: list[list[int]] = []
     for facet in members:
         # keep only the directed edges used once (the facet boundary)
         count: dict[tuple[int, int], int] = {}
@@ -310,13 +311,21 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull,
                 directed.append(de)
         boundary = [de for de in directed
                     if count.get(de, 0) == 1 and count.get((de[1], de[0]), 0) == 0]
-        cyc = _chain_cycle(boundary)
-        # drop vertices interior to a boundary edge (collinear chain points)
-        pts = points[cyc]
-        bend = _row_norms(np.cross(pts - np.roll(pts, 1, axis=0),
-                                   np.roll(pts, -1, axis=0) - pts))
-        keep = [cyc[i] for i in np.flatnonzero(bend > 1e-9 * scale * scale)]
+        cycles.append(_chain_cycle(boundary))
+
+    # drop vertices interior to a boundary edge (collinear chain points),
+    # all facet cycles in one batch
+    pts = points[[v for c in cycles for v in c]]
+    prev_idx = [v for c in cycles for v in c[-1:] + c[:-1]]
+    next_idx = [v for c in cycles for v in c[1:] + c[:1]]
+    bend = _row_norms(np.cross(pts - points[prev_idx], points[next_idx] - pts))
+    keep_all = (bend > 1e-9 * scale * scale).tolist()
+    faces: list[list[int]] = []
+    start = 0
+    for cyc in cycles:
+        keep = [v for v, k in zip(cyc, keep_all[start:start + len(cyc)]) if k]
         faces.append(keep if len(keep) >= 3 else cyc)
+        start += len(cyc)
     return faces
 
 
@@ -555,24 +564,59 @@ def _cylinder_radius_for_axis(V: np.ndarray, axis: np.ndarray,
     return c.radius, c
 
 
-def _cylinder_radii(V: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Cylinder radius for each row of ``axes``: the frames of all axes at
-    once (the construction of :func:`plane_frame`), then the vertex
-    projections 256 axes at a time (all at once would hold every projected
-    coordinate as a Python float) and one enclosing circle each."""
+# in-plane directions of the radius lower bound: the half extent along any
+# direction is at most the enclosing radius
+_EXTENT_DIRECTIONS = [(math.cos(j * math.pi / 16), math.sin(j * math.pi / 16))
+                      for j in range(16)]
+
+
+def _best_grid_axes(V: np.ndarray, axes: np.ndarray,
+                    keep: int) -> list[tuple[float, int]]:
+    """The ``keep`` smallest cylinder radii over the rows of ``axes``, as
+    ascending ``(radius, index)`` pairs; equal radii rank by index.
+
+    The frames of all axes are built at once (the construction of
+    :func:`plane_frame`) and the vertices are projected 256 axes at a time;
+    an axis is always projected within its own chunk, so its coordinates do
+    not depend on which other axes are evaluated.  Each axis gets a lower
+    bound, half its largest projected extent over 16 in-plane directions,
+    and exact radii (one enclosing circle each) are taken in order of
+    increasing bound until the next bound exceeds the last kept radius by
+    more than the enclosing circle's inclusion slack.
+    """
     N = axes / np.linalg.norm(axes, axis=1)[:, None]
     k = np.argmin(np.abs(N), axis=1)
     E1 = -N[np.arange(len(N)), k][:, None] * N
     E1[np.arange(len(N)), k] += 1.0
     E1 /= np.linalg.norm(E1, axis=1)[:, None]
     E2 = np.cross(N, E1)
-    radii = np.empty(len(N))
+
+    def projections(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        return E1[lo:lo + 256] @ V.T, E2[lo:lo + 256] @ V.T
+
+    bounds = np.empty(len(N))
     for lo in range(0, len(N), 256):
-        P = np.stack([E1[lo:lo + 256] @ V.T, E2[lo:lo + 256] @ V.T],
-                     axis=2)  # (chunk, V, 2)
-        for i, pts in enumerate(P):
-            radii[lo + i] = min_enclosing_circle(pts, seed=1).radius
-    return radii
+        X, Y = projections(lo)
+        extent = np.zeros(len(X))
+        for c, s in _EXTENT_DIRECTIONS:
+            proj = c * X + s * Y
+            np.maximum(extent, proj.max(axis=1) - proj.min(axis=1), out=extent)
+        bounds[lo:lo + 256] = 0.5 * extent
+
+    # points up to 1e-12 * max|coordinate| outside the enclosing circle
+    # count as inside, so a radius can sit that far below its bound
+    slack = 4e-12 * max(1.0, float(np.abs(V).max()))
+    best: list[tuple[float, int]] = []
+    for i in np.argsort(bounds, kind="stable").tolist():
+        if len(best) == keep and bounds[i] > best[-1][0] + slack:
+            break
+        lo = i - i % 256
+        X, Y = projections(lo)
+        r = min_enclosing_circle(np.stack([X[i - lo], Y[i - lo]], axis=1),
+                                 seed=1).radius
+        insort(best, (r, i))
+        del best[keep:]
+    return best
 
 
 def min_cylinder(K: Polytope3, refine: bool = True,
@@ -583,9 +627,11 @@ def min_cylinder(K: Polytope3, refine: bool = True,
     enclosing circle of the projected vertices — an exact computation — but
     the dependence on the axis direction is only piecewise-smooth, so the
     direction search combines a dense icosphere grid, the polytope's face
-    normals and edge directions, and a local simplex polish of the best
-    grid hits.  The result is a certified upper bound that is exact whenever
-    the optimal axis is among the candidates (e.g. a symmetry axis).
+    normals and edge directions, and a local simplex polish of the five
+    best grid hits (see :func:`_best_grid_axes`; equal radii rank by
+    candidate index).  The result is a certified upper bound that is exact
+    whenever the optimal axis is among the candidates (e.g. a symmetry
+    axis).
     """
     V = K.vertices
     n, _ = K.face_planes()
@@ -595,19 +641,17 @@ def min_cylinder(K: Polytope3, refine: bool = True,
     cands = np.vstack([_icosphere_directions(grid_level), n, ed, np.eye(3)])
     flip = cands[:, 2] < 0
     cands[flip] *= -1
-
-    radii = _cylinder_radii(V, cands)
-    order = np.argsort(radii)
+    best = _best_grid_axes(V, cands, 5 if refine else 1)
 
     def spherical(a):
         th, ph = a
         return np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                          np.cos(th)])
 
-    best_axis = cands[order[0]]
-    best_r = radii[order[0]]
+    best_r, best_idx = best[0]
+    best_axis = cands[best_idx]
     if refine:
-        for idx in order[:5]:
+        for _, idx in best:
             a0 = cands[idx]
             th0 = float(np.arccos(np.clip(a0[2], -1, 1)))
             ph0 = float(np.arctan2(a0[1], a0[0]))

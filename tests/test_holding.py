@@ -5,6 +5,7 @@ import pytest
 
 from circlehold import (
     Circle3,
+    InvalidInput,
     InvalidStart,
     NoBlockingSlice,
     NotFound,
@@ -29,9 +30,12 @@ from circlehold import (
     translation_block_certificate,
     wd_tetrahedron,
 )
-from circlehold.holding import (_SupportGapBound, _edge_pair_distances,
+from circlehold import families
+from circlehold.holding import (_SliceScanner, _SupportGapBound,
+                                _edge_pair_distances,
                                 _support_gap_exact)
-from circlehold.polytope import plane_frame
+from circlehold.planar import min_enclosing_circle
+from circlehold.polytope import Polytope3, plane_frame
 
 CUBE = build_hull(np.array([
     [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
@@ -86,6 +90,87 @@ def test_surrounds_slice():
     assert not surrounds_slice(CUBE, Circle3((2.5, 0.5, 0.5), 1.0, (0, 0, 1)))
     # penetrating circle cannot surround
     assert not surrounds_slice(CUBE, Circle3((0.5, 0.5, 0.5), 0.5, (0, 0, 1)))
+
+
+def _section_by_numpy(K, axis, origin, t):
+    """Section points of the earlier numpy scanner (vertices within
+    ``1e-12 * scale`` of the plane, then edge crossings), kept as the
+    reference for the float loop."""
+    e1, e2, n = plane_frame(np.asarray(axis, float))
+    rel = K.vertices - origin
+    V2 = np.stack([rel @ e1, rel @ e2], axis=1)
+    h = rel @ n
+    edges = np.asarray(K.edges, dtype=int)
+    eps = 1e-12 * max(1.0, float(np.abs(K.vertices).max()))
+    d = h - t
+    parts = [V2[np.abs(d) <= eps]]
+    a, bb = edges[:, 0], edges[:, 1]
+    da, db = d[a], d[bb]
+    m = ((da < -eps) & (db > eps)) | ((da > eps) & (db < -eps))
+    if m.any():
+        lam = (da[m] / (da[m] - db[m]))[:, None]
+        parts.append(V2[a[m]] + lam * (V2[bb[m]] - V2[a[m]]))
+    return np.vstack(parts)
+
+
+def _section_bodies():
+    rng = np.random.default_rng(30)
+    bodies = [families.octahedron_iceberg(1.2, 10.0).body,
+              families.seven_vertex_iceberg(1.38, 5.0).body,
+              families.rectangle_circle(1.38, 5.0).body,
+              families.flat_tetrahedron(0.2).body,
+              families.five_vertex_flat(0.2).body,
+              families.skew_tetrahedron(0.1).body,
+              families.bevelled_cylinder(10.0, 16).body,
+              families.wd_tetrahedron(2.0, 2.0, 1.0).body,
+              build_hull(families.simplex_hull_nd(3, 1.2, 10.0).body.vertices),
+              CUBE]
+    bodies += [build_hull(rng.standard_normal((int(rng.integers(5, 25)), 3))
+                          * rng.uniform(0.1, 10.0, size=3))
+               for _ in range(30)]
+    return bodies
+
+
+def test_float_section_matches_numpy_section():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for K in _section_bodies():
+        for axis in np.vstack([np.eye(3), rng.standard_normal((2, 3))]):
+            origin = rng.standard_normal(3) * float(rng.random() < 0.5)
+            sc = _SliceScanner(K, axis, origin=origin)
+            hs = np.unique(sc.h)
+            heights = np.concatenate([hs, (hs[1:] + hs[:-1]) / 2.0,
+                                      [hs[0] - 1.0, hs[-1] + 1.0]])
+            for t in heights:
+                want = _section_by_numpy(K, axis, origin, t)
+                got = sc.points2(t)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                if len(want) == 0:
+                    assert sc.circum(t) is None and sc.diam(t) == 0.0
+                    continue
+                c, w = sc.circum(t), min_enclosing_circle(want, seed=1)
+                assert np.array([*c.center, c.radius]).tobytes() == \
+                    np.array([*w.center, w.radius]).tobytes()
+                checked += 1
+    assert checked > 1000
+    assert _SliceScanner(CUBE, (0, 0, 1)).diam(float("nan")) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_slices_reject_non_finite_input(bad):
+    inst = families.octahedron_iceberg(1.2, 10.0)
+    V = inst.body.vertices.copy()
+    V[0, 1] = bad
+    K = Polytope3(V, inst.body.faces, validate=False)
+    with pytest.raises(InvalidInput):
+        translation_block_certificate(K, inst.circle)
+    with pytest.raises(InvalidInput):
+        min_holding_circle(K)
+    for axis, origin in (((0.0, bad, 1.0), None), ((0.0, 0.0, 1.0),
+                                                   (0.0, bad, 0.0))):
+        with pytest.raises(InvalidInput):
+            _SliceScanner(inst.body, axis, origin=origin)
 
 
 def test_translation_block_waist_vs_prism():

@@ -229,6 +229,85 @@ def test_slice_circle_equals_circle_of_hull():
                 assert abs(sc.circum(t).radius - old.radius) <= 1e-12 * scale
 
 
+def _chebyshev_by_linprog(P):
+    """Inscribed radius as the linear program ``max r  s.t.  n_i . c + r
+    <= b_i``, polished over near-active edge triples: the formulation the
+    wavefront replaced, kept as its reference."""
+    from scipy.optimize import linprog
+    n, b = P.edge_lines()
+    m = len(b)
+    A = np.column_stack([n, np.ones(m)])
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=b,
+                  bounds=[(None, None)] * 3, method="highs")
+    assert res.success
+
+    def true_radius(center):
+        return float(np.min(b - n @ center))
+
+    best_r = true_radius(res.x[:2])
+    slack = b - n @ res.x[:2] - best_r
+    active = np.flatnonzero(slack <= 1e-6 * max(1.0, abs(best_r)))
+    for trip in combinations(active.tolist(), 3):
+        try:
+            sol = np.linalg.solve(A[list(trip)], b[list(trip)])
+        except np.linalg.LinAlgError:
+            continue
+        best_r = max(best_r, true_radius(sol[:2]))
+    return best_r
+
+
+def _inscribed_shapes():
+    shapes = []
+    for k in range(3, 25):  # every edge vanishes at once
+        a = 2.0 * np.pi * np.arange(k) / k + 0.3
+        shapes.append(np.stack([np.cos(a), np.sin(a)], axis=1))
+    for w, h in [(1.0, 1.0), (2.0, 1.0), (10.0, 1.0), (1e3, 1.0), (1.0, 1e-3)]:
+        shapes.append([[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]])  # strips
+    shapes += [[[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386]],
+               [[0.0, 0.0], [4.0, 1.0], [-1.0, 2.0]],
+               [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-7]]]  # a sliver
+    return [np.asarray(s, float) for s in shapes]
+
+
+def test_chebyshev_matches_linprog_formulation():
+    rng = np.random.default_rng(17)
+    randoms = [random_convex_polygon(rng).vertices for _ in range(1000)]
+    cases = [(v, 1.0) for v in randoms[20:]]
+    cases += [(v, s) for v in _inscribed_shapes() + randoms[:20]
+              for s in (1.0, 1e-6, 1e6)]
+    for verts, scale in cases:
+        P = Polygon2(scale * verts + 0.25 * scale, validate=False)
+        r = chebyshev_inscribed(P).radius
+        tol = 1e-12 * max(1.0, float(np.abs(P.vertices).max()))
+        assert abs(r - _chebyshev_by_linprog(P)) <= tol
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-14, 1e-12, 1e-9, 1e-6])
+def test_chebyshev_with_collinear_vertices(eps):
+    x = np.array([0.0, 3.0, 6.0, 9.0])
+    for verts in ([[0, 0], [1, -3 * eps], [2, -4 * eps], [3, -3 * eps],
+                   [4, 0], [4, 1], [0, 1]],
+                  np.vstack([np.stack([x, x / 3 - eps * x * (9 - x)], 1),
+                             [[5, 7], [0, 4]]])):
+        P = Polygon2(np.asarray(verts, float), validate=False)
+        assert abs(chebyshev_inscribed(P).radius
+                   - _chebyshev_by_linprog(P)) <= 1e-12 * 9
+    # all vertices on one line: the segment's inscribed radius is 0
+    for verts in ([[0, 0], [1, 0], [2, 0]], [[0, 0], [1, 1], [2, 2], [1, 1]]):
+        P = Polygon2(np.asarray(verts, float), validate=False)
+        assert chebyshev_inscribed(P).radius == _chebyshev_by_linprog(P) == 0.0
+
+
+def test_horizontal_width_needs_no_hull():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        pts = rng.standard_normal((int(rng.integers(3, 40)), 2))
+        pts *= rng.uniform(1e-3, 1e3, size=2)
+        w_raw, _ = horizontal_width(pts)
+        w_hull, _ = horizontal_width(convex_hull_2d(pts))
+        assert abs(w_raw - w_hull) <= 1e-12 * max(1.0, float(np.abs(pts).max()))
+
+
 def test_chebyshev_square():
     c = chebyshev_inscribed(Polygon2.from_points(SQUARE))
     assert c.radius == pytest.approx(0.5, abs=1e-9)

@@ -11,6 +11,7 @@ from circlehold import (
     clip_halfspace,
     flat_tetrahedron,
     min_cylinder,
+    min_enclosing_circle,
     octahedron_iceberg,
     plane_frame,
     point_location,
@@ -185,9 +186,32 @@ def test_min_cylinder_long_box():
     assert abs(np.asarray(res.axis_direction)[2]) > 0.999
 
 
+def _cylinder_radii(V, axes):
+    """Cylinder radius for every row of ``axes``: the all-axes grid search
+    that ``_best_grid_axes`` replaced, kept as its reference."""
+    N = axes / np.linalg.norm(axes, axis=1)[:, None]
+    k = np.argmin(np.abs(N), axis=1)
+    E1 = -N[np.arange(len(N)), k][:, None] * N
+    E1[np.arange(len(N)), k] += 1.0
+    E1 /= np.linalg.norm(E1, axis=1)[:, None]
+    E2 = np.cross(N, E1)
+    radii = np.empty(len(N))
+    for lo in range(0, len(N), 256):
+        P = np.stack([E1[lo:lo + 256] @ V.T, E2[lo:lo + 256] @ V.T],
+                     axis=2)  # (chunk, V, 2)
+        for i, pts in enumerate(P):
+            radii[lo + i] = min_enclosing_circle(pts, seed=1).radius
+    return radii
+
+
+def _best_grid_axes_by_all_radii(V, axes, keep, radii=None):
+    radii = _cylinder_radii(V, axes) if radii is None else radii
+    return [(float(radii[i]), int(i))
+            for i in np.argsort(radii, kind="stable")[:keep]]
+
+
 def test_batched_cylinder_radii_match_scalar_path():
-    from circlehold.polytope import (_cylinder_radii,
-                                     _cylinder_radius_for_axis,
+    from circlehold.polytope import (_cylinder_radius_for_axis,
                                      _icosphere_directions)
     rng = np.random.default_rng(4)
     for K in (build_hull(CUBE), build_hull(3.0 * rng.standard_normal((40, 3)))):
@@ -199,6 +223,44 @@ def test_batched_cylinder_radii_match_scalar_path():
         scalar = [_cylinder_radius_for_axis(V, a)[0] for a in axes]
         scale = max(1.0, float(np.abs(V).max()))
         assert np.allclose(batched, scalar, rtol=0, atol=1e-12 * scale)
+
+
+def _cylinder_bodies():
+    rng = np.random.default_rng(21)
+    bodies = [build_hull(CUBE), bevelled_cylinder(10.0, 64).body,
+              flat_tetrahedron(0.2).body, octahedron_iceberg(1.2, 10.0).body]
+    for _ in range(20):
+        stretch = rng.uniform(0.2, 4.0, size=3)
+        pts = rng.standard_normal((int(rng.integers(6, 30)), 3)) * stretch
+        bodies.append(build_hull(pts @ random_rotation(rng).T))
+    return bodies
+
+
+def test_bounded_axis_search_matches_all_axes():
+    from circlehold.polytope import _best_grid_axes, _icosphere_directions
+    for j, K in enumerate(_cylinder_bodies()):
+        # the families on the full grid that min_cylinder uses by default
+        axes = np.vstack([_icosphere_directions(5 if j < 4 else 3),
+                          np.eye(3)])
+        radii = _cylinder_radii(K.vertices, axes)
+        for k in (1, 5):
+            assert _best_grid_axes(K.vertices, axes, k) == \
+                _best_grid_axes_by_all_radii(K.vertices, axes, k, radii)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_min_cylinder_matches_all_axes_search(refine, monkeypatch):
+    from circlehold import polytope
+    bodies = _cylinder_bodies()
+    if refine:  # each of the five polishes costs hundreds of circles
+        bodies = bodies[:4] + bodies[4::4]
+    got = [min_cylinder(K, refine, grid_level=3) for K in bodies]
+    monkeypatch.setattr(polytope, "_best_grid_axes",
+                        _best_grid_axes_by_all_radii)
+    want = [min_cylinder(K, refine, grid_level=3) for K in bodies]
+    for g, w in zip(got, want):
+        assert g.diameter == w.diameter
+        assert g.axis_direction.tobytes() == w.axis_direction.tobytes()
 
 
 def test_icosphere_directions_are_cached_read_only():
