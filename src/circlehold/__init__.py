@@ -18,8 +18,8 @@ from .planar import (Circle2, Polygon2, SplitWidths, Strip,
                      convex_hull_2d, equilateral_triangle,
                      hausdorff_distance, horizontal_width,
                      min_enclosing_circle, point_polygon_distance,
-                     random_axis_crossing_polygon, random_convex_polygon,
-                     split_width_identities, width2)
+                     projected_width, random_axis_crossing_polygon,
+                     random_convex_polygon, split_width_identities, width2)
 from .polytope import (CylinderResult, HalfSpace, PlanarSection, Polytope3,
                        WidthResult, build_hull, clip_halfspace, min_cylinder,
                        plane_frame, point_location, segment_distance,
@@ -57,8 +57,8 @@ __all__ = [
     "TOL_GEOM", "TOL_OPT", "DEFAULT_SEED",
     # planar
     "Polygon2", "Strip", "Circle2", "SplitWidths", "convex_hull_2d",
-    "width2", "breadth2", "horizontal_width", "clip_halfplane_2d",
-    "split_width_identities", "min_enclosing_circle",
+    "width2", "breadth2", "horizontal_width", "projected_width",
+    "clip_halfplane_2d", "split_width_identities", "min_enclosing_circle",
     "circle_support_points", "chebyshev_inscribed",
     "point_polygon_distance", "hausdorff_distance", "equilateral_triangle",
     "best_fit_equilateral", "random_convex_polygon",

@@ -36,10 +36,10 @@ from .errors import (CertificationError, InvalidInput, InvalidStart,
                      NoBlockingSlice, NotFound)
 from .planar import (Circle2, Polygon2, _welzl, best_fit_equilateral,
                      chebyshev_inscribed, clip_halfplane_2d, convex_hull_2d,
-                     horizontal_width, width2)
-# the public form of the slice kernel; bench/tracing.py wraps it under this
-# module's name
-from .planar import min_enclosing_circle  # noqa: F401
+                     projected_width, width2)
+# the public forms of the slice kernel and the strip width; bench/tracing.py
+# wraps them under this module's name
+from .planar import horizontal_width, min_enclosing_circle  # noqa: F401
 from .polytope import (HalfSpace, Polytope3, _row_norms, clip_halfspace,
                        min_cylinder, plane_frame, width3)
 # the scalar oracle of ``_edge_pair_distances``; bench/tracing.py wraps it
@@ -88,10 +88,6 @@ class Circle3:
         t = np.atleast_1d(np.asarray(t, float))
         return (self.center_array
                 + self.radius * (np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2))
-
-    def translated(self, delta) -> "Circle3":
-        return Circle3(tuple(self.center_array + np.asarray(delta, float)),
-                       self.diameter, self.normal)
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +898,6 @@ class ChainCertificate:
     contacts2: np.ndarray          # scaled contacts on the circle (plane coords)
     contacts3: np.ndarray          # contact points on the blocking section
     tangent_halfspaces: list[HalfSpace]
-    section_halfspaces: list[HalfSpace]
     region_kind: str               # "polygon" | "strip"
     region2: np.ndarray            # region clipped to the working box
     strip_direction: np.ndarray | None
@@ -985,16 +980,13 @@ def chain_certificate(K: Polytope3, C: Circle3, *, n_heights: int = 200,
         delta_world /= np.linalg.norm(delta_world)
 
         tangent_hs = []
-        section_hs = []
         for ui in u:
             zeta = -float(ui @ c_h2) / t_star
             nu = np.array([ui[0], ui[1], zeta])
             nu_len = np.linalg.norm(nu)
             nu_world = (nu[0] * e1 + nu[1] * e2 + nu[2] * nrm) / nu_len
             off_tan = (d / 2.0) / nu_len + float(nu_world @ C.center_array)
-            off_sec = (d_h / 2.0) / nu_len + float(nu_world @ C.center_array)
             tangent_hs.append(HalfSpace(tuple(nu_world), off_tan))
-            section_hs.append(HalfSpace(tuple(nu_world), off_sec))
 
         # cross-section of the tangent prism through the circle plane,
         # clipped to a working box (harmless: see class docstring)
@@ -1022,31 +1014,18 @@ def chain_certificate(K: Polytope3, C: Circle3, *, n_heights: int = 200,
         verts3 = _bounded_intersection_vertices(prism_hs,
                                                 1e-7 * max(1.0, box))
         relp = verts3 - c0
-        p1, p2, pt = relp @ e1, relp @ e2, relp @ nrm
-
-        # no hull first: a point set has the horizontal width of its hull,
-        # and the slopes of its point pairs include those of the hull's
-        def wh_prism(th: float) -> float:
-            s = p1 * np.cos(th) + p2 * np.sin(th)
-            wv, _ = horizontal_width(np.stack([s, pt], axis=1))
-            return wv
-
-        _, min_wh_region = _min_over_theta(wh_prism, theta_samples)
+        prism_pts = [(relp @ ax).tolist() for ax in (e1, e2, nrm)]
+        _, min_wh_region = _min_over_theta(
+            lambda th: projected_width(*prism_pts, th), theta_samples)
 
         # far half of the body, projected widths
         far_normal = tuple(sgn * np.asarray(C.normal, float))
         far = clip_halfspace(K, HalfSpace(far_normal,
                                           float(np.dot(far_normal, C.center))))
         rel = far.vertices - C.center_array
-        s1, s2 = rel @ e1, rel @ e2
-        tt = rel @ nrm
-
-        def wh_far(th: float) -> float:
-            s = s1 * np.cos(th) + s2 * np.sin(th)
-            wv, _ = horizontal_width(np.stack([s, tt], axis=1))
-            return wv
-
-        _, min_wh_far = _min_over_theta(wh_far, theta_samples)
+        far_pts = [(rel @ ax).tolist() for ax in (e1, e2, nrm)]
+        _, min_wh_far = _min_over_theta(
+            lambda th: projected_width(*far_pts, th), theta_samples)
 
         values = {
             "width": w,
@@ -1081,7 +1060,7 @@ def chain_certificate(K: Polytope3, C: Circle3, *, n_heights: int = 200,
             circle=C, side=side_name, height=float(t_star),
             d_h=d_h, rho=rho, delta_direction=delta_world,
             contacts2=q, contacts3=contacts3,
-            tangent_halfspaces=tangent_hs, section_halfspaces=section_hs,
+            tangent_halfspaces=tangent_hs,
             region_kind=region_kind, region2=poly, strip_direction=strip_dir,
             values=values, checks=checks,
         )

@@ -17,13 +17,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import hypot, inf
 from random import Random
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInput, InvalidInput
 from .tolerances import TOL_GEOM
@@ -41,34 +39,60 @@ def as_points(points) -> np.ndarray:
     return pts
 
 
-def convex_hull_2d(points, tol: float = TOL_GEOM) -> np.ndarray:
-    """Counterclockwise hull vertices of a 2D point set.
+def _hull(pts: list, tol: float = TOL_GEOM) -> list:
+    """Counterclockwise hull of a list of finite ``(x, y)`` pairs, as a list
+    of tuples from the lexicographically smallest: Andrew's monotone chain
+    (Andrew 1979) on floats.
 
-    Degenerate inputs (all points collinear or coincident) return the one or
-    two extreme points instead of raising, so callers can flag thin slices.
+    Duplicates are dropped (``-0.0 == 0.0``).  The two chains keep every
+    counterclockwise turn; then the flattest vertex is removed while it
+    turns by at most ``1e-15·M²``, ``M`` the largest coordinate magnitude.
+    So points off a hull edge only by rounding are not vertices, and no two
+    vertices nearly coincide.  A set without such a turn gives its two
+    extreme points, or one when they are within ``tol``.
     """
-    pts = as_points(points)
-    pts = np.unique(pts, axis=0)
-    if len(pts) < 3:
-        return pts
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        # collinear: order along the longest spread direction
-        d = pts - pts.mean(axis=0)
-        u = d[np.argmax(np.einsum("ij,ij->i", d, d))]
-        n = np.linalg.norm(u)
-        if n <= tol:
-            return pts[:1]
-        proj = d @ (u / n)
-        return pts[[np.argmin(proj), np.argmax(proj)]]
-    verts = pts[hull.vertices]  # Qhull returns CCW order in 2D
-    return verts
+    P = sorted(set(map(tuple, pts)))
+    hull = P
+    if len(P) >= 3:
+        hull = []
+        for seq in (P, P[::-1]):
+            chain: list = []
+            for p in seq:
+                cx, cy = p
+                while len(chain) >= 2:
+                    (ax, ay), (bx, by) = chain[-2], chain[-1]
+                    if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0.0:
+                        break
+                    chain.pop()
+                chain.append(p)
+            hull += chain[:-1]
+        M = max(-P[0][0], P[-1][0], max(map(abs, [y for _, y in P])))
+        while len(hull) >= 3:
+            turns = [(bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+                     for (ax, ay), (bx, by), (cx, cy)
+                     in zip(hull[-1:] + hull[:-1], hull, hull[1:] + hull[:1])]
+            k = min(range(len(hull)), key=turns.__getitem__)
+            if turns[k] > 1e-15 * M * M:
+                return hull
+            del hull[k]
+        hull = [P[0], P[-1]]
+    if len(hull) == 2 and hypot(hull[1][0] - hull[0][0],
+                                hull[1][1] - hull[0][1]) <= tol:
+        hull = hull[:1]
+    return hull
 
 
-def _poly_area(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def convex_hull_2d(points, tol: float = TOL_GEOM) -> np.ndarray:
+    """Counterclockwise hull vertices of a 2D point set, starting at the
+    lexicographically smallest.
+
+    Collinear points and points off a hull edge only by rounding are not
+    vertices.  Degenerate inputs (all points collinear or coincident) return
+    the one or two extreme points instead of raising, so callers can flag
+    thin slices.
+    """
+    return np.array(_hull(as_points(points).tolist(), tol),
+                    dtype=float).reshape(-1, 2)
 
 
 class Polygon2:
@@ -102,10 +126,6 @@ class Polygon2:
         return f"Polygon2({len(self.vertices)} vertices)"
 
     @property
-    def area(self) -> float:
-        return _poly_area(self.vertices)
-
-    @property
     def centroid(self) -> np.ndarray:
         v = self.vertices
         w = np.roll(v, -1, axis=0)
@@ -114,13 +134,6 @@ class Polygon2:
         if abs(a) < 1e-300:
             return v.mean(axis=0)
         return (v + w).T @ cr / (6.0 * a)
-
-    def support(self, u) -> float:
-        return float((self.vertices @ np.asarray(u, float)).max())
-
-    def breadth(self, u) -> float:
-        proj = self.vertices @ np.asarray(u, float)
-        return float(proj.max() - proj.min())
 
     def edge_lines(self) -> tuple[np.ndarray, np.ndarray]:
         """Outward unit normals and offsets: interior is ``n.x <= b``."""
@@ -204,44 +217,56 @@ def breadth2(P, u) -> float:
     return float(proj.max() - proj.min())
 
 
-def horizontal_width(P) -> tuple[float, Strip]:
-    """Minimal horizontal width of a convex set and an optimal strip.
+def _narrowest_strip(h: list) -> tuple[float, float, float, float]:
+    """``(width, slope, b1, b2)`` of the narrowest horizontal strip around
+    the convex polygon ``h``, a non-empty list of ``(s, t)`` vertices in
+    order.
 
-    Over strips of slope ``a`` the needed width is
-    ``f(a) = max_i(s_i - a*t_i) - min_i(s_i - a*t_i)``,
-    a convex piecewise-linear function of ``a`` whose minimum sits at a
-    breakpoint where two points tie, i.e. at a pairwise slope
-    ``(s_i - s_j)/(t_i - t_j)``.  Enumerating those slopes is exact.
+    Over strips of slope ``a`` the width is ``f(a) = max_i(s_i - a*t_i) -
+    min_i(s_i - a*t_i)``, convex and piecewise linear.  Its breakpoints,
+    where an extreme vertex changes, are the slopes of the non-horizontal
+    edges, and its minimum is at one of them: those slopes and ``0`` are
+    the candidates, and the first narrowest wins.
+    """
+    ss, ts = [s for s, _ in h], [t for _, t in h]
+    eps = 1e-14 * max(1.0, max(map(abs, ss)), max(map(abs, ts)))
+    if max(ts) - min(ts) <= eps:
+        # everything at one height: only vertical separation matters
+        return max(ss) - min(ss), 0.0, min(ss), max(ss)
+    slopes = [0.0] + [(s0 - s1) / (t0 - t1) for (s0, t0), (s1, t1)
+                      in zip(h, h[1:] + h[:1]) if abs(t0 - t1) > eps]
+    best = (inf, 0.0, 0.0, 0.0)
+    for a in slopes:
+        g = [s - a * t for s, t in h]
+        lo, hi = min(g), max(g)
+        if hi - lo < best[0]:
+            best = (hi - lo, a, lo, hi)
+    return best
+
+
+def horizontal_width(P) -> tuple[float, Strip]:
+    """Minimal horizontal width of a convex set and an optimal strip, from
+    the O(m) edge slopes of its hull (see :func:`_narrowest_strip`).  Point
+    sets are hulled once; a :class:`Polygon2` is taken as convex as it is.
 
     A horizontal segment has horizontal width equal to its length; a
     non-horizontal segment has horizontal width 0.
     """
-    verts = _vertices_of(P)
-    if len(verts) == 0:
+    h = (P.vertices.tolist() if isinstance(P, Polygon2)
+         else _hull(as_points(P).tolist()))
+    if not h:
         raise DegenerateInput("empty point set")
-    s, t = verts[:, 0], verts[:, 1]
-    t_span = float(t.max() - t.min())
-    scale = max(1.0, float(np.abs(verts).max()))
-    if t_span <= 1e-14 * scale:
-        # everything at one height: only vertical separation matters
-        return float(s.max() - s.min()), Strip(0.0, float(s.min()), float(s.max()))
+    w, a, lo, hi = _narrowest_strip(h)
+    return w, Strip(a, lo, hi)
 
-    slopes = [0.0]
-    for i, j in combinations(range(len(verts)), 2):
-        dt = t[i] - t[j]
-        if abs(dt) > 1e-14 * scale:
-            slopes.append((s[i] - s[j]) / dt)
 
-    best_w = np.inf
-    best: Strip | None = None
-    for a in slopes:
-        g = s - a * t
-        lo, hi = float(g.min()), float(g.max())
-        if hi - lo < best_w:
-            best_w = hi - lo
-            best = Strip(float(a), lo, hi)
-    assert best is not None
-    return float(best_w), best
+def projected_width(x, y, t, theta: float) -> float:
+    """Horizontal width of the points ``(x cos(theta) + y sin(theta), t)``,
+    the shadow of a 3D point set on the vertical plane at angle ``theta``;
+    ``x``, ``y``, ``t`` are equal-length, non-empty float lists."""
+    c, s = float(np.cos(theta)), float(np.sin(theta))
+    pts = [(a * c + b * s, h) for a, b, h in zip(x, y, t)]
+    return _narrowest_strip(_hull(pts))[0]
 
 
 @dataclass(frozen=True)
@@ -306,7 +331,7 @@ def split_width_identities(P, level: float = 0.0, tol: float = TOL_GEOM) -> Spli
     wa, _ = horizontal_width(upper)
     wb, _ = horizontal_width(lower)
     wc, _ = horizontal_width(chord) if len(chord) else (0.0, None)
-    wu, _ = horizontal_width(poly.vertices)
+    wu, _ = horizontal_width(poly)
     return SplitWidths(
         upper=wa, lower=wb, chord=wc, union=wu,
         residual_min=abs(wc - min(wa, wb)),
@@ -434,13 +459,17 @@ def chebyshev_inscribed(P, tol: float = TOL_GEOM) -> Circle2:
     predecessor's line (a straight angle) is merged into it first.  The
     radius is ``min_i(b_i - n_i . c)`` over all edges, so it never
     overstates the circle; it is unique, and the returned center is one
-    optimizer.
+    optimizer.  A polygon with a clockwise turn (clockwise order, or a
+    reflex vertex) raises :class:`InvalidInput`.
     """
     poly = P if isinstance(P, Polygon2) else Polygon2.from_points(P)
     n, b = poly.edge_lines()
     nl, bl = n.tolist(), b.tolist()
-    live = [i for i in range(len(bl))
-            if abs(nl[i - 1][0] * nl[i][1] - nl[i - 1][1] * nl[i][0]) > 1e-14
+    turns = [nl[i - 1][0] * nl[i][1] - nl[i - 1][1] * nl[i][0]
+             for i in range(len(bl))]
+    if min(turns) < -1e-14:
+        raise InvalidInput("polygon is not convex and counterclockwise")
+    live = [i for i in range(len(bl)) if turns[i] > 1e-14
             or nl[i - 1][0] * nl[i][0] + nl[i - 1][1] * nl[i][1] < 0.0]
     nl, bl = [nl[i] for i in live], [bl[i] for i in live]
     m = len(bl)

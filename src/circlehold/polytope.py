@@ -37,10 +37,6 @@ class HalfSpace:
     def contains(self, point, tol: float = TOL_GEOM) -> bool:
         return self.signed_distance(point) <= tol
 
-    def scaled(self, factor: float) -> "HalfSpace":
-        """Image under the homothety ``x -> factor * x`` about the origin."""
-        return HalfSpace(self.normal, self.offset * factor)
-
 
 @dataclass(frozen=True)
 class WidthResult:
@@ -92,16 +88,17 @@ def plane_frame(normal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e1, e2, n
 
 
-def _newell_normal(pts: np.ndarray) -> np.ndarray:
-    """Normal of a (nearly) planar polygon, robust to noise."""
-    nrm = np.zeros(3)
-    m = len(pts)
-    for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        nrm[0] += (a[1] - b[1]) * (a[2] + b[2])
-        nrm[1] += (a[2] - b[2]) * (a[0] + b[0])
-        nrm[2] += (a[0] - b[0]) * (a[1] + b[1])
-    ln = np.linalg.norm(nrm)
+def _newell_normal(pts: list) -> np.ndarray:
+    """Normal of a (nearly) planar polygon, a list of ``(x, y, z)`` floats:
+    Newell's sums, robust to noise."""
+    nx = ny = nz = 0.0
+    for (ax, ay, az), (bx, by, bz) in zip(pts, pts[1:] + pts[:1]):
+        nx += (ay - by) * (az + bz)
+        ny += (az - bz) * (ax + bx)
+        nz += (ax - bx) * (ay + by)
+    nrm = np.array([nx, ny, nz])
+    # the dot product that np.linalg.norm takes, without its dispatch
+    ln = math.sqrt(nrm @ nrm)
     if ln == 0:
         raise DegenerateInput("degenerate facet (collinear vertices)")
     return nrm / ln
@@ -178,9 +175,10 @@ class Polytope3:
             normals = []
             offsets = []
             centroid = self.vertices.mean(axis=0)
+            coords = self.vertices.tolist()
             for f in self.faces:
                 pts = self.vertices[f]
-                nrm = _newell_normal(pts)
+                nrm = _newell_normal([coords[i] for i in f])
                 off = float(nrm @ pts.mean(axis=0))
                 if nrm @ centroid > off:
                     nrm, off = -nrm, -off
@@ -195,9 +193,6 @@ class Polytope3:
         return [HalfSpace(tuple(nn), float(bb)) for nn, bb in zip(n, b)]
 
     # -- metric queries -------------------------------------------------------
-
-    def support(self, u) -> float:
-        return float((self.vertices @ np.asarray(u, float)).max())
 
     def breadth(self, u) -> float:
         proj = self.vertices @ np.asarray(u, float)
@@ -473,13 +468,6 @@ class PlanarSection:
     frame: tuple[np.ndarray, np.ndarray, np.ndarray]
     points2: np.ndarray
     kind: str
-
-    def to_3d(self, pts2=None) -> np.ndarray:
-        e1, e2, n = self.frame
-        p = self.points2 if pts2 is None else np.asarray(pts2, float)
-        if len(p) == 0:
-            return np.empty((0, 3))
-        return self.offset * n + p[:, [0]] * e1 + p[:, [1]] * e2
 
     def circumcircle(self, seed: int = 1) -> Circle2:
         if self.kind == "empty":

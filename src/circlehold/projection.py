@@ -18,12 +18,15 @@ upper width is strictly below the projected lower width for **every**
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-from .planar import Polygon2, Strip, convex_hull_2d, horizontal_width
+from .planar import convex_hull_2d, projected_width
+# the width of a projected pair; bench/tracing.py wraps it under this
+# module's name
+from .planar import horizontal_width  # noqa: F401
 from .polytope import HalfSpace, Polytope3, clip_halfspace
 
 
@@ -34,11 +37,6 @@ class ProjectedPair:
     theta: float
     upper: np.ndarray  # hull vertices in (s, t), t >= 0
     lower: np.ndarray  # hull vertices in (s, t), t <= 0
-
-    def widths(self) -> tuple[float, float, Strip, Strip]:
-        wa, sa = horizontal_width(self.upper)
-        wb, sb = horizontal_width(self.lower)
-        return wa, wb, sa, sb
 
 
 def split_body(K: Polytope3, level: float = 0.0) -> tuple[Polytope3, Polytope3]:
@@ -139,20 +137,19 @@ def iceberg_profile(K: Polytope3, level: float = 0.0, theta_samples: int = 720,
     """
     if theta_samples < 8:
         raise InvalidInput("need at least 8 angular samples")
-    halves = split_body(K, level)
+
+    def coords(part: Polytope3) -> tuple[list, list, list]:
+        # (x, y, z - level), the coordinates split_project projects
+        v = part.vertices
+        return v[:, 0].tolist(), v[:, 1].tolist(), (v[:, 2] - level).tolist()
+
+    upper, lower = map(coords, split_body(K, level))
     thetas = np.linspace(0.0, np.pi, theta_samples, endpoint=False)
-    wa = np.empty(theta_samples)
-    wb = np.empty(theta_samples)
-    for i, th in enumerate(thetas):
-        pair = split_project(K, th, level, halves)
-        wa[i], _ = horizontal_width(pair.upper)
-        wb[i], _ = horizontal_width(pair.lower)
+    wa = np.array([projected_width(*upper, th) for th in thetas])
+    wb = np.array([projected_width(*lower, th) for th in thetas])
 
     def margin_at(th: float) -> float:
-        pair = split_project(K, th, level, halves)
-        a, _ = horizontal_width(pair.upper)
-        b, _ = horizontal_width(pair.lower)
-        return b - a
+        return projected_width(*lower, th) - projected_width(*upper, th)
 
     step = np.pi / theta_samples
 

@@ -1,0 +1,39 @@
+"""The planar kernels that the float monotone-chain hull and the hull-edge
+slopes replaced, kept as the references their tests compare against."""
+
+from itertools import combinations
+
+import numpy as np
+from scipy.spatial import ConvexHull, QhullError
+
+
+def qhull_hull(points, tol=1e-9):
+    """Qhull plus ``np.unique``, with the collinear fallback."""
+    pts = np.unique(np.asarray(points, float), axis=0)
+    if len(pts) < 3:
+        return pts
+    try:
+        return pts[ConvexHull(pts).vertices]
+    except QhullError:
+        d = pts - pts.mean(axis=0)
+        u = d[np.argmax(np.einsum("ij,ij->i", d, d))]
+        n = np.linalg.norm(u)
+        if n <= tol:
+            return pts[:1]
+        proj = d @ (u / n)
+        return pts[[np.argmin(proj), np.argmax(proj)]]
+
+
+def pairwise_width(points):
+    """Horizontal width over every pairwise slope of the points."""
+    verts = np.asarray(points, float)
+    s, t = verts[:, 0], verts[:, 1]
+    scale = max(1.0, float(np.abs(verts).max()))
+    if float(t.max() - t.min()) <= 1e-14 * scale:
+        return float(s.max() - s.min())
+    slopes = [0.0]
+    for i, j in combinations(range(len(verts)), 2):
+        dt = t[i] - t[j]
+        if abs(dt) > 1e-14 * scale:
+            slopes.append((s[i] - s[j]) / dt)
+    return min(float((s - a * t).max() - (s - a * t).min()) for a in slopes)

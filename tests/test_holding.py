@@ -417,6 +417,20 @@ def test_chain_certificate_octahedron():
     assert v["diameter_bound"] == pytest.approx(1.5 * inst.circle.diameter, abs=1e-9)
 
 
+def test_verify_paper_chain_values_unchanged():
+    # the values before the float hull and hull-edge slopes
+    want = {"width": 2.9999161900746905, "min_wh_far_half": 2.999999999999999,
+            "min_wh_region": 3.029949501262465,
+            "width2_region": 3.0299495012624624,
+            "diameter_bound": 3.029949501262465}
+    inst = octahedron_iceberg(1.01, 200.0)
+    cert = chain_certificate(inst.body, inst.circle, theta_samples=720)
+    assert cert.values.keys() == want.keys()
+    for k, v in want.items():
+        assert abs(cert.values[k] - v) <= 1e-12
+    assert all(cert.checks.values())
+
+
 def test_chain_needs_a_blocking_slice():
     with pytest.raises(NoBlockingSlice):
         chain_certificate(CUBE, Circle3((0.5, 0.5, 0.5), 1.8, (0, 0, 1)),

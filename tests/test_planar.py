@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from planar_reference import pairwise_width, qhull_hull
 
 from circlehold import (
     DegenerateInput,
@@ -18,6 +19,7 @@ from circlehold import (
     horizontal_width,
     min_enclosing_circle,
     point_polygon_distance,
+    projected_width,
     random_axis_crossing_polygon,
     random_convex_polygon,
     split_width_identities,
@@ -94,6 +96,131 @@ def test_horizontal_width_dominates_ordinary_width():
         wh, _ = horizontal_width(P)
         w, _ = width2(P)
         assert wh >= w - 1e-12
+
+
+# --- the float hull and hull-edge widths against their references ----------
+
+def _distance_to_polygon(p, V):
+    """Distance from ``p`` to the convex polygon ``V`` (CCW, 0 inside),
+    with no tolerance."""
+    W = np.roll(V, -1, axis=0)
+    e, d = W - V, p - V
+    if np.all(e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0] >= 0.0):
+        return 0.0
+    lam = np.clip(np.einsum("ij,ij->i", d, e) / np.einsum("ij,ij->i", e, e),
+                  0.0, 1.0)
+    return float(np.linalg.norm(d - lam[:, None] * e, axis=1).min())
+
+
+# one projected half of octahedron_iceberg(1.38, 5) at theta = 2pi/3: the
+# section's clip points sit at t = -4.4e-16 next to vertices at t = 0
+NEAR_COLLINEAR_CLIP = np.array([
+    [-0.4081541788576515, -4.440892098500626e-16],
+    [1.3166263834117793, -4.440892098500626e-16],
+    [-0.6899999999999997, 0.8338633761607936],
+    [1.38, 0.8338633761607936], [-0.9084722045541276, 0.0],
+    [1.3166263834117793, 0.0],
+    [-0.9084722045541276, -4.440892098500626e-16],
+    [-0.4081541788576514, -4.440892098500626e-16],
+    [-0.6899999999999996, 0.8338633761607936]])
+
+
+def _hull_cases():
+    rng = np.random.default_rng(29)
+    cases = [rng.standard_normal((int(rng.integers(3, 40)), 2))
+             for _ in range(300)]
+    cases += [random_convex_polygon(rng).vertices for _ in range(50)]
+    cases += [np.linspace([0.0, 0.0], [3.0, 1.0], 7),          # collinear
+              rng.permutation(np.linspace([-1.0, 2.0], [4.0, -3.0], 12)),
+              np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]]),  # vertical
+              np.array([[2.0, 5.0]] * 4),                      # one point
+              np.vstack([SQUARE, SQUARE, SQUARE[::-1]]),       # duplicates
+              np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0],  # signed zeros
+                        [1.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [0.5, 0.5]]),
+              NEAR_COLLINEAR_CLIP]
+    for arc in (1e-3, 1e-2):  # fans with vertices turning by 4e-14 / 4e-11
+        a = arc * np.linspace(0.0, 1.0, 30)
+        cases.append(np.vstack([[0.0, 0.0],
+                                np.stack([np.cos(a), np.sin(a)], axis=1)]))
+    for _ in range(20):  # points on a square's edges, off by rounding
+        k = rng.integers(0, 4, 12)
+        on_edges = SQUARE[k] + rng.random((12, 1)) * (SQUARE[(k + 1) % 4]
+                                                      - SQUARE[k])
+        cases.append(np.vstack([SQUARE, on_edges])
+                     + rng.uniform(-1e-16, 1e-16, (16, 2)))
+    cases += [c * f for c in cases[:20] + cases[-30:] for f in (1e-6, 1e6)]
+    return cases
+
+
+def test_hull_matches_qhull():
+    for pts in _hull_cases():
+        scale = max(1.0, float(np.abs(pts).max()))
+        hull = convex_hull_2d(pts)
+        # on these sets the vertices are Qhull's, in another order
+        assert sorted(map(tuple, hull)) == sorted(map(tuple, qhull_hull(pts)))
+        if len(hull) < 3:
+            continue
+        e = np.roll(hull, -1, axis=0) - hull  # counterclockwise, strictly
+        assert np.all(e[:, 0] * np.roll(e[:, 1], -1)
+                      - e[:, 1] * np.roll(e[:, 0], -1) > 0.0)
+        # every input point is inside, up to the dropped rounding
+        assert max(_distance_to_polygon(p, hull) for p in pts) <= 1e-12 * scale
+
+
+def test_hull_keeps_the_clip_point_not_its_rounding_copy():
+    hull = set(map(tuple, convex_hull_2d(NEAR_COLLINEAR_CLIP)))
+    assert len(hull) == 4
+    assert (1.3166263834117793, -4.440892098500626e-16) in hull
+    # its exact turn is clockwise (-2.8e-17): no vertex of the true hull
+    assert (1.3166263834117793, 0.0) not in hull
+
+
+def test_hull_keeps_degenerate_returns():
+    assert convex_hull_2d([[1.0, 2.0]] * 3).tolist() == [[1.0, 2.0]]
+    seg = convex_hull_2d([[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+    assert sorted(seg.tolist()) == [[0.0, 0.0], [2.0, 2.0]]
+    # extremes within tol collapse to one point
+    assert len(convex_hull_2d([[0.0, 0.0], [1e-10, 0.0], [2e-10, 0.0]])) == 1
+    assert convex_hull_2d(np.empty((0, 2))).shape == (0, 2)
+    with pytest.raises(DegenerateInput):
+        Polygon2.from_points([[0.0, 0.0], [1.0, 1e-17], [2.0, 0.0]])
+    with pytest.raises(InvalidInput):
+        convex_hull_2d([[0.0, np.nan], [1.0, 0.0], [0.0, 1.0]])
+
+
+def test_horizontal_width_matches_pairwise_slopes():
+    for pts in _hull_cases():
+        scale = max(1.0, float(np.abs(pts).max()))
+        w, strip = horizontal_width(pts)
+        assert abs(w - pairwise_width(pts)) <= 1e-12 * scale
+        assert strip.width == w
+        for p in pts:
+            assert strip.contains(p, tol=1e-12 * scale)
+
+
+def test_horizontal_width_hulls_points_once_and_polygons_never(monkeypatch):
+    from circlehold import planar
+    calls = []
+    hull = planar._hull
+    P = random_convex_polygon(np.random.default_rng(2))
+    monkeypatch.setattr(planar, "_hull",
+                        lambda *a: calls.append(1) or hull(*a))
+    horizontal_width(P)
+    assert calls == []
+    horizontal_width(P.vertices)
+    assert calls == [1]
+    projected_width([0.0, 1.0, 0.5], [0.0, 0.0, 1.0], [0.0, 1.0, 2.0], 0.3)
+    assert calls == [1, 1]
+
+
+def test_projected_width_is_the_width_of_the_projection():
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        x, y, t = rng.standard_normal((3, int(rng.integers(4, 30))))
+        th = rng.uniform(0.0, np.pi)
+        s = x * np.cos(th) + y * np.sin(th)
+        w, _ = horizontal_width(np.stack([s, t], axis=1))
+        assert projected_width(x.tolist(), y.tolist(), t.tolist(), th) == w
 
 
 # --- split identities -------------------------------------------------------
@@ -306,6 +433,25 @@ def test_horizontal_width_needs_no_hull():
         w_raw, _ = horizontal_width(pts)
         w_hull, _ = horizontal_width(convex_hull_2d(pts))
         assert abs(w_raw - w_hull) <= 1e-12 * max(1.0, float(np.abs(pts).max()))
+
+
+@pytest.mark.parametrize("verts", [
+    [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],                        # clockwise
+    [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.5], [0.0, 2.0]],  # reflex
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0 - 1e-9],    # barely reflex
+     [0.0, 1.0]]])
+def test_chebyshev_rejects_clockwise_or_reflex(verts):
+    with pytest.raises(InvalidInput):
+        chebyshev_inscribed(Polygon2(np.asarray(verts, float), validate=False))
+
+
+def test_chebyshev_accepts_every_random_polygon_and_rejects_its_mirror():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        P = random_convex_polygon(rng)
+        assert chebyshev_inscribed(P).radius > 0.0
+        with pytest.raises(InvalidInput):
+            chebyshev_inscribed(Polygon2(P.vertices[::-1], validate=False))
 
 
 def test_chebyshev_square():

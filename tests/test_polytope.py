@@ -9,6 +9,7 @@ from circlehold import (
     bevelled_cylinder,
     build_hull,
     clip_halfspace,
+    five_vertex_flat,
     flat_tetrahedron,
     min_cylinder,
     min_enclosing_circle,
@@ -16,7 +17,9 @@ from circlehold import (
     plane_frame,
     point_location,
     segment_distance,
+    skew_tetrahedron,
     slice_plane,
+    wd_tetrahedron,
     width3,
 )
 
@@ -141,6 +144,45 @@ def test_merge_coplanar_matches_np_cross_formulation():
         used = sorted({i for f in faces for i in f})
         assert K.vertices.tobytes() == pts[used].tobytes()
     assert merged >= 30
+
+
+def _face_planes_by_numpy_newell(K):
+    """Newell normals accumulated in a numpy array, then the same offsets
+    and orientation: the face planes before the float sums, kept as their
+    reference."""
+    normals, offsets = [], []
+    centroid = K.vertices.mean(axis=0)
+    for f in K.faces:
+        pts = K.vertices[f]
+        nrm = np.zeros(3)
+        for i in range(len(pts)):
+            a, b = pts[i], pts[(i + 1) % len(pts)]
+            nrm[0] += (a[1] - b[1]) * (a[2] + b[2])
+            nrm[1] += (a[2] - b[2]) * (a[0] + b[0])
+            nrm[2] += (a[0] - b[0]) * (a[1] + b[1])
+        nrm = nrm / np.linalg.norm(nrm)
+        off = float(nrm @ pts.mean(axis=0))
+        if nrm @ centroid > off:
+            nrm, off = -nrm, -off
+        normals.append(nrm)
+        offsets.append(off)
+    return np.array(normals), np.array(offsets)
+
+
+def test_face_planes_match_numpy_newell_sums():
+    rng = np.random.default_rng(31)
+    bodies = [build_hull(c) for c in _hull_clouds()]
+    bodies += [build_hull(rng.standard_normal((int(rng.integers(8, 15)), 3)))
+               for _ in range(300)]
+    bodies += [inst.body for inst in (
+        octahedron_iceberg(1.01, 200.0), octahedron_iceberg(1.38, 5.0),
+        skew_tetrahedron(0.1), wd_tetrahedron(2.0, 2.0, 1.0),
+        five_vertex_flat(0.2))]
+    for K in bodies:
+        n, b = K.face_planes()
+        n_ref, b_ref = _face_planes_by_numpy_newell(K)
+        assert n.tobytes() == n_ref.tobytes()
+        assert b.tobytes() == b_ref.tobytes()
 
 
 def test_hull_rejects_flat_input():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from planar_reference import pairwise_width, qhull_hull
 
 from circlehold import (
     build_hull,
+    five_vertex_flat,
     flat_tetrahedron,
     horizontal_width,
     iceberg_profile,
@@ -86,3 +88,28 @@ def test_profile_arrays_are_consistent():
     assert len(prof.thetas) == len(prof.width_upper) == len(prof.width_lower)
     diffs = prof.width_lower - prof.width_upper
     assert prof.margin == pytest.approx(diffs.min(), abs=1e-12)
+
+
+@pytest.mark.parametrize("make, margin, flipped", [
+    # the margins before the float hull and hull-edge slopes
+    (lambda: octahedron_iceberg(1.38, 5.0), 0.774901412034092,
+     -0.8947790776666094),
+    (lambda: flat_tetrahedron(0.2), -1.9230769230769231,
+     -0.015384615384615385),
+    (lambda: five_vertex_flat(0.2), -1.849112426035503,
+     -0.015384615384615385)])
+def test_verify_paper_profiles_match_qhull_and_pairwise_slopes(make, margin,
+                                                               flipped):
+    inst = make()
+    level = inst.circle.center[2]
+    prof = iceberg_profile(inst.body, level=level, theta_samples=720)
+    assert abs(prof.margin - margin) <= 1e-12
+    assert abs(prof.margin_flipped - flipped) <= 1e-12
+    halves = split_body(inst.body, level)
+    for k in range(0, 720, 8):
+        th = prof.thetas[k]
+        for part, w in zip(halves, (prof.width_upper[k], prof.width_lower[k])):
+            v = part.vertices
+            st = np.stack([v[:, 0] * np.cos(th) + v[:, 1] * np.sin(th),
+                           v[:, 2] - level], axis=1)
+            assert abs(w - pairwise_width(qhull_hull(st))) <= 1e-12
