@@ -311,16 +311,22 @@ def cmd_chain(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    results = verification.run_suite(args.suite, seed=args.seed)
-    print(verification.format_results(results))
+    runs = verification.run_suites(args.suite, seed=args.seed)
+    print(verification.format_results(runs))
+    doc = {"seed": args.seed, "version": __version__, "suites": [
+        {"name": run.name, "seconds": fileio.round_sig(run.seconds),
+         "checks": [{"name": r.name, "passed": r.passed,
+                     "expected": r.expected, "got": r.got,
+                     "tolerance": r.tolerance, "detail": r.detail}
+                    for r in run.results]} for run in runs]}
+    written: list[str] = []
+    text = fileio.dumps_json(doc)
+    if args.json:
+        sys.stdout.write(text)
     if args.out_dir:
-        doc = [{"name": r.name, "passed": r.passed, "expected": r.expected,
-                "got": r.got, "tolerance": r.tolerance, "detail": r.detail,
-                "seconds": fileio.round_sig(r.seconds)} for r in results]
-        written: list[str] = []
-        _write(args, "verify.json", fileio.dumps_json(doc), written)
-        _print_written(written)
-    return 0 if all(r.passed for r in results) else 1
+        _write(args, "verify.json", text, written)
+    _print_written(written)
+    return 0 if all(r.passed for run in runs for r in run.results) else 1
 
 
 # ---------------------------------------------------------------------------

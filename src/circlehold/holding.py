@@ -25,7 +25,9 @@ constructive: it comes with a validated collision-free path.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -178,14 +180,39 @@ def circle_interior_intersects(K: Polytope3, C: Circle3,
                               C.points(t_best)[0] if hit else None)
 
 
+@lru_cache(maxsize=8)
+def _sample_angles(samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``samples`` equally spaced angles from 0, their cosines and their
+    sines, read-only (shared by every call)."""
+    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    out = (t, np.cos(t), np.sin(t))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def sampled_penetration(K: Polytope3, C: Circle3,
                         samples: int = 10_000) -> tuple[float, float]:
     """Max interior depth over uniformly sampled circle points (an oracle
     for cross-checking the exact test).  Returns ``(depth, angle)``."""
-    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    pts = C.points(t)
+    t, cos_t, sin_t = _sample_angles(samples)
+    e1, e2, _ = C.frame()
+    # the arithmetic of ``C.points(t)``, one coordinate per row
+    pts = np.multiply.outer(e1, cos_t)
+    pts += np.multiply.outer(e2, sin_t)
+    pts *= C.radius
+    pts += C.center_array[:, None]
+    pts = np.ascontiguousarray(pts.T)
     n, b = K.face_planes()
-    dep = -(pts @ n.T - b).max(axis=1)
+    # the (S, F) product of the depth formula (``n @ pts.T`` rounds some
+    # entries differently under BLAS), reduced one face at a time: F long
+    # maxima instead of S short ones
+    G = pts @ n.T
+    G -= b
+    worst = G[:, 0].copy()
+    for col in G.T[1:]:
+        np.maximum(worst, col, out=worst)
+    dep = -worst
     k = int(np.argmax(dep))
     return float(dep[k]), float(t[k])
 
@@ -201,7 +228,12 @@ class _SliceScanner:
     are relative to ``origin`` so a circle centered there sits at the
     2D origin.  Vertex heights, 2D coordinates and edges are kept as
     Python floats: a section of a few dozen edges is one short loop, where
-    numpy would spend most of its time on per-call overhead."""
+    numpy would spend most of its time on per-call overhead.
+
+    Between two consecutive distinct vertex heights the same edges cross
+    every plane, so each such interval keeps its crossing edges, in edge
+    order, and a section away from the vertex heights loops over those
+    alone."""
 
     def __init__(self, K: Polytope3, axis, origin=None):
         axis = np.asarray(axis, float)
@@ -220,36 +252,68 @@ class _SliceScanner:
         xy = np.stack([rel @ e1, rel @ e2], axis=1).tolist()
         self._vertices = [(hv, x, y) for hv, (x, y) in zip(h, xy)]
         self._edges = [(h[a], h[b], *xy[a], *xy[b]) for a, b in K.edges]
+        # _spans[k]: the edges spanning (levels[k - 1], levels[k]); the
+        # first and the last list, outside the body, stay empty
+        self._levels = sorted(set(h))
+        rank = {hv: k for k, hv in enumerate(self._levels)}
+        self._spans: list[list[tuple]] = [[] for _ in range(len(rank) + 1)]
+        for (a, b), edge in zip(K.edges, self._edges):
+            ka, kb = rank[h[a]], rank[h[b]]
+            for k in range(min(ka, kb) + 1, max(ka, kb) + 1):
+                self._spans[k].append(edge)
 
-    def _section(self, t: float) -> list[tuple[float, float]]:
-        """Points of the section at height ``t``: the vertices on the plane,
-        then the crossings of the edges that cut it, in edge order."""
+    def _section(self, t: float) -> tuple[list[tuple[float, float]], float]:
+        """Points of the section at height ``t`` and their largest
+        ``|coordinate|`` (0 when there are none): the vertices within
+        ``1e-12 * scale`` of the plane, then the crossings of the edges
+        that cut it, in edge order.
+
+        More than twice that tolerance away from every vertex height no
+        vertex is on the plane and exactly the interval's spanning edges
+        cut it, so only those are tested."""
         eps = 1e-12 * self.scale
-        pts = [(x, y) for hv, x, y in self._vertices if abs(hv - t) <= eps]
-        for ha, hb, ax, ay, bx, by in self._edges:
+        levels = self._levels
+        k = bisect_right(levels, t)
+        if ((k and t - levels[k - 1] <= 2.0 * eps)
+                or (k < len(levels) and levels[k] - t <= 2.0 * eps)):
+            pts = [(x, y) for hv, x, y in self._vertices if abs(hv - t) <= eps]
+            big = max([abs(c) for p in pts for c in p], default=0.0)
+            edges = self._edges
+        else:
+            pts = []
+            big = 0.0
+            edges = self._spans[k]
+        for ha, hb, ax, ay, bx, by in edges:
             da = ha - t
             db = hb - t
             if (da < -eps and db > eps) or (da > eps and db < -eps):
                 lam = da / (da - db)
-                pts.append((ax + lam * (bx - ax), ay + lam * (by - ay)))
-        return pts
+                x = ax + lam * (bx - ax)
+                y = ay + lam * (by - ay)
+                pts.append((x, y))
+                if x > big or -x > big:
+                    big = abs(x)
+                if y > big or -y > big:
+                    big = abs(y)
+        return pts, big
 
     def points2(self, t: float) -> np.ndarray:
-        return np.array(self._section(float(t))).reshape(-1, 2)
+        return np.array(self._section(float(t))[0]).reshape(-1, 2)
 
     def circum(self, t: float) -> Circle2 | None:
         """Smallest circle around the section (that of
         :func:`~circlehold.planar.min_enclosing_circle`, seed 1)."""
-        pts = self._section(float(t))
+        pts, big = self._section(float(t))
         if not pts:
             return None
-        eps = 1e-12 * max(1.0, max(abs(c) for p in pts for c in p))
-        cx, cy, r = _welzl(pts, eps, 1)
+        cx, cy, r = _welzl(pts, 1e-12 * max(1.0, big), 1)
         return Circle2((cx, cy), r)
 
     def diam(self, t: float) -> float:
-        c = self.circum(t)
-        return 0.0 if c is None else 2.0 * c.radius
+        pts, big = self._section(float(t))
+        if not pts:
+            return 0.0
+        return 2.0 * _welzl(pts, 1e-12 * max(1.0, big), 1)[2]
 
     def lift(self, p2, t: float) -> np.ndarray:
         e1, e2, n = self.frame
@@ -768,7 +832,21 @@ def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
     a way out.  ``EscapeFound`` is returned exactly when the search finds a
     validated escape path.  Everything else is ``Inconclusive``.
     """
-    pen, surrounds, block = _gates(K, C, tol_geom, tol_opt, n_heights)
+    return _report(K, C, _gates(K, C, tol_geom, tol_opt, n_heights),
+                   budget=budget, seed=seed, n_heights=n_heights,
+                   tol_geom=tol_geom, tol_opt=tol_opt,
+                   compute_chain=compute_chain,
+                   compute_edge_bound=compute_edge_bound,
+                   escape_kwargs=escape_kwargs)
+
+
+def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
+            n_heights: int, tol_geom: float, tol_opt: float,
+            compute_chain: bool, compute_edge_bound: bool,
+            escape_kwargs: dict | None) -> HoldingReport:
+    """The body of :func:`holding_report`, given the circle's
+    :func:`_gates`."""
+    pen, surrounds, block = gates
     reasons: list[str] = []
 
     edge_bound = None
@@ -1198,13 +1276,15 @@ def min_holding_circle(K: Polytope3, *, n_heights: int = 200,
     last_report = None
     for dia, center, axis in filtered:
         circle = Circle3(tuple(center), dia, tuple(axis))
-        pen, surrounds, block = _gates(K, circle, tol_geom, tol_opt, n_heights)
+        gates = _gates(K, circle, tol_geom, tol_opt, n_heights)
+        pen, surrounds, block = gates
         if pen.intersects or not surrounds or not block.blocked_above \
                 or not block.blocked_below:
             continue
-        report = holding_report(K, circle, budget=escape_budget, seed=seed,
-                                n_heights=n_heights, tol_geom=tol_geom,
-                                tol_opt=tol_opt, compute_edge_bound=True)
+        report = _report(K, circle, gates, budget=escape_budget, seed=seed,
+                         n_heights=n_heights, tol_geom=tol_geom,
+                         tol_opt=tol_opt, compute_chain=False,
+                         compute_edge_bound=True, escape_kwargs=None)
         last_report = report
         if report.verdict == VERDICT_EVIDENCE:
             return circle, report

@@ -289,30 +289,31 @@ class SplitWidths:
 
 def clip_halfplane_2d(vertices: np.ndarray, normal, offset: float,
                       tol: float = TOL_GEOM) -> np.ndarray:
-    """Clip a convex polygon against ``normal . p <= offset``."""
-    n = np.asarray(normal, float)
+    """Clip a convex polygon against ``normal . p <= offset``.
+
+    The signed distances are one matrix product; the walk round the polygon
+    runs on floats and drops each point within ``tol`` of the point kept
+    before it, and the last point when it is within ``tol`` of the first."""
     verts = as_points(vertices)
-    d = verts @ n - offset
-    out = []
-    m = len(verts)
-    for i in range(m):
-        p, q = verts[i], verts[(i + 1) % m]
-        dp, dq = d[i], d[(i + 1) % m]
+    d = (verts @ np.asarray(normal, float) - offset).tolist()
+    pts = verts.tolist()
+    out: list[tuple[float, float]] = []
+
+    def add(x: float, y: float) -> None:
+        if not out or hypot(x - out[-1][0], y - out[-1][1]) > tol:
+            out.append((x, y))
+
+    for (px, py), (qx, qy), dp, dq in zip(pts, pts[1:] + pts[:1],
+                                          d, d[1:] + d[:1]):
         if dp <= tol:
-            out.append(p)
+            add(px, py)
         if (dp < -tol and dq > tol) or (dp > tol and dq < -tol):
             lam = dp / (dp - dq)
-            out.append(p + lam * (q - p))
-    if not out:
-        return np.empty((0, 2))
-    res = np.array(out)
-    keep = [0]
-    for i in range(1, len(res)):
-        if np.linalg.norm(res[i] - res[keep[-1]]) > tol:
-            keep.append(i)
-    if len(keep) > 1 and np.linalg.norm(res[keep[-1]] - res[keep[0]]) <= tol:
-        keep.pop()
-    return res[keep]
+            add(px + lam * (qx - px), py + lam * (qy - py))
+    if len(out) > 1 and hypot(out[-1][0] - out[0][0],
+                              out[-1][1] - out[0][1]) <= tol:
+        out.pop()
+    return np.array(out).reshape(-1, 2)
 
 
 def split_width_identities(P, level: float = 0.0, tol: float = TOL_GEOM) -> SplitWidths:

@@ -88,20 +88,21 @@ def plane_frame(normal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e1, e2, n
 
 
-def _newell_normal(pts: list) -> np.ndarray:
-    """Normal of a (nearly) planar polygon, a list of ``(x, y, z)`` floats:
-    Newell's sums, robust to noise."""
-    nx = ny = nz = 0.0
+def _newell_sums(pts: list) -> tuple[float, float, float, float, float,
+                                      float]:
+    """Newell's sums of a (nearly) planar polygon, a list of ``(x, y, z)``
+    floats, and the sums of its coordinates: the unnormalised normal, robust
+    to noise, and ``len(pts)`` times the mean.  Both are accumulated in the
+    order numpy's ``sum(axis=0)`` adds the rows."""
+    nx = ny = nz = sx = sy = sz = 0.0
     for (ax, ay, az), (bx, by, bz) in zip(pts, pts[1:] + pts[:1]):
         nx += (ay - by) * (az + bz)
         ny += (az - bz) * (ax + bx)
         nz += (ax - bx) * (ay + by)
-    nrm = np.array([nx, ny, nz])
-    # the dot product that np.linalg.norm takes, without its dispatch
-    ln = math.sqrt(nrm @ nrm)
-    if ln == 0:
-        raise DegenerateInput("degenerate facet (collinear vertices)")
-    return nrm / ln
+        sx += ax
+        sy += ay
+        sz += az
+    return nx, ny, nz, sx, sy, sz
 
 
 def _chain_cycle(edges: list[tuple[int, int]]) -> list[int]:
@@ -138,10 +139,8 @@ class Polytope3:
         self.faces = [list(map(int, f)) for f in faces]
         edges: set[tuple[int, int]] = set()
         for f in self.faces:
-            m = len(f)
-            for i in range(m):
-                a, b = f[i], f[(i + 1) % m]
-                edges.add((min(a, b), max(a, b)))
+            for a, b in zip(f, f[1:] + f[:1]):
+                edges.add((a, b) if a < b else (b, a))
         self.edges: list[tuple[int, int]] = sorted(edges)
         self._normals: np.ndarray | None = None
         self._offsets: np.ndarray | None = None
@@ -170,22 +169,31 @@ class Polytope3:
                                "a minimal hull description")
 
     def face_planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Outward unit normals and offsets; interior is ``n.x < b``."""
+        """Outward unit normals and offsets; interior is ``n.x < b``.
+
+        Newell's normal of each face, its offset at the face's mean vertex,
+        flipped to point away from the vertex centroid.  The sums run on
+        floats per face; norms, offsets and orientation tests are row dot
+        products over all faces at once."""
         if self._normals is None:
-            normals = []
-            offsets = []
-            centroid = self.vertices.mean(axis=0)
             coords = self.vertices.tolist()
-            for f in self.faces:
-                pts = self.vertices[f]
-                nrm = _newell_normal([coords[i] for i in f])
-                off = float(nrm @ pts.mean(axis=0))
-                if nrm @ centroid > off:
-                    nrm, off = -nrm, -off
-                normals.append(nrm)
-                offsets.append(off)
-            self._normals = np.array(normals)
-            self._offsets = np.array(offsets)
+            sums = np.array([_newell_sums([coords[i] for i in f])
+                             for f in self.faces])
+            normals = sums[:, :3]
+            ln = _row_norms(normals)
+            if not ln.all():
+                raise DegenerateInput("degenerate facet (collinear vertices)")
+            normals = normals / ln[:, None]
+            means = sums[:, 3:] / np.array([len(f) for f in self.faces],
+                                           float)[:, None]
+            offsets = _row_dots(normals, means)
+            centroid = np.broadcast_to(self.vertices.mean(axis=0),
+                                       normals.shape)
+            flip = _row_dots(normals, centroid) > offsets
+            normals[flip] = -normals[flip]
+            offsets[flip] = -offsets[flip]
+            self._normals = normals
+            self._offsets = offsets
         return self._normals, self._offsets
 
     def halfspaces(self) -> list[HalfSpace]:
@@ -234,9 +242,23 @@ class Polytope3:
 # hull construction
 # ---------------------------------------------------------------------------
 
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u[i] @ v[i]`` for each row, with the dot product of a 1-D ``@``."""
+    return (u[:, None, :] @ v[:, :, None]).ravel()
+
+
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row, with the same dot product per row."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
+    return np.sqrt(_row_dots(v, v))
+
+
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products: the component products and differences of
+    ``np.cross``, without its axis handling."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0], axis=1)
 
 
 def _merge_coplanar(points: np.ndarray, hull: ConvexHull,
@@ -251,16 +273,16 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull,
 
     # adjacency via shared undirected edges
     edge_owner: dict[tuple[int, int], list[int]] = {}
-    for fi, tri in enumerate(tris):
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            edge_owner.setdefault((min(a, b), max(a, b)), []).append(fi)
+    for fi, (a, b, c) in enumerate(tris):
+        for e in ((a, b) if a < b else (b, a), (b, c) if b < c else (c, b),
+                  (c, a) if c < a else (a, c)):
+            edge_owner.setdefault(e, []).append(fi)
 
     # coplanarity of every two triangles that share an edge, in one batch
     pairs = np.array([p for owners in edge_owner.values()
                       for p in combinations(owners, 2)])
     eq_i, eq_j = eq[pairs[:, 0]], eq[pairs[:, 1]]
-    tilt = _row_norms(np.cross(eq_i[:, :3], eq_j[:, :3]))
+    tilt = _row_norms(_cross_rows(eq_i[:, :3], eq_j[:, :3]))
     flat = (tilt <= angle_tol) & (np.abs(eq_i[:, 3] - eq_j[:, 3])
                                   <= 1e-7 * scale)
     linked: list[list[int]] = [[] for _ in range(nf)]
@@ -287,12 +309,21 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull,
     # orient each triangle so its winding matches the outward normal of its
     # facet's first triangle
     a = points[simplices[:, 0]]
-    wind = np.cross(points[simplices[:, 1]] - a, points[simplices[:, 2]] - a)
+    wind = _cross_rows(points[simplices[:, 1]] - a,
+                       points[simplices[:, 2]] - a)
     nrm = eq[[m[0] for m in members], :3][group]
     flipped = ((wind[:, None, :] @ nrm[:, :, None]).ravel() < 0).tolist()
 
-    cycles: list[list[int]] = []
+    faces: list[list[int]] = []
+    merged: list[int] = []  # the facets of more than one triangle
     for facet in members:
+        if len(facet) == 1:
+            # a lone triangle is its own boundary cycle, and the bend test
+            # below keeps all three of its vertices or fewer than three
+            tri = tris[facet[0]]
+            faces.append([tri[0], tri[2], tri[1]] if flipped[facet[0]]
+                         else tri)
+            continue
         # keep only the directed edges used once (the facet boundary)
         count: dict[tuple[int, int], int] = {}
         directed: list[tuple[int, int]] = []
@@ -306,20 +337,25 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull,
                 directed.append(de)
         boundary = [de for de in directed
                     if count.get(de, 0) == 1 and count.get((de[1], de[0]), 0) == 0]
-        cycles.append(_chain_cycle(boundary))
+        merged.append(len(faces))
+        faces.append(_chain_cycle(boundary))
+    if not merged:
+        return faces
 
     # drop vertices interior to a boundary edge (collinear chain points),
-    # all facet cycles in one batch
+    # all merged facet cycles in one batch
+    cycles = [faces[k] for k in merged]
     pts = points[[v for c in cycles for v in c]]
     prev_idx = [v for c in cycles for v in c[-1:] + c[:-1]]
     next_idx = [v for c in cycles for v in c[1:] + c[:1]]
-    bend = _row_norms(np.cross(pts - points[prev_idx], points[next_idx] - pts))
+    bend = _row_norms(_cross_rows(pts - points[prev_idx],
+                                  points[next_idx] - pts))
     keep_all = (bend > 1e-9 * scale * scale).tolist()
-    faces: list[list[int]] = []
     start = 0
-    for cyc in cycles:
-        keep = [v for v, k in zip(cyc, keep_all[start:start + len(cyc)]) if k]
-        faces.append(keep if len(keep) >= 3 else cyc)
+    for k, cyc in zip(merged, cycles):
+        keep = [v for v, kp in zip(cyc, keep_all[start:start + len(cyc)]) if kp]
+        if len(keep) >= 3:
+            faces[k] = keep
         start += len(cyc)
     return faces
 

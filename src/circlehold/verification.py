@@ -4,7 +4,9 @@ Each check recomputes a claimed value with the geometric machinery and
 compares it against independent arithmetic (closed forms, frozen decimal
 expansions, or a brute-force oracle), returning a :class:`CheckResult`
 with the expectation, the computed value and the tolerance.  Suites group
-the checks; ``run_suite("all")`` runs everything.
+the checks; ``run_suite("all")`` runs everything, and :func:`run_suites`
+also gives each suite's measured wall time (the checks of a suite share
+their set-up, so they are not timed one by one).
 
 Two checks are expected to fail and are kept failing on purpose, because
 the claimed tolerances are not attainable:
@@ -28,8 +30,8 @@ import numpy as np
 from . import families, holding, planar, polytope, projection
 from .tolerances import DEFAULT_SEED
 
-__all__ = ["CheckResult", "SUITES", "suite_names", "run_suite",
-           "format_results"]
+__all__ = ["CheckResult", "SuiteRun", "SUITES", "suite_names", "run_suite",
+           "run_suites", "format_results"]
 
 
 @dataclass
@@ -40,7 +42,15 @@ class CheckResult:
     got: str
     tolerance: str
     detail: str = ""
-    seconds: float = 0.0
+
+
+@dataclass
+class SuiteRun:
+    """The checks of one suite and the wall time the suite took."""
+
+    name: str
+    seconds: float
+    results: list[CheckResult]
 
 
 def _res(name, passed, expected, got, tolerance, detail=""):
@@ -463,8 +473,8 @@ def suite_names() -> list[str]:
     return list(SUITES) + ["all"]
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run one named suite (or ``"all"``), timing each check."""
+def run_suites(name: str, seed: int = DEFAULT_SEED) -> list[SuiteRun]:
+    """Run one named suite (or ``"all"``), timing each suite."""
     if name == "all":
         picked = list(SUITES.items())
     elif name in SUITES:
@@ -472,27 +482,40 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     else:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{', '.join(suite_names())}")
-    results: list[CheckResult] = []
+    runs: list[SuiteRun] = []
     for suite, fn in picked:
         t0 = time.perf_counter()
         rs = fn(seed=seed)
         dt = time.perf_counter() - t0
         for r in rs:
             r.name = f"{suite}/{r.name}"
-            r.seconds = dt / len(rs)
-        results.extend(rs)
-    return results
+        runs.append(SuiteRun(suite, dt, rs))
+    return runs
 
 
-def format_results(results: list[CheckResult]) -> str:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """The checks of :func:`run_suites`, in order."""
+    return [r for run in run_suites(name, seed) for r in run.results]
+
+
+def format_results(runs: list[SuiteRun]) -> str:
+    """One line per check (and one per detail), one line per suite with
+    its wall time, and a total."""
     lines = []
-    width = max(len(r.name) for r in results) if results else 8
-    for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{mark}] {r.name:<{width}}  expected {r.expected}; "
-                     f"got {r.got}  (tol {r.tolerance}, {r.seconds:.1f}s)")
-        if r.detail:
-            lines.append(f"       {r.name:<{width}}  {r.detail}")
-    n_pass = sum(r.passed for r in results)
-    lines.append(f"{n_pass}/{len(results)} checks passed")
+    width = max((len(r.name) for run in runs for r in run.results),
+                default=8)
+    for run in runs:
+        for r in run.results:
+            mark = "PASS" if r.passed else "FAIL"
+            lines.append(f"[{mark}] {r.name:<{width}}  expected "
+                         f"{r.expected}; got {r.got}  (tol {r.tolerance})")
+            if r.detail:
+                lines.append(f"       {r.name:<{width}}  {r.detail}")
+        n_pass = sum(r.passed for r in run.results)
+        lines.append(f"suite {run.name}: {n_pass}/{len(run.results)} "
+                     f"passed in {run.seconds:.2f}s")
+    n_pass = sum(r.passed for run in runs for r in run.results)
+    n_all = sum(len(run.results) for run in runs)
+    total = sum(run.seconds for run in runs)
+    lines.append(f"{n_pass}/{n_all} checks passed in {total:.2f}s")
     return "\n".join(lines)

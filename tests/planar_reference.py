@@ -1,5 +1,6 @@
-"""The planar kernels that the float monotone-chain hull and the hull-edge
-slopes replaced, kept as the references their tests compare against."""
+"""The planar kernels that the float monotone-chain hull, the hull-edge
+slopes and the float half-plane clip replaced, kept as the references their
+tests compare against."""
 
 from itertools import combinations
 
@@ -37,3 +38,31 @@ def pairwise_width(points):
         if abs(dt) > 1e-14 * scale:
             slopes.append((s[i] - s[j]) / dt)
     return min(float((s - a * t).max() - (s - a * t).min()) for a in slopes)
+
+
+def numpy_clip(vertices, normal, offset, tol=1e-9):
+    """Half-plane clip with numpy arithmetic per vertex and
+    ``np.linalg.norm`` for the near-duplicate test."""
+    n = np.asarray(normal, float)
+    verts = np.asarray(vertices, float).reshape(-1, 2)
+    d = verts @ n - offset
+    out = []
+    m = len(verts)
+    for i in range(m):
+        p, q = verts[i], verts[(i + 1) % m]
+        dp, dq = d[i], d[(i + 1) % m]
+        if dp <= tol:
+            out.append(p)
+        if (dp < -tol and dq > tol) or (dp > tol and dq < -tol):
+            lam = dp / (dp - dq)
+            out.append(p + lam * (q - p))
+    if not out:
+        return np.empty((0, 2))
+    res = np.array(out)
+    keep = [0]
+    for i in range(1, len(res)):
+        if np.linalg.norm(res[i] - res[keep[-1]]) > tol:
+            keep.append(i)
+    if len(keep) > 1 and np.linalg.norm(res[keep[-1]] - res[keep[0]]) <= tol:
+        keep.pop()
+    return res[keep]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -113,6 +114,29 @@ def test_verify_suite_exit_codes(tmp_path):
     # the diameter limit of the spindle family misses its target tolerance,
     # and the suite reports that honestly
     assert run(["verify-paper", "--suite", "limits"]) == 1
+
+
+def test_verify_times_each_suite_once(tmp_path, capsys):
+    assert run(["verify-paper", "--suite", "limits", "--json",
+                "--out-dir", tmp_path]) == 1
+    out = capsys.readouterr().out
+    text, js = out[:out.index("\n{") + 1], out[out.index("\n{") + 1:]
+    lines = text.splitlines()
+    checks = [ln for ln in lines if ln.startswith(("[PASS]", "[FAIL]"))]
+    assert len(checks) == 2
+    assert all(ln.endswith(("(tol 1e-3)", "(tol 1e-2)")) for ln in checks)
+    suites = [ln for ln in lines if ln.startswith("suite ")]
+    assert len(suites) == 1
+    assert re.fullmatch(r"suite limits: 1/2 passed in \d+\.\d\ds", suites[0])
+    assert re.fullmatch(r"1/2 checks passed in \d+\.\d\ds", lines[-1])
+    doc = json.loads(js[:js.rindex("}") + 1])
+    assert doc == json.loads((tmp_path / "verify.json").read_text())
+    [suite] = doc["suites"]
+    assert suite["name"] == "limits" and suite["seconds"] >= 0.0
+    assert [c["name"] for c in suite["checks"]] == [
+        "limits/diameter-near-two(a=1.001)", "limits/width-near-three(h=500)"]
+    assert [c["passed"] for c in suite["checks"]] == [False, True]
+    assert all("seconds" not in c for c in suite["checks"])
 
 
 def test_render_writes_figures(tmp_path):

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from oracle_cases import oracle_agreement_cases
 
 from circlehold import (
     Circle3,
@@ -30,7 +31,7 @@ from circlehold import (
     translation_block_certificate,
     wd_tetrahedron,
 )
-from circlehold import families
+from circlehold import families, holding
 from circlehold.holding import (_SliceScanner, _SupportGapBound,
                                 _edge_pair_distances,
                                 _support_gap_exact)
@@ -155,6 +156,66 @@ def test_float_section_matches_numpy_section():
                 checked += 1
     assert checked > 1000
     assert _SliceScanner(CUBE, (0, 0, 1)).diam(float("nan")) == 0.0
+
+
+def _section_by_full_loop(sc, t):
+    """The section of every vertex and every edge, in the float loop of
+    the scanner before the per-interval edge lists, and the largest
+    ``|coordinate|`` of its points."""
+    eps = 1e-12 * sc.scale
+    pts = [(x, y) for hv, x, y in sc._vertices if abs(hv - t) <= eps]
+    for ha, hb, ax, ay, bx, by in sc._edges:
+        da = ha - t
+        db = hb - t
+        if (da < -eps and db > eps) or (da > eps and db < -eps):
+            lam = da / (da - db)
+            pts.append((ax + lam * (bx - ax), ay + lam * (by - ay)))
+    return pts, max((abs(c) for p in pts for c in p), default=0.0)
+
+
+def test_interval_section_matches_full_edge_loop():
+    rng = np.random.default_rng(32)
+    bodies = _section_bodies() + [
+        families.octahedron_iceberg(1.01, 200.0).body,
+        families.bevelled_cylinder(10.0, 64).body,
+        families.skew_tetrahedron(0.1).body]
+    checked = near = 0
+    for K in bodies:
+        axes = np.vstack([np.eye(3), rng.standard_normal((2, 3))])
+        for axis in axes:
+            origin = rng.standard_normal(3) * float(rng.random() < 0.5)
+            sc = _SliceScanner(K, axis, origin=origin)
+            eps = 1e-12 * sc.scale
+            hs = np.unique(sc.h)
+            heights = [np.linspace(sc.h_min - 1.0, sc.h_max + 1.0, 101),
+                       sc.grid(sc.h_min, sc.h_max, 100)]
+            heights += [hs + k * eps for k in range(-3, 4)]
+            for i, t in enumerate(np.concatenate(heights).tolist()):
+                got, want = sc._section(t), _section_by_full_loop(sc, t)
+                assert got == want
+                checked += 1
+                near += bool(want[0]) and min(abs(hs - t)) <= 2.0 * eps
+                if i % 7 == 0 and want[0]:
+                    assert sc.diam(t) == 2.0 * sc.circum(t).radius
+                elif i % 7 == 0:
+                    assert sc.diam(t) == 0.0 and sc.circum(t) is None
+    assert checked > 10_000 and near > 1000
+
+
+def test_sampled_penetration_matches_sample_by_face_matrix():
+    def by_sample_rows(K, C, samples):
+        t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        n, b = K.face_planes()
+        dep = -(C.points(t) @ n.T - b).max(axis=1)
+        k = int(np.argmax(dep))
+        return float(dep[k]), float(t[k])
+
+    cases = [(K, C) for _, K, C in oracle_agreement_cases(7) if K is not None]
+    assert len(cases) == 1000
+    for i, (K, C) in enumerate(cases):
+        for samples in (4096,) if i % 10 else (4096, 10_000, 7, 4095):
+            got = sampled_penetration(K, C, samples=samples)
+            assert got == by_sample_rows(K, C, samples)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -391,6 +452,19 @@ def test_min_holding_circle_flat_tetrahedron():
     assert circ.diameter == pytest.approx(
         inst.predictions["diameter"].value, abs=1e-6)
     assert rep.verdict == VERDICT_EVIDENCE
+
+
+def test_min_holding_circle_reports_with_the_gates_it_computed(monkeypatch):
+    inst = flat_tetrahedron(0.2)
+    blocked = []
+    block = holding.translation_block_certificate
+    monkeypatch.setattr(holding, "translation_block_certificate",
+                        lambda K, C, *a: blocked.append(C) or block(K, C, *a))
+    circ, rep = min_holding_circle(inst.body, escape_budget=800)
+    # each candidate circle is blocked once, the reported one included
+    assert circ in blocked and len(set(blocked)) == len(blocked)
+    monkeypatch.undo()
+    assert rep == holding_report(inst.body, circ, budget=800)
 
 
 def test_min_holding_circle_matches_waist_in_equality_class():

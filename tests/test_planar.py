@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from planar_reference import pairwise_width, qhull_hull
+from planar_reference import numpy_clip, pairwise_width, qhull_hull
 
 from circlehold import (
     DegenerateInput,
@@ -501,3 +501,43 @@ def test_clip_halfplane():
     assert out[:, 0].max() <= 0.5 + 1e-12
     assert out[:, 0].min() == pytest.approx(0.0)
     assert len(out) == 4
+
+
+def _clip_cases():
+    """(vertices, normal, offset) triples: the split-identities clips of
+    verify-paper at seed 7, random lines through random polygons, and
+    clips that produce points within ``tol`` of a kept point."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(1000):
+        V = random_axis_crossing_polygon(rng).vertices
+        cases += [(V, (0.0, -1.0), -0.0), (V, (0.0, 1.0), 0.0)]
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        V = random_convex_polygon(rng).vertices * rng.uniform(1e-3, 1e3)
+        u = rng.standard_normal(2)
+        u /= np.linalg.norm(u)
+        off = float(rng.choice(V @ u)) + float(rng.choice([0.0, 3e-10, -3e-10,
+                                                          rng.normal()]))
+        cases.append((V, u, off))
+        # every vertex doubled, the copy within about tol of it
+        W = np.repeat(V, 2, axis=0)
+        W[1::2] += rng.uniform(-1.2e-9, 1.2e-9, size=V.shape)
+        cases.append((W, u, off))
+    # vertices on the line, a vertex 5e-10 past it, doubled vertices, the
+    # chain's working box
+    cases += [(SQUARE, (1.0, 0.0), 1.0), (SQUARE, (1.0, 0.0), 0.0),
+              (SQUARE, (1.0, 1.0), 1.0), (SQUARE, (1.0, 0.0), 1.0 - 5e-10),
+              (np.vstack([SQUARE, SQUARE[:1] + 4e-10]), (0.0, 1.0), 0.5),
+              (np.repeat(SQUARE, 2, axis=0), (1.0, 0.0), 0.5),
+              (SQUARE, (1.0, 0.0), -1.0), (SQUARE, (1.0, 0.0), 2.0),
+              (np.array([[-50.0, -50.0], [50.0, -50.0], [50.0, 50.0],
+                         [-50.0, 50.0]]), (0.6, 0.8), 1.0)]
+    return cases
+
+
+def test_clip_halfplane_matches_numpy_clip():
+    for V, u, off in _clip_cases():
+        got, want = clip_halfplane_2d(V, u, off), numpy_clip(V, u, off)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracle_cases import oracle_agreement_cases
 from scipy.spatial import ConvexHull
 
 from circlehold import (
@@ -132,17 +133,25 @@ def _hull_clouds():
 def test_merge_coplanar_matches_np_cross_formulation():
     from circlehold.polytope import _merge_coplanar
     merged = 0
-    for cloud in _hull_clouds():
+    clouds = _hull_clouds() + [c for c, _, _ in oracle_agreement_cases(7)]
+    for cloud in clouds:
         pts = np.unique(cloud, axis=0)
         if len(pts) < 4 or np.linalg.matrix_rank(pts - pts.mean(axis=0)) < 3:
             continue
         hull = ConvexHull(pts)
         faces = _merge_coplanar(pts, hull)
-        assert faces == _merge_coplanar_by_np_cross(pts, hull)
+        want = _merge_coplanar_by_np_cross(pts, hull)
+        assert faces == want
         merged += len(faces) < len(hull.simplices)
         K = build_hull(cloud)
-        used = sorted({i for f in faces for i in f})
+        used = sorted({i for f in want for i in f})
+        remap = {old: new for new, old in enumerate(used)}
         assert K.vertices.tobytes() == pts[used].tobytes()
+        assert K.faces == [[remap[i] for i in f] for f in want]
+        n, b = K.face_planes()
+        n_ref, b_ref = _face_planes_by_numpy_newell(K)
+        assert n.tobytes() == n_ref.tobytes()
+        assert b.tobytes() == b_ref.tobytes()
     assert merged >= 30
 
 
