@@ -25,10 +25,10 @@ constructive: it comes with a validated collision-free path.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 from scipy.optimize import minimize
@@ -319,12 +319,19 @@ class _SliceScanner:
         e1, e2, n = self.frame
         return self.origin + p2[0] * e1 + p2[1] * e2 + t * n
 
-    def grid(self, lo: float, hi: float, n: int) -> np.ndarray:
-        span = max(hi - lo, 1e-30)
-        bp = self.h[(self.h > lo + 1e-12 * span) & (self.h < hi - 1e-12 * span)]
-        g = np.sort(np.concatenate([[lo, hi], bp, np.linspace(lo, hi, n)]))
-        keep = np.concatenate([[True], np.diff(g) > 1e-12 * span])
-        return g[keep]
+    def side_max(self, lo: float, hi: float) -> tuple[float, float]:
+        """Largest section circumdiameter on ``[lo, hi]`` and its height,
+        the lowest on ties.  The circumradius is convex between consecutive
+        vertex heights, so the maximum is at ``lo``, at ``hi`` or at a
+        vertex height between them: no other height is evaluated."""
+        levels = self._levels
+        inner = levels[bisect_right(levels, lo):bisect_left(levels, hi)]
+        best_t, best_d = lo, self.diam(lo)
+        for t in (*inner, hi):
+            d = self.diam(t)
+            if d > best_d:
+                best_t, best_d = t, d
+        return best_t, best_d
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +361,6 @@ class TranslationBlock:
 
 
 def translation_block_certificate(K: Polytope3, C: Circle3,
-                                  n_heights: int = 200,
                                   tol_opt: float = TOL_OPT) -> TranslationBlock:
     """Check, on each side of the circle's plane, for a cross-section whose
     circumcircle diameter exceeds the circle's by more than ``tol_opt``.
@@ -364,32 +370,25 @@ def translation_block_certificate(K: Polytope3, C: Circle3,
     following the curve of section circumcenters.  This is a necessary
     condition for holding — a body blocked on both sides may still be
     escapable by richer motions, which is what :func:`escape_search`
-    probes."""
+    probes.
+
+    The section circumdiameter is convex between consecutive vertex
+    heights, so only each side's near end (``1e-9 * span`` off the plane)
+    and its vertex heights are evaluated."""
     sc = _SliceScanner(K, np.asarray(C.normal, float), origin=C.center_array)
     d = C.diameter
     span = sc.h_max - sc.h_min
+    unblocked = SideBlock(False, None, 0.0, -d)
 
-    def scan(lo: float, hi: float, sign: float) -> SideBlock:
+    def side(lo: float, hi: float) -> SideBlock:
         if hi - lo <= 1e-12 * max(span, 1.0):
-            return SideBlock(False, None, 0.0, -d)
-        g = sc.grid(lo, hi, n_heights)
-        vals = np.array([sc.diam(t) for t in g])
-        k = int(np.argmax(vals))
-        a = g[max(k - 1, 0)]
-        b = g[min(k + 1, len(g) - 1)]
-        t_ref, neg = _golden_refine(lambda t: -sc.diam(t), a, b)
-        best_t, best_d = (float(g[k]), float(vals[k]))
-        if -neg > best_d:
-            best_t, best_d = float(t_ref), float(-neg)
-        return SideBlock(best_d > d + tol_opt, sign * abs(best_t),
-                         best_d, best_d - d)
+            return unblocked
+        t, best = sc.side_max(lo, hi)
+        return SideBlock(best > d + tol_opt, t, best, best - d)
 
     eps = 1e-9 * max(span, 1.0)
-    above = scan(eps, sc.h_max, +1.0) if sc.h_max > eps else SideBlock(False, None, 0.0, -d)
-    below_raw = scan(sc.h_min, -eps, -1.0) if sc.h_min < -eps else SideBlock(False, None, 0.0, -d)
-    below = SideBlock(below_raw.blocked,
-                      None if below_raw.height is None else -abs(below_raw.height),
-                      below_raw.circumdiameter, below_raw.margin)
+    above = side(eps, sc.h_max) if sc.h_max > eps else unblocked
+    below = side(sc.h_min, -eps) if sc.h_min < -eps else unblocked
     return TranslationBlock(above, below)
 
 
@@ -516,13 +515,17 @@ class _SupportGapBound:
     for inputs with a fixed number of faces: the smallest face support gap
     of a circle, hence a lower bound on its distance to the body.
 
-    The maximum over a 128-angle grid minus its Lipschitz slack
+    The minimum over a 128-angle grid minus its Lipschitz slack
     ``R_max pi / 128`` answers when positive.  Otherwise the bound is exact
     (:func:`_support_gap_exact`) for at most 12 faces.  Above that it is the
     minimum over 8192 angles minus ``R_max pi / 8192``, where only the
     coarse cells whose Lipschitz lower bound ``(G_k + G_k+1) / 2 - slack``
     reaches the coarse minimum are sampled: no other cell can hold the fine
     minimum, so the value is that of the full 8192-angle grid.
+
+    At most 12 faces the exact value ``E`` comes first and the grid runs
+    only when ``E > 0``: ``U - slack <= min <= E``, so the grid cannot
+    answer when ``E <= 0`` and the result is that of the grid first.
     """
 
     n_coarse = 128
@@ -543,6 +546,11 @@ class _SupportGapBound:
 
     def __call__(self, beta: np.ndarray, A: np.ndarray,
                  B: np.ndarray) -> float:
+        exact = len(beta) <= self.max_exact_faces
+        if exact:
+            E = _support_gap_exact(beta, A, B, self.pairs)
+            if E <= 0.0:
+                return E
         g = beta + self.cos_c * A + self.sin_c * B
         r_max = float(np.hypot(A, B).max(initial=0.0))
         slack = r_max * (np.pi / self.n_coarse)
@@ -550,8 +558,8 @@ class _SupportGapBound:
         U = float(G.min())
         if U - slack > 0.0:
             return U - slack
-        if len(beta) <= self.max_exact_faces:
-            return _support_gap_exact(beta, A, B, self.pairs)
+        if exact:
+            return E
         # the pad only admits more cells, against rounding in G and slack
         reach = 0.5 * (G + np.roll(G, -1)) - slack
         cells = np.flatnonzero(reach <= U + 1e-12 * (abs(U) + r_max))
@@ -809,16 +817,15 @@ class HoldingReport:
         return self.block.blocked_below
 
 
-def _gates(K: Polytope3, C: Circle3, tol_geom: float, tol_opt: float,
-           n_heights: int):
+def _gates(K: Polytope3, C: Circle3, tol_geom: float, tol_opt: float):
     pen = circle_interior_intersects(K, C, tol_opt)
     surrounds = surrounds_slice(K, C, tol_geom) if not pen.intersects else False
-    block = translation_block_certificate(K, C, n_heights, tol_opt)
+    block = translation_block_certificate(K, C, tol_opt)
     return pen, surrounds, block
 
 
 def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
-                   seed: int = DEFAULT_SEED, n_heights: int = 200,
+                   seed: int = DEFAULT_SEED,
                    tol_geom: float = TOL_GEOM, tol_opt: float = TOL_OPT,
                    compute_chain: bool = False,
                    compute_edge_bound: bool = True,
@@ -832,8 +839,8 @@ def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
     a way out.  ``EscapeFound`` is returned exactly when the search finds a
     validated escape path.  Everything else is ``Inconclusive``.
     """
-    return _report(K, C, _gates(K, C, tol_geom, tol_opt, n_heights),
-                   budget=budget, seed=seed, n_heights=n_heights,
+    return _report(K, C, _gates(K, C, tol_geom, tol_opt),
+                   budget=budget, seed=seed,
                    tol_geom=tol_geom, tol_opt=tol_opt,
                    compute_chain=compute_chain,
                    compute_edge_bound=compute_edge_bound,
@@ -841,7 +848,7 @@ def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
 
 
 def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
-            n_heights: int, tol_geom: float, tol_opt: float,
+            tol_geom: float, tol_opt: float,
             compute_chain: bool, compute_edge_bound: bool,
             escape_kwargs: dict | None) -> HoldingReport:
     """The body of :func:`holding_report`, given the circle's
@@ -888,8 +895,8 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
     chain = None
     if compute_chain and verdict == VERDICT_EVIDENCE:
         try:
-            chain = chain_certificate(K, C, n_heights=n_heights,
-                                      tol_geom=tol_geom, tol_opt=tol_opt)
+            chain = chain_certificate(K, C, tol_geom=tol_geom,
+                                      tol_opt=tol_opt)
         except (NoBlockingSlice, InvalidInput) as exc:
             reasons.append(f"chain certificate unavailable: {exc}")
 
@@ -987,7 +994,7 @@ class ChainCertificate:
         return all(self.checks.values())
 
 
-def chain_certificate(K: Polytope3, C: Circle3, *, n_heights: int = 200,
+def chain_certificate(K: Polytope3, C: Circle3, *,
                       theta_samples: int = 720, side: str = "auto",
                       tol_geom: float = TOL_GEOM,
                       tol_opt: float = TOL_OPT) -> ChainCertificate:
@@ -999,6 +1006,9 @@ def chain_certificate(K: Polytope3, C: Circle3, *, n_heights: int = 200,
     returns the first certificate whose checks all hold, falling back to
     the one with the fewest failures; the chain is asymmetric, so typically
     only the side whose far half is the wide one can certify.
+
+    Each side's blocking section is its largest, over the circle's plane
+    and that side's vertex heights (the profile is convex in between).
     """
     d = C.diameter
     sc = _SliceScanner(K, np.asarray(C.normal, float), origin=C.center_array)
@@ -1007,18 +1017,8 @@ def chain_certificate(K: Polytope3, C: Circle3, *, n_heights: int = 200,
     if side not in ("auto", "above", "below"):
         raise InvalidInput(f"side must be 'above', 'below' or 'auto', got {side!r}")
 
-    def best_on(lo: float, hi: float) -> tuple[float, float]:
-        g = sc.grid(lo, hi, n_heights)
-        vals = np.array([sc.diam(t) for t in g])
-        k = int(np.argmax(vals))
-        a, b = g[max(k - 1, 0)], g[min(k + 1, len(g) - 1)]
-        t_ref, neg = _golden_refine(lambda t: -sc.diam(t), a, b)
-        if -neg > vals[k]:
-            return float(t_ref), float(-neg)
-        return float(g[k]), float(vals[k])
-
-    t_up, d_up = best_on(0.0, sc.h_max)
-    t_dn, d_dn = best_on(sc.h_min, 0.0)
+    t_up, d_up = sc.side_max(0.0, sc.h_max)
+    t_dn, d_dn = sc.side_max(sc.h_min, 0.0)
     candidates = []
     if side in ("auto", "above") and d_up > d + tol_opt:
         candidates.append(("above", t_up, d_up, 1.0))
@@ -1183,29 +1183,86 @@ def _axis_candidates(K: Polytope3, extra: bool = True) -> list[np.ndarray]:
     return uniq
 
 
-def _waist_candidates(K: Polytope3, axis: np.ndarray, n_heights: int):
-    """Interior local minima of the cross-section circumdiameter along an
-    axis, golden-refined: (diameter, height, center2, scanner)."""
-    sc = _SliceScanner(K, axis)
-    g = sc.grid(sc.h_min, sc.h_max, n_heights)
-    vals = np.array([sc.diam(t) for t in g])
+def _waists(sc: _SliceScanner, tol_opt: float,
+            smallest: bool = False) -> list[tuple[float, float]]:
+    """Local minima ``(diameter, height)`` of the section circumdiameter
+    along the scanner's axis that the blocking gate can accept, by height.
+
+    The circumdiameter is convex between consecutive vertex heights, so a
+    local minimum sits at a vertex height where the profile rises on one
+    side and does not fall on the other, or inside an interval whose ends
+    both fall inward, found by one golden-section search over it.  Ends are
+    probed ``max(4e-12 * scale, 1e-6 * (b - a))`` inside, clear of the
+    vertex window of :meth:`_SliceScanner._section`; a shorter interval is
+    one point.
+
+    A minimum ``d`` is kept only when the profile exceeds ``d + tol_opt``
+    on both sides; by convexity the vertex heights decide that.  An
+    interval is not searched when the meeting point of its end secants, a
+    lower bound, fails that test, or with ``smallest`` cannot beat the
+    smallest minimum so far (the result then holds that one, not all).
+    """
+    levels = sc._levels
+    R = [sc.diam(t) for t in levels]
+    # below[k] / above[k]: the largest value at vertex heights k and lower /
+    # k and higher
+    below = list(accumulate(R, max))
+    above = list(accumulate(reversed(R), max))[::-1]
+    eps = 1e-12 * sc.scale
+    probes = []                          # per interval: value inside each end
+    for a, b, ra, rb in zip(levels, levels[1:], R, R[1:]):
+        delta = max(4.0 * eps, 1e-6 * (b - a))
+        if b - a > 2.0 * delta:
+            probes.append((sc.diam(a + delta), sc.diam(b - delta), delta))
+        else:                            # too short for probes: one point
+            probes.append((rb, ra, 0.0))
+
     out = []
-    for i in range(1, len(g) - 1):
-        if vals[i] <= vals[i - 1] + 1e-12 and vals[i] <= vals[i + 1] + 1e-12 \
-                and (vals[i] < vals[i - 1] - 1e-12 or vals[i] < vals[i + 1] - 1e-12):
-            t_ref, v_ref = _golden_refine(sc.diam, g[i - 1], g[i + 1])
-            if v_ref <= vals[i]:
-                t_best, d_best = t_ref, v_ref
-            else:
-                t_best, d_best = float(g[i]), float(vals[i])
-            c = sc.circum(t_best)
-            if c is not None and d_best > 0:
-                out.append((d_best, t_best, np.asarray(c.center), sc))
+    for k in range(1, len(levels) - 1):
+        left, right = probes[k - 1][1], probes[k][0]
+        if (min(left, right) >= R[k] and max(left, right) > R[k]
+                and below[k - 1] > R[k] + tol_opt < above[k + 1]):
+            out.append((R[k], levels[k]))
+    best = min(out)[0] if out else math.inf
+    # the interval searches, by ascending secant bound
+    todo = []
+    for k, (pa, pb, delta) in enumerate(probes):
+        if not (pa < R[k] and pb < R[k + 1]):
+            continue
+        sa = (pa - R[k]) / delta
+        sb = (R[k + 1] - pb) / delta
+        gap = levels[k + 1] - levels[k] - 2.0 * delta    # probe to probe
+        x = min(max((pb - pa - sb * gap) / (sa - sb), 0.0), gap)
+        # the margin covers rounding in the secant slopes
+        lb = pa + sa * x - 1e-9 * sc.scale
+        if below[k] > lb + tol_opt < above[k + 1]:
+            todo.append((lb, k))
+    todo.sort()
+    for lb, k in todo:
+        if smallest and lb >= best:
+            break
+        t, d = _golden_refine(sc.diam, levels[k], levels[k + 1])
+        if below[k] > d + tol_opt < above[k + 1]:
+            out.append((d, t))
+            best = min(best, d)
+    out.sort(key=lambda m: m[1])
     return out
 
 
-def min_holding_circle(K: Polytope3, *, n_heights: int = 200,
-                       escape_budget: int = 4000, seed: int = DEFAULT_SEED,
+def _waist_candidates(K: Polytope3, axis: np.ndarray, tol_opt: float):
+    """The waists of :func:`_waists` along an axis: (diameter, height,
+    center2, scanner)."""
+    sc = _SliceScanner(K, axis)
+    out = []
+    for d, t in _waists(sc, tol_opt):
+        c = sc.circum(t)
+        if c is not None and d > 0:
+            out.append((d, t, np.asarray(c.center), sc))
+    return out
+
+
+def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
+                       seed: int = DEFAULT_SEED,
                        tol_geom: float = TOL_GEOM, tol_opt: float = TOL_OPT,
                        extra_frames: bool = True, max_candidates: int = 12,
                        polish: bool = True) -> tuple[Circle3, HoldingReport]:
@@ -1222,6 +1279,12 @@ def min_holding_circle(K: Polytope3, *, n_heights: int = 200,
     the first candidate whose :func:`holding_report` verdict is
     ``CertifiedHoldingEvidence``.
 
+    The profile is convex between consecutive vertex heights, so waists are
+    found exactly, not on a height grid (:func:`_waists`).  A waist is a
+    candidate only if the profile exceeds its diameter by more than
+    ``tol_opt`` on both sides, else the blocking gate rejects its circle;
+    the polish minimises the smallest such waist over the axis.
+
     The result is an upper bound on the minimal holding diameter (evidence
     semantics as in :func:`holding_report`);
     :func:`nonintersecting_edge_bound` supplies the matching lower bound for
@@ -1229,7 +1292,7 @@ def min_holding_circle(K: Polytope3, *, n_heights: int = 200,
     """
     cands = []
     for axis in _axis_candidates(K, extra_frames):
-        cands.extend(_waist_candidates(K, axis, n_heights))
+        cands.extend(_waist_candidates(K, axis, tol_opt))
     cands.sort(key=lambda c: c[0])
 
     filtered = []
@@ -1254,10 +1317,8 @@ def min_holding_circle(K: Polytope3, *, n_heights: int = 200,
             th, ph = x
             axis = np.array([np.sin(th) * np.cos(ph),
                              np.sin(th) * np.sin(ph), np.cos(th)])
-            best = np.inf
-            for dd, _, _, _ in _waist_candidates(K, axis, max(n_heights // 4, 40)):
-                best = min(best, dd)
-            return best if np.isfinite(best) else 1e30
+            waists = _waists(_SliceScanner(K, axis), tol_opt, smallest=True)
+            return min(waists)[0] if waists else 1e30
 
         th0 = float(np.arccos(np.clip(ax0[2], -1, 1)))
         ph0 = float(np.arctan2(ax0[1], ax0[0]))
@@ -1267,7 +1328,7 @@ def min_holding_circle(K: Polytope3, *, n_heights: int = 200,
             th, ph = res.x
             axis = np.array([np.sin(th) * np.cos(ph),
                              np.sin(th) * np.sin(ph), np.cos(th)])
-            extra = _waist_candidates(K, axis, n_heights)
+            extra = _waist_candidates(K, axis, tol_opt)
             extra.sort(key=lambda c: c[0])
             if extra:
                 dd, tt, cc2, ssc = extra[0]
@@ -1276,14 +1337,14 @@ def min_holding_circle(K: Polytope3, *, n_heights: int = 200,
     last_report = None
     for dia, center, axis in filtered:
         circle = Circle3(tuple(center), dia, tuple(axis))
-        gates = _gates(K, circle, tol_geom, tol_opt, n_heights)
+        gates = _gates(K, circle, tol_geom, tol_opt)
         pen, surrounds, block = gates
         if pen.intersects or not surrounds or not block.blocked_above \
                 or not block.blocked_below:
             continue
         report = _report(K, circle, gates, budget=escape_budget, seed=seed,
-                         n_heights=n_heights, tol_geom=tol_geom,
-                         tol_opt=tol_opt, compute_chain=False,
+                         tol_geom=tol_geom, tol_opt=tol_opt,
+                         compute_chain=False,
                          compute_edge_bound=True, escape_kwargs=None)
         last_report = report
         if report.verdict == VERDICT_EVIDENCE:

@@ -546,36 +546,39 @@ def slice_plane(K: Polytope3, normal, offset: float,
 @lru_cache(maxsize=None)
 def _icosphere_directions(level: int = 5) -> np.ndarray:
     """Near-uniform unit directions from a subdivided icosahedron (cached per
-    level, so the array is read-only)."""
+    level, so the array is read-only).
+
+    Each level splits every triangle ``(a, b, c)`` into ``(a, ab, ca)``,
+    ``(b, bc, ab)``, ``(c, ca, bc)`` and ``(ab, bc, ca)``.  The midpoints
+    are normalised edge sums, numbered in the order their edges first occur
+    along the triangles (``ab``, ``bc``, ``ca`` within each)."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = []
     for s1 in (-1.0, 1.0):
         for s2 in (-1.0, 1.0):
             verts += [(0.0, s1, s2 * phi), (s1, s2 * phi, 0.0), (s2 * phi, 0.0, s1)]
-    verts = np.array(verts)
-    verts /= np.linalg.norm(verts, axis=1)[:, None]
-    hull = ConvexHull(verts)
-    tris = [tuple(t) for t in hull.simplices]
-    cache: dict[tuple[int, int], int] = {}
-    pts = list(verts)
-
-    def midpoint(i: int, j: int) -> int:
-        key = (min(i, j), max(i, j))
-        if key not in cache:
-            m = pts[i] + pts[j]
-            pts.append(m / np.linalg.norm(m))
-            cache[key] = len(pts) - 1
-        return cache[key]
-
+    pts = np.array(verts)
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    tris = ConvexHull(pts).simplices.astype(np.int64)
     for _ in range(level):
-        new = []
-        for a, b, c in tris:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        tris = new
-    dirs = np.array(pts)
-    keep = dirs[:, 2] > -1e-12  # antipodal axes give the same cylinder
-    out = dirs[keep]
+        n = len(pts)
+        ends = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys = ends.min(axis=1) * n + ends.max(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        # unique edges renumbered by first occurrence
+        order = np.argsort(first, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        mids = (n + rank[inverse]).reshape(-1, 3)     # ab, bc, ca
+        edge = ends[first[order]]
+        m = pts[edge[:, 0]] + pts[edge[:, 1]]
+        pts = np.vstack([pts, m / _row_norms(m)[:, None]])
+        a, b, c = tris.T
+        ab, bc, ca = mids.T
+        tris = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                        axis=1).reshape(-1, 3)
+    out = pts[pts[:, 2] > -1e-12]  # antipodal axes give the same cylinder
     out.setflags(write=False)
     return out
 

@@ -1,0 +1,48 @@
+"""The sampled section profile that the exact piecewise-convex one replaced:
+a height grid plus golden-section refinement, kept as the reference the
+profile tests compare against."""
+
+import numpy as np
+
+from circlehold.projection import _golden_refine
+
+
+def sampled_grid(sc, lo, hi, n):
+    """``n`` equally spaced heights on ``[lo, hi]``, both ends and the
+    vertex heights inside, sorted, with near-duplicates dropped."""
+    span = max(hi - lo, 1e-30)
+    bp = sc.h[(sc.h > lo + 1e-12 * span) & (sc.h < hi - 1e-12 * span)]
+    g = np.sort(np.concatenate([[lo, hi], bp, np.linspace(lo, hi, n)]))
+    keep = np.concatenate([[True], np.diff(g) > 1e-12 * span])
+    return g[keep]
+
+
+def sampled_side_max(sc, lo, hi, n_heights=200):
+    """Largest section circumdiameter on ``[lo, hi]``: the grid maximum,
+    golden-refined between its two neighbours, as ``(height, value)``."""
+    g = sampled_grid(sc, lo, hi, n_heights)
+    vals = np.array([sc.diam(t) for t in g])
+    k = int(np.argmax(vals))
+    a, b = g[max(k - 1, 0)], g[min(k + 1, len(g) - 1)]
+    t_ref, neg = _golden_refine(lambda t: -sc.diam(t), a, b)
+    if -neg > vals[k]:
+        return float(t_ref), float(-neg)
+    return float(g[k]), float(vals[k])
+
+
+def sampled_waists(sc, n_heights=200):
+    """Interior local minima ``(diameter, height)`` of the grid profile,
+    each golden-refined between its two grid neighbours."""
+    g = sampled_grid(sc, sc.h_min, sc.h_max, n_heights)
+    vals = np.array([sc.diam(t) for t in g])
+    out = []
+    for i in range(1, len(g) - 1):
+        if vals[i] <= vals[i - 1] + 1e-12 and vals[i] <= vals[i + 1] + 1e-12 \
+                and (vals[i] < vals[i - 1] - 1e-12
+                     or vals[i] < vals[i + 1] - 1e-12):
+            t_ref, v_ref = _golden_refine(sc.diam, g[i - 1], g[i + 1])
+            if v_ref <= vals[i]:
+                out.append((float(v_ref), float(t_ref)))
+            else:
+                out.append((float(vals[i]), float(g[i])))
+    return out

@@ -1,8 +1,11 @@
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
 from oracle_cases import oracle_agreement_cases
+from profile_reference import (sampled_grid, sampled_side_max,
+                               sampled_waists)
 
 from circlehold import (
     Circle3,
@@ -37,6 +40,7 @@ from circlehold.holding import (_SliceScanner, _SupportGapBound,
                                 _support_gap_exact)
 from circlehold.planar import min_enclosing_circle
 from circlehold.polytope import Polytope3, plane_frame
+from circlehold.tolerances import TOL_OPT
 
 CUBE = build_hull(np.array([
     [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
@@ -188,7 +192,7 @@ def test_interval_section_matches_full_edge_loop():
             eps = 1e-12 * sc.scale
             hs = np.unique(sc.h)
             heights = [np.linspace(sc.h_min - 1.0, sc.h_max + 1.0, 101),
-                       sc.grid(sc.h_min, sc.h_max, 100)]
+                       sampled_grid(sc, sc.h_min, sc.h_max, 100)]
             heights += [hs + k * eps for k in range(-3, 4)]
             for i, t in enumerate(np.concatenate(heights).tolist()):
                 got, want = sc._section(t), _section_by_full_loop(sc, t)
@@ -242,6 +246,141 @@ def test_translation_block_waist_vs_prism():
     # constant cross-sections never block
     tb2 = translation_block_certificate(CUBE, Circle3((0.5, 0.5, 0.5), 1.8, (0, 0, 1)))
     assert not tb2.above.blocked and not tb2.below.blocked
+
+
+# --- the exact slice profile ------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _profile_cases():
+    """(body, unit axis) pairs: the families along their circle normals and
+    the coordinate axes, and 100 random hulls along the coordinate axes and
+    one random axis."""
+    rng = np.random.default_rng(40)
+    insts = [octahedron_iceberg(1.2, 10.0), octahedron_iceberg(1.01, 200.0),
+             flat_tetrahedron(0.2), skew_tetrahedron(0.1),
+             wd_tetrahedron(2.0, 2.0, 1.0), bevelled_cylinder(10.0, 16),
+             families.seven_vertex_iceberg(1.38, 5.0)]
+    cases = [(inst.body, axis) for inst in insts
+             for axis in (np.asarray(inst.circle.normal), *np.eye(3))]
+    for _ in range(100):
+        K = build_hull(rng.standard_normal((int(rng.integers(5, 14)), 3))
+                       * rng.uniform(0.3, 3.0, size=3))
+        axis = rng.standard_normal(3)
+        cases += [(K, a) for a in (*np.eye(3), axis / np.linalg.norm(axis))]
+    return cases
+
+
+@pytest.fixture
+def diam_calls(monkeypatch):
+    """A one-element list counting ``_SliceScanner.diam`` calls."""
+    calls = [0]
+    diam = _SliceScanner.diam
+
+    def counted(self, t):
+        calls[0] += 1
+        return diam(self, t)
+    monkeypatch.setattr(_SliceScanner, "diam", counted)
+    return calls
+
+
+def test_exact_waists_are_never_above_the_sampled_ones(diam_calls):
+    sampled = pruned_calls = full_calls = 0
+    for K, axis in _profile_cases():
+        sc = _SliceScanner(K, axis)
+        exact = [d for d, _ in holding._waists(sc, -np.inf)]
+        step = (sc.h_max - sc.h_min) / 199
+        for d, t in sampled_waists(sc):
+            # a grid minimum at the end of a plateau, where the profile
+            # stays level on one side, is no strict local minimum
+            if min(sc.diam(t - step), sc.diam(t + step)) <= d + 1e-12:
+                continue
+            sampled += 1
+            assert min(exact) <= d + 1e-12 * sc.scale
+        # the polish objective: skipping intervals changes no value
+        diam_calls[0] = 0
+        full = holding._waists(sc, TOL_OPT)
+        full_calls += diam_calls[0]
+        diam_calls[0] = 0
+        pruned = holding._waists(sc, TOL_OPT, smallest=True)
+        pruned_calls += diam_calls[0]
+        assert min(full, default=None) == min(pruned, default=None)
+    assert sampled > 100 and pruned_calls < full_calls
+
+
+def test_waists_keep_exactly_the_blockable_minima():
+    dropped = 0
+    for K, axis in _profile_cases():
+        sc = _SliceScanner(K, axis)
+        levels = np.unique(sc.h)
+        R = np.array([sc.diam(t) for t in levels])
+
+        def blockable(d, t):
+            return (R[levels < t].max(initial=0.0) > d + TOL_OPT
+                    and R[levels > t].max(initial=0.0) > d + TOL_OPT)
+        every = holding._waists(sc, -np.inf)
+        kept = [m for m in every if blockable(*m)]
+        assert holding._waists(sc, TOL_OPT) == kept
+        dropped += len(every) - len(kept)
+    assert dropped >= 10
+
+
+def test_blocking_maximum_is_at_the_side_end_or_a_vertex_height():
+    rng = np.random.default_rng(41)
+    sides = 0
+    for K, axis in _profile_cases():
+        h = K.vertices @ axis
+        lo, hi = h.min(), h.max()
+        center = K.centroid + rng.uniform(-0.3, 0.3) * (hi - lo) * axis
+        C = Circle3(tuple(center), 1.0, tuple(axis))
+        tb = translation_block_certificate(K, C)
+        sc = _SliceScanner(K, np.asarray(C.normal), origin=C.center_array)
+        eps = 1e-9 * max(sc.h_max - sc.h_min, 1.0)
+        for blk, a, b in ((tb.above, eps, sc.h_max),
+                          (tb.below, sc.h_min, -eps)):
+            if b <= a:
+                assert not blk.blocked and blk.height is None
+                continue
+            sides += 1
+            inner = [float(v) for v in np.unique(sc.h) if a < v < b]
+            want = max(sc.diam(t) for t in [a, *inner, b])
+            assert blk.circumdiameter == want
+            assert sc.diam(blk.height) == want
+            assert want >= sampled_side_max(sc, a, b)[1] - 1e-8 * sc.scale
+    assert sides > 600
+
+
+@pytest.mark.parametrize("a", [1.002, 1.005, 1.05, 1.2])
+@pytest.mark.parametrize("h", [10.0, 50.0, 200.0, 500.0, 2000.0])
+def test_min_holding_circle_certifies_long_spindles(a, h):
+    inst = octahedron_iceberg(a, h)
+    circ, rep = min_holding_circle(inst.body, escape_budget=200)
+    assert rep.verdict == VERDICT_EVIDENCE
+    assert abs(circ.diameter - inst.circle.diameter) <= 1e-9
+
+
+@pytest.mark.parametrize("h", [10.0, 2000.0])
+def test_thinnest_spindle_waist_is_not_blocked_above(h):
+    # the widest section above the waist is the top triangle, diameter 2a,
+    # so the margin 2a - d = 2a (1 - cos(arctan((a - 1) / sqrt(3)))) does
+    # not depend on h: 3.3e-7 at a = 1.001, below TOL_OPT
+    a = 1.001
+    inst = octahedron_iceberg(a, h)
+    tb = translation_block_certificate(inst.body, inst.circle)
+    want = 2.0 * a * (1.0 - np.cos(np.arctan((a - 1.0) / np.sqrt(3.0))))
+    assert abs(tb.above.margin - want) <= 1e-12
+    assert 3.3e-7 < tb.above.margin < TOL_OPT
+    assert not tb.blocked_above and tb.blocked_below
+
+
+def test_slice_evaluation_counts(diam_calls):
+    # bounds: 1.5 times the counts of the exact profile, 6,838 and 4; the
+    # sampled profile made 12,835 and 526
+    inst = octahedron_iceberg(1.2, 10.0)
+    min_holding_circle(inst.body)
+    assert diam_calls[0] <= 10_257
+    diam_calls[0] = 0
+    translation_block_certificate(inst.body, inst.circle)
+    assert diam_calls[0] <= 6
 
 
 def _edge_pairs_by_scalar_oracle(K):
@@ -412,6 +551,40 @@ def test_cell_restricted_clearance_equals_full_fine_grid():
         fine += 1
         assert gap(beta, A, B) == _grid_gap(beta, A, B, 8192) - slack / 64
     assert fine >= 40
+
+
+def _gap_screen_first(gap, beta, A, B):
+    """The clearance bound at most 12 faces with the 128-angle screen
+    tried before the exact value, as it was computed before the reorder."""
+    g = beta + gap.cos_c * A + gap.sin_c * B
+    slack = float(np.hypot(A, B).max(initial=0.0)) * (np.pi / gap.n_coarse)
+    U = float(g.max(axis=1).min())
+    if U - slack > 0.0:
+        return U - slack
+    return _support_gap_exact(beta, A, B, gap.pairs)
+
+
+def test_exact_first_clearance_matches_screen_first():
+    rng = np.random.default_rng(12)
+    seen = {"touching": 0, "screened": 0, "exact": 0}
+    insts = [octahedron_iceberg(1.2, 10.0), octahedron_iceberg(1.05, 50.0),
+             flat_tetrahedron(0.2), skew_tetrahedron(0.1)]
+    for inst in insts:
+        K, C = inst.body, inst.circle
+        gap = _SupportGapBound(len(K.faces))
+        for _ in range(300):
+            n = np.asarray(C.normal) + rng.uniform(0.0, 0.3) * rng.normal(
+                size=3)
+            r = C.radius * (1.0 + rng.choice([0.0, 1e-3, 1e-2, 0.1, 1.0]))
+            c = C.center_array + rng.choice([0.0, 0.01, 0.3, 3.0]) * rng.normal(
+                size=3)
+            beta, A, B = _gap_inputs_for_pose(K, r, c, n / np.linalg.norm(n))
+            got = gap(beta, A, B)
+            assert got == _gap_screen_first(gap, beta, A, B)
+            exact = _support_gap_exact(beta, A, B, gap.pairs)
+            seen["touching" if exact <= 0.0 else
+                 "exact" if got == exact else "screened"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 # escape searches on the inflated circles of the benchmark, at seed 7: the

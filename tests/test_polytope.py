@@ -322,6 +322,50 @@ def test_icosphere_directions_are_cached_read_only():
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
 
+def _icosphere_by_midpoint_cache(level):
+    """The icosphere directions built one triangle and one midpoint at a
+    time, with a dictionary of edge midpoints, as before the index-array
+    construction."""
+    from scipy.spatial import ConvexHull
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    verts = []
+    for s1 in (-1.0, 1.0):
+        for s2 in (-1.0, 1.0):
+            verts += [(0.0, s1, s2 * phi), (s1, s2 * phi, 0.0),
+                      (s2 * phi, 0.0, s1)]
+    verts = np.array(verts)
+    verts /= np.linalg.norm(verts, axis=1)[:, None]
+    tris = [tuple(t) for t in ConvexHull(verts).simplices]
+    cache = {}
+    pts = list(verts)
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in cache:
+            m = pts[i] + pts[j]
+            pts.append(m / np.linalg.norm(m))
+            cache[key] = len(pts) - 1
+        return cache[key]
+
+    for _ in range(level):
+        new = []
+        for a, b, c in tris:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        tris = new
+    dirs = np.array(pts)
+    return dirs[dirs[:, 2] > -1e-12]
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_icosphere_matches_midpoint_cache_construction(level):
+    from circlehold.polytope import _icosphere_directions
+    want = _icosphere_by_midpoint_cache(level)
+    got = _icosphere_directions(level)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def _plane_frame_by_np_cross(normal):
     n = np.asarray(normal, float)
     n = n / np.linalg.norm(n)
