@@ -25,7 +25,7 @@ constructive: it comes with a validated collision-free path.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -1183,10 +1183,73 @@ def _axis_candidates(K: Polytope3, extra: bool = True) -> list[np.ndarray]:
     return uniq
 
 
+def _secant_floor(P, j: int) -> tuple[float, float]:
+    """Lower bound ``(value, height)`` on ``[P[j], P[j + 1]]`` of a convex
+    function sampled at the sorted ``(t, f(t))`` pairs ``P``: outside its
+    chord a convex function lies above the chord's line, so there it lies
+    above the secants of the neighbouring pairs, lowest where they meet."""
+    p, q = P[j][0], P[j + 1][0]
+    lines = [(P[k][0], P[k][1],
+              (P[k + 1][1] - P[k][1]) / (P[k + 1][0] - P[k][0]))
+             for k in (j - 1, j + 1) if 0 <= k < len(P) - 1]
+    xs = [p, q]
+    if len(lines) == 2 and lines[0][2] != lines[1][2]:
+        (xa, fa, sa), (xb, fb, sb) = lines
+        x = (fb - fa + sa * xa - sb * xb) / (sa - sb)
+        if p < x < q:
+            xs.append(x)
+    return min((max(f0 + s * (x - x0) for x0, f0, s in lines), x) for x in xs)
+
+
+def _convex_min(f, P, tol: float) -> float:
+    """Smallest value of ``f``, convex on the span of the sorted samples
+    ``P`` (``(t, f(t))`` pairs whose best one is not at an end), to within
+    ``tol`` and 60 more evaluations.
+
+    The minimum lies next to the best sample, where the secants of the
+    pairs beyond it (:func:`_secant_floor`) bound ``f`` from below; the
+    search stops once that bound is within ``tol`` of the best value, and
+    keeps only the best sample and two on each side.  Until then it steps
+    to the vertex of the parabola through the best sample and its
+    neighbours if that lands between them and moves less than half the
+    step before last (Brent 1973), else to where the secants meet (exact at
+    a kink, where parabolas creep), else a golden step into the larger
+    side."""
+    e = d = 0.0
+    for _ in range(60):
+        i = min(range(len(P)), key=lambda j: P[j][1])
+        P = P[max(i - 2, 0):i + 3]
+        i = min(i, 2)
+        (lo, f0), (x, fx), (hi, f2) = P[i - 1:i + 2]
+        lb, xl = min(_secant_floor(P, i - 1), _secant_floor(P, i))
+        if fx - lb <= tol:
+            break
+        step = None
+        if e:
+            r = (x - lo) * (fx - f2)
+            q = (x - hi) * (fx - f0)
+            p = (x - lo) * r - (x - hi) * q
+            q = 2.0 * (r - q)
+            e, etemp = d, e
+            if q and lo < x - p / q < hi and 0 < abs(p / q) < 0.5 * abs(etemp):
+                step = -p / q
+        if step is None:
+            e = hi - x if hi - x > x - lo else lo - x
+            step = (xl - x if lo < xl < hi and xl != x
+                    else 0.3819660112501051 * e)
+        d = step
+        u = x + step
+        if not lo < u < hi or u == x:
+            break
+        insort(P, (u, f(u)))
+    return min(v for _, v in P)
+
+
 def _waists(sc: _SliceScanner, tol_opt: float,
-            smallest: bool = False) -> list[tuple[float, float]]:
+            smallest: bool = False) -> list[tuple[float, float]] | float:
     """Local minima ``(diameter, height)`` of the section circumdiameter
-    along the scanner's axis that the blocking gate can accept, by height.
+    along the scanner's axis that the blocking gate can accept, by height;
+    with ``smallest``, only the smallest diameter (``inf`` if none).
 
     The circumdiameter is convex between consecutive vertex heights, so a
     local minimum sits at a vertex height where the profile rises on one
@@ -1200,7 +1263,10 @@ def _waists(sc: _SliceScanner, tol_opt: float,
     on both sides; by convexity the vertex heights decide that.  An
     interval is not searched when the meeting point of its end secants, a
     lower bound, fails that test, or with ``smallest`` cannot beat the
-    smallest minimum so far (the result then holds that one, not all).
+    smallest minimum so far.  With ``smallest`` the search is
+    :func:`_convex_min` from the ends and the probes, which stops once
+    convexity bounds the value to ``1e-13 * scale``, not at a fixed
+    bracket width.
     """
     levels = sc._levels
     R = [sc.diam(t) for t in levels]
@@ -1241,10 +1307,19 @@ def _waists(sc: _SliceScanner, tol_opt: float,
     for lb, k in todo:
         if smallest and lb >= best:
             break
-        t, d = _golden_refine(sc.diam, levels[k], levels[k + 1])
+        a, b = levels[k], levels[k + 1]
+        if smallest:
+            pa, pb, delta = probes[k]
+            t, d = None, _convex_min(sc.diam, [(a, R[k]), (a + delta, pa),
+                                               (b - delta, pb), (b, R[k + 1])],
+                                     1e-13 * sc.scale)
+        else:
+            t, d = _golden_refine(sc.diam, a, b)
         if below[k] > d + tol_opt < above[k + 1]:
             out.append((d, t))
             best = min(best, d)
+    if smallest:
+        return best
     out.sort(key=lambda m: m[1])
     return out
 
@@ -1283,7 +1358,9 @@ def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
     found exactly, not on a height grid (:func:`_waists`).  A waist is a
     candidate only if the profile exceeds its diameter by more than
     ``tol_opt`` on both sides, else the blocking gate rejects its circle;
-    the polish minimises the smallest such waist over the axis.
+    the polish minimises the smallest such waist over the axis, each
+    interval searched only until convexity bounds its value to
+    ``1e-13 * scale`` (:func:`_convex_min`).
 
     The result is an upper bound on the minimal holding diameter (evidence
     semantics as in :func:`holding_report`);
@@ -1317,8 +1394,8 @@ def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
             th, ph = x
             axis = np.array([np.sin(th) * np.cos(ph),
                              np.sin(th) * np.sin(ph), np.cos(th)])
-            waists = _waists(_SliceScanner(K, axis), tol_opt, smallest=True)
-            return min(waists)[0] if waists else 1e30
+            return min(_waists(_SliceScanner(K, axis), tol_opt, smallest=True),
+                       1e30)
 
         th0 = float(np.arccos(np.clip(ax0[2], -1, 1)))
         ph0 = float(np.arctan2(ax0[1], ax0[0]))

@@ -656,9 +656,10 @@ def min_cylinder(K: Polytope3, refine: bool = True,
     direction search combines a dense icosphere grid, the polytope's face
     normals and edge directions, and a local simplex polish of the five
     best grid hits (see :func:`_best_grid_axes`; equal radii rank by
-    candidate index).  The result is a certified upper bound that is exact
-    whenever the optimal axis is among the candidates (e.g. a symmetry
-    axis).
+    candidate index), each distinct start polished once: the candidates
+    repeat axes, and a repeated start repeats the same run.  The result is
+    a certified upper bound that is exact whenever the optimal axis is
+    among the candidates (e.g. a symmetry axis).
     """
     V = K.vertices
     n, _ = K.face_planes()
@@ -678,10 +679,14 @@ def min_cylinder(K: Polytope3, refine: bool = True,
     best_r, best_idx = best[0]
     best_axis = cands[best_idx]
     if refine:
+        starts = set()
         for _, idx in best:
             a0 = cands[idx]
             th0 = float(np.arccos(np.clip(a0[2], -1, 1)))
             ph0 = float(np.arctan2(a0[1], a0[0]))
+            if (th0, ph0) in starts:     # the same run: nothing new
+                continue
+            starts.add((th0, ph0))
             res = minimize(lambda x: _cylinder_radius_for_axis(V, spherical(x))[0],
                            np.array([th0, ph0]), method="Nelder-Mead",
                            options={"xatol": 1e-10, "fatol": 1e-13,

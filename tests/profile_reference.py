@@ -1,9 +1,13 @@
 """The sampled section profile that the exact piecewise-convex one replaced:
 a height grid plus golden-section refinement, kept as the reference the
-profile tests compare against."""
+profile tests compare against; and the polish objective with no interval
+skipped, the reference for its pruning."""
+
+import math
 
 import numpy as np
 
+from circlehold.holding import _convex_min, _waists
 from circlehold.projection import _golden_refine
 
 
@@ -46,3 +50,33 @@ def sampled_waists(sc, n_heights=200):
             else:
                 out.append((float(vals[i]), float(g[i])))
     return out
+
+
+def inward_intervals(sc):
+    """``(k, samples)`` for each interval between vertex heights whose
+    probes inside both ends fall inward: its ends and probes as ``_waists``
+    places them, the samples its searches start from."""
+    levels, eps = sc._levels, 1e-12 * sc.scale
+    R = [sc.diam(t) for t in levels]
+    for k, (a, b) in enumerate(zip(levels, levels[1:])):
+        delta = max(4.0 * eps, 1e-6 * (b - a))
+        if b - a > 2.0 * delta:
+            pa, pb = sc.diam(a + delta), sc.diam(b - delta)
+            if pa < R[k] and pb < R[k + 1]:
+                yield k, [(a, R[k]), (a + delta, pa), (b - delta, pb),
+                          (b, R[k + 1])]
+
+
+def unpruned_smallest(sc, tol_opt):
+    """The smallest waist of ``_waists(sc, tol_opt, smallest=True)`` with
+    every inward interval searched by ``_convex_min``, none skipped: the
+    vertex-height waists of ``_waists(sc, tol_opt)``, and each interval's
+    value when some vertex height on each side exceeds it by ``tol_opt``."""
+    levels = sc._levels
+    R = [sc.diam(t) for t in levels]
+    out = [d for d, t in _waists(sc, tol_opt) if t in levels]
+    for k, samples in inward_intervals(sc):
+        d = _convex_min(sc.diam, samples, 1e-13 * sc.scale)
+        if max(R[:k + 1]) > d + tol_opt < max(R[k + 1:]):
+            out.append(d)
+    return min(out, default=math.inf)

@@ -4,8 +4,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 from oracle_cases import oracle_agreement_cases
-from profile_reference import (sampled_grid, sampled_side_max,
-                               sampled_waists)
+from profile_reference import (inward_intervals, sampled_grid,
+                               sampled_side_max, sampled_waists,
+                               unpruned_smallest)
 
 from circlehold import (
     Circle3,
@@ -40,6 +41,7 @@ from circlehold.holding import (_SliceScanner, _SupportGapBound,
                                 _support_gap_exact)
 from circlehold.planar import min_enclosing_circle
 from circlehold.polytope import Polytope3, plane_frame
+from circlehold.projection import _golden_refine
 from circlehold.tolerances import TOL_OPT
 
 CUBE = build_hull(np.array([
@@ -296,15 +298,43 @@ def test_exact_waists_are_never_above_the_sampled_ones(diam_calls):
                 continue
             sampled += 1
             assert min(exact) <= d + 1e-12 * sc.scale
-        # the polish objective: skipping intervals changes no value
+        # the polish objective: skipping intervals changes no value (the
+        # same search on every interval, since golden-section and
+        # _convex_min differ in the last bits)
         diam_calls[0] = 0
-        full = holding._waists(sc, TOL_OPT)
+        holding._waists(sc, TOL_OPT)
         full_calls += diam_calls[0]
         diam_calls[0] = 0
         pruned = holding._waists(sc, TOL_OPT, smallest=True)
         pruned_calls += diam_calls[0]
-        assert min(full, default=None) == min(pruned, default=None)
+        assert pruned == unpruned_smallest(sc, TOL_OPT)
     assert sampled > 100 and pruned_calls < full_calls
+
+
+def test_convex_min_matches_golden_section_with_fewer_evaluations(diam_calls):
+    # every inward interval of 60 random hulls along 20 random axes each:
+    # the certified stop is never above the 60-step golden-section value by
+    # more than Welzl's inclusion slack, at under 40 % of its evaluations
+    # (the search starts from the ends and probes, which _waists has)
+    rng = np.random.default_rng(42)
+    n = calls = golden_calls = 0
+    for _ in range(60):
+        K = build_hull(rng.standard_normal((int(rng.integers(5, 14)), 3))
+                       * rng.uniform(0.3, 3.0, size=3))
+        for _ in range(20):
+            axis = rng.standard_normal(3)
+            sc = _SliceScanner(K, axis / np.linalg.norm(axis))
+            for _, samples in inward_intervals(sc):
+                diam_calls[0] = 0
+                want = _golden_refine(sc.diam, samples[0][0],
+                                      samples[-1][0])[1]
+                golden_calls += diam_calls[0]
+                diam_calls[0] = 0
+                got = holding._convex_min(sc.diam, samples, 1e-13 * sc.scale)
+                calls += diam_calls[0]
+                assert got <= want + 4e-12 * sc.scale
+                n += 1
+    assert n >= 300 and calls <= 0.4 * golden_calls
 
 
 def test_waists_keep_exactly_the_blockable_minima():
@@ -373,14 +403,30 @@ def test_thinnest_spindle_waist_is_not_blocked_above(h):
 
 
 def test_slice_evaluation_counts(diam_calls):
-    # bounds: 1.5 times the counts of the exact profile, 6,838 and 4; the
-    # sampled profile made 12,835 and 526
+    # bounds: 1.5 times the counts of the certified polish, 2,508, and of
+    # the exact profile, 4; 60-step golden polishes made 6,838, the sampled
+    # profile 12,835 and 526
     inst = octahedron_iceberg(1.2, 10.0)
     min_holding_circle(inst.body)
-    assert diam_calls[0] <= 10_257
+    assert diam_calls[0] <= 3_762
     diam_calls[0] = 0
     translation_block_certificate(inst.body, inst.circle)
     assert diam_calls[0] <= 6
+
+
+@pytest.mark.parametrize("inst", [
+    octahedron_iceberg(1.2, 10.0), octahedron_iceberg(1.05, 500.0),
+    flat_tetrahedron(0.2)], ids=["octahedron-10", "octahedron-500", "flat"])
+def test_min_holding_circle_is_invariant_under_rigid_motion(inst):
+    # the polish stops at 1e-13 * scale, and a translation changes the scale
+    rng = np.random.default_rng(43)
+    d = inst.circle.diameter
+    for _ in range(3):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        K = build_hull(inst.body.vertices @ q.T + rng.uniform(-10, 10, 3))
+        circ, rep = min_holding_circle(K, escape_budget=200)
+        assert rep.verdict == VERDICT_EVIDENCE
+        assert abs(circ.diameter - d) <= 1e-9 * d
 
 
 def _edge_pairs_by_scalar_oracle(K):

@@ -314,6 +314,62 @@ def test_min_cylinder_matches_all_axes_search(refine, monkeypatch):
         assert g.axis_direction.tobytes() == w.axis_direction.tobytes()
 
 
+def _min_cylinder_every_start(K):
+    """``min_cylinder`` polishing all five best grid axes, repeated ones
+    included: the loop that skipping repeated starts replaced."""
+    from circlehold.polytope import (CylinderResult, _best_grid_axes,
+                                     _cylinder_radius_for_axis,
+                                     _icosphere_directions, _unit, minimize)
+    V = K.vertices
+    segs = K.edge_segments()
+    ed = segs[:, 1] - segs[:, 0]
+    ed /= np.linalg.norm(ed, axis=1)[:, None]
+    cands = np.vstack([_icosphere_directions(5), K.face_planes()[0], ed,
+                       np.eye(3)])
+    cands[cands[:, 2] < 0] *= -1
+
+    def spherical(a):
+        return np.array([np.sin(a[0]) * np.cos(a[1]),
+                         np.sin(a[0]) * np.sin(a[1]), np.cos(a[0])])
+
+    best = _best_grid_axes(V, cands, 5)
+    best_r, best_axis = best[0][0], cands[best[0][1]]
+    for _, idx in best:
+        a0 = cands[idx]
+        x0 = [float(np.arccos(np.clip(a0[2], -1, 1))),
+              float(np.arctan2(a0[1], a0[0]))]
+        res = minimize(lambda x: _cylinder_radius_for_axis(V, spherical(x))[0],
+                       np.array(x0), method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-13,
+                                "maxiter": 400})
+        if res.fun < best_r:
+            best_r, best_axis = float(res.fun), spherical(res.x)
+    best_axis = _unit(best_axis)
+    r, circ = _cylinder_radius_for_axis(V, best_axis)
+    e1, e2, _ = plane_frame(best_axis)
+    return CylinderResult(2.0 * r, circ.center[0] * e1 + circ.center[1] * e2,
+                          best_axis)
+
+
+def test_min_cylinder_polishes_each_start_once(monkeypatch):
+    from circlehold import polytope
+    bodies = [*_cylinder_bodies(), skew_tetrahedron(0.1).body,
+              wd_tetrahedron(2.0, 2.0, 1.0).body]
+    want = [repr(_min_cylinder_every_start(K)) for K in bodies]
+    runs = []
+    minimize = polytope.minimize
+    monkeypatch.setattr(polytope, "minimize", lambda f, x0, **kw:
+                        runs.append(1) or minimize(f, x0, **kw))
+    got = []
+    for K in bodies:
+        runs.clear()
+        got.append(repr(min_cylinder(K)))
+        assert 1 <= len(runs) <= 5
+        if K is bodies[1]:      # the bevelled cylinder: 4 of 5 starts repeat
+            assert len(runs) == 2
+    assert got == want
+
+
 def test_icosphere_directions_are_cached_read_only():
     from circlehold.polytope import _icosphere_directions
     dirs = _icosphere_directions(3)
