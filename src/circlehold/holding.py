@@ -28,7 +28,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 import numpy as np
 from scipy.optimize import minimize
@@ -38,16 +38,15 @@ from .errors import (CertificationError, InvalidInput, InvalidStart,
                      NoBlockingSlice, NotFound)
 from .planar import (Circle2, Polygon2, _welzl, best_fit_equilateral,
                      chebyshev_inscribed, clip_halfplane_2d, convex_hull_2d,
-                     projected_width, width2)
+                     golden_refine, periodic_min, projected_width, width2)
 # the public forms of the slice kernel and the strip width; bench/tracing.py
 # wraps them under this module's name
 from .planar import horizontal_width, min_enclosing_circle  # noqa: F401
-from .polytope import (HalfSpace, Polytope3, _row_norms, clip_halfspace,
-                       min_cylinder, plane_frame, width3)
+from .polytope import (HalfSpace, Polytope3, _row_norms, build_hull,
+                       clip_halfspace, min_cylinder, plane_frame, width3)
 # the scalar oracle of ``_edge_pair_distances``; bench/tracing.py wraps it
 # under this module's name
 from .polytope import segment_distance  # noqa: F401
-from .projection import _golden_refine
 from .tolerances import DEFAULT_SEED, TOL_GEOM, TOL_OPT
 
 VERDICT_EVIDENCE = "CertifiedHoldingEvidence"
@@ -827,9 +826,7 @@ def _gates(K: Polytope3, C: Circle3, tol_geom: float, tol_opt: float):
 def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
                    seed: int = DEFAULT_SEED,
                    tol_geom: float = TOL_GEOM, tol_opt: float = TOL_OPT,
-                   compute_chain: bool = False,
-                   compute_edge_bound: bool = True,
-                   escape_kwargs: dict | None = None) -> HoldingReport:
+                   compute_chain: bool = False) -> HoldingReport:
     """Gather every certificate this package can produce for one circle pose
     and summarize them in a verdict.
 
@@ -842,15 +839,12 @@ def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
     return _report(K, C, _gates(K, C, tol_geom, tol_opt),
                    budget=budget, seed=seed,
                    tol_geom=tol_geom, tol_opt=tol_opt,
-                   compute_chain=compute_chain,
-                   compute_edge_bound=compute_edge_bound,
-                   escape_kwargs=escape_kwargs)
+                   compute_chain=compute_chain)
 
 
 def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
             tol_geom: float, tol_opt: float,
-            compute_chain: bool, compute_edge_bound: bool,
-            escape_kwargs: dict | None) -> HoldingReport:
+            compute_chain: bool) -> HoldingReport:
     """The body of :func:`holding_report`, given the circle's
     :func:`_gates`."""
     pen, surrounds, block = gates
@@ -858,11 +852,10 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
 
     edge_bound = None
     edge_pair = None
-    if compute_edge_bound:
-        try:
-            edge_bound, edge_pair = nonintersecting_edge_bound(K)
-        except InvalidInput:
-            pass
+    try:
+        edge_bound, edge_pair = nonintersecting_edge_bound(K)
+    except InvalidInput:
+        pass
 
     escape = None
     if pen.intersects:
@@ -876,8 +869,7 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
             reasons.append("no blocking cross-section above the circle plane")
         if not block.blocked_below:
             reasons.append("no blocking cross-section below the circle plane")
-        escape = escape_search(K, C, budget=budget, seed=seed, tol=tol_opt,
-                               **(escape_kwargs or {}))
+        escape = escape_search(K, C, budget=budget, seed=seed, tol=tol_opt)
         if escape.found:
             verdict = VERDICT_ESCAPE
             reasons.append(f"escape path found after {escape.checks_used} checks")
@@ -909,36 +901,6 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
 # projection chain certificate
 # ---------------------------------------------------------------------------
 
-def _min_over_theta(f, n_grid: int) -> tuple[float, float]:
-    thetas = np.linspace(0.0, np.pi, n_grid, endpoint=False)
-    vals = np.array([f(t) for t in thetas])
-    k = int(np.argmin(vals))
-    step = np.pi / n_grid
-    t_ref, v_ref = _golden_refine(f, thetas[k] - step, thetas[k] + step)
-    if vals[k] <= v_ref:
-        return float(thetas[k]), float(vals[k])
-    return float(t_ref % np.pi), float(v_ref)
-
-
-def _bounded_intersection_vertices(halfspaces, tol: float) -> np.ndarray:
-    """Vertices of a bounded half-space intersection by triple enumeration."""
-    A = np.array([hs.normal for hs in halfspaces], float)
-    b = np.array([hs.offset for hs in halfspaces], float)
-    pts: list[np.ndarray] = []
-    for i, j, k in combinations(range(len(halfspaces)), 3):
-        M = A[[i, j, k]]
-        if abs(np.linalg.det(M)) < 1e-10:
-            continue
-        x = np.linalg.solve(M, b[[i, j, k]])
-        if np.all(A @ x <= b + tol) and not any(
-                np.linalg.norm(x - p) <= tol for p in pts):
-            pts.append(x)
-    if len(pts) < 4:
-        raise CertificationError(
-            "half-space intersection has no volume inside the working box")
-    return np.array(pts)
-
-
 def _directions_surround_origin(u: np.ndarray, slack: float = 1e-7) -> bool:
     """True if the unit vectors positively span the plane (origin in hull)."""
     ang = np.sort(np.arctan2(u[:, 1], u[:, 0]))
@@ -966,9 +928,11 @@ class ChainCertificate:
                   = width2(region) <= 3/2 * diameter,
 
     with wh the horizontal width of the projection into the vertical plane
-    at angle theta (vertical meaning the circle normal) and the prism
-    clipped to a large working box for computation, which provably does not
-    change either of the two middle quantities.
+    at angle theta (vertical meaning the circle normal), minimised over
+    theta by :func:`~circlehold.planar.periodic_min`.  For computation the
+    prism is a large working box about the circle's centre, clipped by each
+    tangent half-space in turn (:func:`~circlehold.polytope.clip_halfspace`);
+    the box provably does not change either of the two middle quantities.
 
     ``values`` holds the five numbers, ``checks`` one boolean per relation
     plus internal consistency tests, and ``holds`` their conjunction.
@@ -1008,7 +972,8 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
     only the side whose far half is the wide one can certify.
 
     Each side's blocking section is its largest, over the circle's plane
-    and that side's vertex heights (the profile is convex in between).
+    and that side's vertex heights (the profile is convex in between).  The
+    prism is the working cube clipped by the tangent half-spaces.
     """
     d = C.diameter
     sc = _SliceScanner(K, np.asarray(C.normal, float), origin=C.center_array)
@@ -1082,19 +1047,18 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
         w2_region, _ = width2(region_poly)
         surround = antipodal or (len(u) >= 3 and _directions_surround_origin(u))
 
-        # the prism itself, boxed, for the projected horizontal widths
+        # the prism itself, as the working cube clipped by the tangent
+        # half-spaces, for the projected horizontal widths
         c0 = C.center_array
-        prism_hs = list(tangent_hs)
-        for ax in (e1, e2, nrm):
-            for s_ax in (1.0, -1.0):
-                nvec = s_ax * ax
-                prism_hs.append(HalfSpace(tuple(nvec), box + float(nvec @ c0)))
-        verts3 = _bounded_intersection_vertices(prism_hs,
-                                                1e-7 * max(1.0, box))
-        relp = verts3 - c0
+        prism = build_hull([c0 + box * (s1 * e1 + s2 * e2 + s3 * nrm)
+                            for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)
+                            for s3 in (1.0, -1.0)])
+        for hs in tangent_hs:
+            prism = clip_halfspace(prism, hs)
+        relp = prism.vertices - c0
         prism_pts = [(relp @ ax).tolist() for ax in (e1, e2, nrm)]
-        _, min_wh_region = _min_over_theta(
-            lambda th: projected_width(*prism_pts, th), theta_samples)
+        _, min_wh_region = periodic_min(
+            lambda th: projected_width(*prism_pts, th), np.pi, theta_samples)
 
         # far half of the body, projected widths
         far_normal = tuple(sgn * np.asarray(C.normal, float))
@@ -1102,8 +1066,8 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
                                           float(np.dot(far_normal, C.center))))
         rel = far.vertices - C.center_array
         far_pts = [(rel @ ax).tolist() for ax in (e1, e2, nrm)]
-        _, min_wh_far = _min_over_theta(
-            lambda th: projected_width(*far_pts, th), theta_samples)
+        _, min_wh_far = periodic_min(
+            lambda th: projected_width(*far_pts, th), np.pi, theta_samples)
 
         values = {
             "width": w,
@@ -1154,27 +1118,23 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
 # minimal-circle search
 # ---------------------------------------------------------------------------
 
-def _axis_candidates(K: Polytope3, extra: bool = True) -> list[np.ndarray]:
+def _axis_candidates(K: Polytope3) -> list[np.ndarray]:
     axes = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
             np.array([0.0, 1.0, 0.0])]
-    if extra:
-        try:
-            cyl = min_cylinder(K, refine=False, grid_level=3)
-            axes.append(np.asarray(cyl.axis_direction, float))
-        except Exception:
-            pass
-        segs = K.vertices[np.asarray(K.edges, int)]
-        I, J, D = _edge_pair_distances(K)
-        for k in np.argsort(D, kind="stable")[:3]:
-            i, j = I[k], J[k]
-            d1 = segs[i, 1] - segs[i, 0]
-            d2 = segs[j, 1] - segs[j, 0]
-            d1 /= np.linalg.norm(d1)
-            d2 /= np.linalg.norm(d2)
-            for cand in (np.cross(d1, d2), d1 + d2, d1 - d2):
-                ln = np.linalg.norm(cand)
-                if ln > 1e-9:
-                    axes.append(cand / ln)
+    cyl = min_cylinder(K, refine=False, grid_level=3)
+    axes.append(np.asarray(cyl.axis_direction, float))
+    segs = K.vertices[np.asarray(K.edges, int)]
+    I, J, D = _edge_pair_distances(K)
+    for k in np.argsort(D, kind="stable")[:3]:
+        i, j = I[k], J[k]
+        d1 = segs[i, 1] - segs[i, 0]
+        d2 = segs[j, 1] - segs[j, 0]
+        d1 /= np.linalg.norm(d1)
+        d2 /= np.linalg.norm(d2)
+        for cand in (np.cross(d1, d2), d1 + d2, d1 - d2):
+            ln = np.linalg.norm(cand)
+            if ln > 1e-9:
+                axes.append(cand / ln)
     uniq: list[np.ndarray] = []
     for a in axes:
         a = _canonical_normal(a)
@@ -1314,7 +1274,7 @@ def _waists(sc: _SliceScanner, tol_opt: float,
                                                (b - delta, pb), (b, R[k + 1])],
                                      1e-13 * sc.scale)
         else:
-            t, d = _golden_refine(sc.diam, a, b)
+            t, d = golden_refine(sc.diam, a, b)
         if below[k] > d + tol_opt < above[k + 1]:
             out.append((d, t))
             best = min(best, d)
@@ -1338,9 +1298,8 @@ def _waist_candidates(K: Polytope3, axis: np.ndarray, tol_opt: float):
 
 def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
                        seed: int = DEFAULT_SEED,
-                       tol_geom: float = TOL_GEOM, tol_opt: float = TOL_OPT,
-                       extra_frames: bool = True, max_candidates: int = 12,
-                       polish: bool = True) -> tuple[Circle3, HoldingReport]:
+                       tol_geom: float = TOL_GEOM, tol_opt: float = TOL_OPT
+                       ) -> tuple[Circle3, HoldingReport]:
     """Search for the smallest circle with certified holding evidence.
 
     A circle that fails to meet the body's interior while the body passes
@@ -1350,9 +1309,10 @@ def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
     circumdiameter profile along some axis.  The search scans a family of
     axes (coordinate axes, the minimal-cylinder axis, directions derived
     from the closest non-adjacent edge pairs), collects waist circles in
-    ascending diameter order, optionally polishes the best axis, and returns
-    the first candidate whose :func:`holding_report` verdict is
-    ``CertifiedHoldingEvidence``.
+    ascending diameter order (at most 12 distinct ones), polishes the best
+    axis, and returns the first candidate whose :func:`holding_report`
+    verdict is ``CertifiedHoldingEvidence``.  A body with a non-finite
+    vertex raises :class:`InvalidInput` before any work is done.
 
     The profile is convex between consecutive vertex heights, so waists are
     found exactly, not on a height grid (:func:`_waists`).  A waist is a
@@ -1367,8 +1327,10 @@ def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
     :func:`nonintersecting_edge_bound` supplies the matching lower bound for
     polytopes.  Raises :class:`NotFound` when no candidate certifies.
     """
+    if not np.isfinite(K.vertices).all():
+        raise InvalidInput("vertices must be finite")
     cands = []
-    for axis in _axis_candidates(K, extra_frames):
+    for axis in _axis_candidates(K):
         cands.extend(_waist_candidates(K, axis, tol_opt))
     cands.sort(key=lambda c: c[0])
 
@@ -1384,10 +1346,10 @@ def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
                 break
         if not dup:
             filtered.append((dia, center, sc.frame[2]))
-        if len(filtered) >= max_candidates:
+        if len(filtered) >= 12:
             break
 
-    if polish and filtered:
+    if filtered:
         dia0, cen0, ax0 = filtered[0]
 
         def waist_along(x) -> float:
@@ -1421,8 +1383,7 @@ def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
             continue
         report = _report(K, circle, gates, budget=escape_budget, seed=seed,
                          tol_geom=tol_geom, tol_opt=tol_opt,
-                         compute_chain=False,
-                         compute_edge_bound=True, escape_kwargs=None)
+                         compute_chain=False)
         last_report = report
         if report.verdict == VERDICT_EVIDENCE:
             return circle, report
@@ -1488,15 +1449,7 @@ def extremality_diagnostics(K: Polytope3, C: Circle3,
         dd = np.linalg.norm(q[:, None, :] - ideal[None, :, :], axis=2)
         return float(dd.min(axis=1).max())
 
-    grid = np.linspace(0.0, 2.0 * np.pi / 3.0, 360, endpoint=False)
-    vals = np.array([cluster_cost(p) for p in grid])
-    k = int(np.argmin(vals))
-    step = 2.0 * np.pi / 3.0 / 360
-    psi_ref, v_ref = _golden_refine(cluster_cost, grid[k] - step, grid[k] + step)
-    if vals[k] <= v_ref:
-        psi_best, v_best = float(grid[k]), float(vals[k])
-    else:
-        psi_best, v_best = float(psi_ref), float(v_ref)
+    psi_best, v_best = periodic_min(cluster_cost, 2.0 * np.pi / 3.0, 360)
 
     v = chain.values
     slacks = {

@@ -269,6 +269,45 @@ def projected_width(x, y, t, theta: float) -> float:
     return _narrowest_strip(_hull(pts))[0]
 
 
+def golden_refine(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section minimization (60 steps) of a scalar function on
+    [lo, hi]: the final bracket's midpoint and its value."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(60):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    xm = (a + b) / 2.0
+    return xm, f(xm)
+
+
+def periodic_min(f, period: float, n: int, values=None) -> tuple[float, float]:
+    """Minimum ``(x, f(x))`` of a ``period``-periodic scalar function.
+
+    The first argmin of ``f`` on ``n`` equally spaced samples from 0
+    (``values``, when the caller has them already) is refined by
+    :func:`golden_refine` within one sample step on each side; the sample
+    wins ties, and ``x`` is reduced mod ``period``."""
+    grid = np.linspace(0.0, period, n, endpoint=False)
+    if values is None:
+        values = np.array([f(x) for x in grid])
+    k = int(np.argmin(values))
+    step = period / n
+    x, v = golden_refine(f, grid[k] - step, grid[k] + step)
+    if values[k] <= v:
+        return float(grid[k]), float(values[k])
+    return float(x % period), float(v)
+
+
 @dataclass(frozen=True)
 class SplitWidths:
     """Horizontal widths of a convex set split by a horizontal line.

@@ -196,10 +196,6 @@ class Polytope3:
             self._offsets = offsets
         return self._normals, self._offsets
 
-    def halfspaces(self) -> list[HalfSpace]:
-        n, b = self.face_planes()
-        return [HalfSpace(tuple(nn), float(bb)) for nn, bb in zip(n, b)]
-
     # -- metric queries -------------------------------------------------------
 
     def breadth(self, u) -> float:
@@ -469,22 +465,31 @@ def width3(K: Polytope3) -> WidthResult:
 # clipping and plane sections
 # ---------------------------------------------------------------------------
 
-def clip_halfspace(K: Polytope3, hs: HalfSpace, tol: float = TOL_GEOM) -> Polytope3:
-    """Intersection of a polytope with a half-space, as a new polytope."""
-    n = np.asarray(hs.normal, float)
-    d = K.vertices @ n - hs.offset
-    scale = max(1.0, float(np.abs(K.vertices).max()))
-    eps = tol * scale
-    if d.max() <= eps:
-        return K
-    if d.min() >= -eps:
-        raise EmptyResult("half-space removes the whole polytope")
-    pts = [K.vertices[i] for i in np.flatnonzero(d <= eps)]
+def _plane_cut(K: Polytope3, n: np.ndarray, offset: float,
+               tol: float) -> tuple[np.ndarray, float, list]:
+    """Signed distances ``n . v - offset`` of the vertices, the window
+    ``tol * scale`` within which a vertex counts as on the plane, and the
+    points where edges cross the plane from one side of the window to the
+    other."""
+    d = K.vertices @ n - offset
+    eps = tol * max(1.0, float(np.abs(K.vertices).max()))
+    cross = []
     for a, b in K.edges:
         da, db = d[a], d[b]
         if (da < -eps and db > eps) or (da > eps and db < -eps):
             lam = da / (da - db)
-            pts.append(K.vertices[a] + lam * (K.vertices[b] - K.vertices[a]))
+            cross.append(K.vertices[a] + lam * (K.vertices[b] - K.vertices[a]))
+    return d, eps, cross
+
+
+def clip_halfspace(K: Polytope3, hs: HalfSpace, tol: float = TOL_GEOM) -> Polytope3:
+    """Intersection of a polytope with a half-space, as a new polytope."""
+    d, eps, cross = _plane_cut(K, np.asarray(hs.normal, float), hs.offset, tol)
+    if d.max() <= eps:
+        return K
+    if d.min() >= -eps:
+        raise EmptyResult("half-space removes the whole polytope")
+    pts = [K.vertices[i] for i in np.flatnonzero(d <= eps)] + cross
     if len(pts) < 4:
         raise EmptyResult("clipped region is not full-dimensional")
     return build_hull(np.array(pts))
@@ -519,15 +524,8 @@ def slice_plane(K: Polytope3, normal, offset: float,
         raise InvalidInput("plane normal must be nonzero")
     n = np.asarray(normal, float) / ln
     off = float(offset) / ln
-    d = K.vertices @ n - off
-    scale = max(1.0, float(np.abs(K.vertices).max()))
-    eps = tol * scale
-    pts = [K.vertices[i] for i in np.flatnonzero(np.abs(d) <= eps)]
-    for a, b in K.edges:
-        da, db = d[a], d[b]
-        if (da < -eps and db > eps) or (da > eps and db < -eps):
-            lam = da / (da - db)
-            pts.append(K.vertices[a] + lam * (K.vertices[b] - K.vertices[a]))
+    d, eps, cross = _plane_cut(K, n, off, tol)
+    pts = [K.vertices[i] for i in np.flatnonzero(np.abs(d) <= eps)] + cross
     frame = plane_frame(n)
     if not pts:
         return PlanarSection(n, off, frame, np.empty((0, 2)), "empty")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .planar import convex_hull_2d, projected_width
+from .planar import convex_hull_2d, periodic_min, projected_width
 # the width of a projected pair; bench/tracing.py wraps it under this
 # module's name
 from .planar import horizontal_width  # noqa: F401
@@ -104,36 +104,18 @@ class IcebergProfile:
         return self.width_lower - self.width_upper
 
 
-def _golden_refine(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    """Golden-section minimization of a scalar function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    xm = (a + b) / 2.0
-    return xm, f(xm)
-
-
-def iceberg_profile(K: Polytope3, level: float = 0.0, theta_samples: int = 720,
-                    strict_tol: float = 1e-7) -> IcebergProfile:
+def iceberg_profile(K: Polytope3, level: float = 0.0,
+                    theta_samples: int = 720) -> IcebergProfile:
     """Sweep all vertical projection planes and compare the horizontal
     widths of the upper and lower parts of the split body.
 
     Widths are computed exactly per angle; ``theta_samples`` controls only
     the grid density.  The reported margins are grid minima refined by a
-    golden-section search around the worst grid cell, so a strictly positive
+    golden-section search around the worst grid cell
+    (:func:`~circlehold.planar.periodic_min`), so a strictly positive
     reported margin is a reliable certificate for bodies whose width
-    functions vary smoothly between samples.
+    functions vary smoothly between samples.  The orientation counts a
+    margin as strict beyond ``1e-7``.
     """
     if theta_samples < 8:
         raise InvalidInput("need at least 8 angular samples")
@@ -151,25 +133,15 @@ def iceberg_profile(K: Polytope3, level: float = 0.0, theta_samples: int = 720,
     def margin_at(th: float) -> float:
         return projected_width(*lower, th) - projected_width(*upper, th)
 
-    step = np.pi / theta_samples
+    m_theta, m_given = periodic_min(margin_at, np.pi, theta_samples, wb - wa)
+    mf_theta, m_flip = periodic_min(lambda th: -margin_at(th), np.pi,
+                                    theta_samples, wa - wb)
 
-    def refined_min(values: np.ndarray, f) -> tuple[float, float]:
-        k = int(np.argmin(values))
-        th0 = thetas[k]
-        th, val = _golden_refine(f, th0 - step, th0 + step)
-        grid_val = float(values[k])
-        if grid_val < val:
-            return float(thetas[k]), grid_val
-        return float(th % np.pi), float(val)
-
-    m_theta, m_given = refined_min(wb - wa, margin_at)
-    mf_theta, m_flip = refined_min(wa - wb, lambda th: -margin_at(th))
-
-    if m_given > strict_tol:
+    if m_given > 1e-7:
         orientation = "as_given"
-    elif m_flip > strict_tol:
+    elif m_flip > 1e-7:
         orientation = "flipped"
-    elif max(m_given, m_flip) >= -strict_tol:
+    elif max(m_given, m_flip) >= -1e-7:
         orientation = "indeterminate"
     else:
         orientation = "neither"

@@ -13,9 +13,3 @@ TOL_OPT = 1e-6
 #: default seed used by every randomized routine unless the caller passes one
 DEFAULT_SEED = 7
 
-
-def resolve(tol_geom=None, tol_opt=None):
-    """Return ``(tol_geom, tol_opt)`` with ``None`` replaced by defaults."""
-    g = TOL_GEOM if tol_geom is None else float(tol_geom)
-    o = TOL_OPT if tol_opt is None else float(tol_opt)
-    return g, o

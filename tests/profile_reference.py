@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from circlehold.holding import _convex_min, _waists
-from circlehold.projection import _golden_refine
+from circlehold.planar import golden_refine
 
 
 def sampled_grid(sc, lo, hi, n):
@@ -28,7 +28,7 @@ def sampled_side_max(sc, lo, hi, n_heights=200):
     vals = np.array([sc.diam(t) for t in g])
     k = int(np.argmax(vals))
     a, b = g[max(k - 1, 0)], g[min(k + 1, len(g) - 1)]
-    t_ref, neg = _golden_refine(lambda t: -sc.diam(t), a, b)
+    t_ref, neg = golden_refine(lambda t: -sc.diam(t), a, b)
     if -neg > vals[k]:
         return float(t_ref), float(-neg)
     return float(g[k]), float(vals[k])
@@ -44,7 +44,7 @@ def sampled_waists(sc, n_heights=200):
         if vals[i] <= vals[i - 1] + 1e-12 and vals[i] <= vals[i + 1] + 1e-12 \
                 and (vals[i] < vals[i - 1] - 1e-12
                      or vals[i] < vals[i + 1] - 1e-12):
-            t_ref, v_ref = _golden_refine(sc.diam, g[i - 1], g[i + 1])
+            t_ref, v_ref = golden_refine(sc.diam, g[i - 1], g[i + 1])
             if v_ref <= vals[i]:
                 out.append((float(v_ref), float(t_ref)))
             else:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from chain_reference import bounded_intersection_vertices, grid_golden_min
 from oracle_cases import oracle_agreement_cases
 from profile_reference import (inward_intervals, sampled_grid,
                                sampled_side_max, sampled_waists,
@@ -39,9 +40,10 @@ from circlehold import families, holding
 from circlehold.holding import (_SliceScanner, _SupportGapBound,
                                 _edge_pair_distances,
                                 _support_gap_exact)
-from circlehold.planar import min_enclosing_circle
-from circlehold.polytope import Polytope3, plane_frame
-from circlehold.projection import _golden_refine
+from circlehold.planar import (golden_refine, min_enclosing_circle,
+                               periodic_min, projected_width)
+from circlehold.polytope import (HalfSpace, Polytope3, clip_halfspace,
+                                 plane_frame)
 from circlehold.tolerances import TOL_OPT
 
 CUBE = build_hull(np.array([
@@ -326,7 +328,7 @@ def test_convex_min_matches_golden_section_with_fewer_evaluations(diam_calls):
             sc = _SliceScanner(K, axis / np.linalg.norm(axis))
             for _, samples in inward_intervals(sc):
                 diam_calls[0] = 0
-                want = _golden_refine(sc.diam, samples[0][0],
+                want = golden_refine(sc.diam, samples[0][0],
                                       samples[-1][0])[1]
                 golden_calls += diam_calls[0]
                 diam_calls[0] = 0
@@ -722,6 +724,72 @@ def test_verify_paper_chain_values_unchanged():
     for k, v in want.items():
         assert abs(cert.values[k] - v) <= 1e-12
     assert all(cert.checks.values())
+
+
+def _chain_parts(a, h):
+    """The chain certificate of a spindle's waist circle, its frame, centre
+    and working box, the boxed prism as the certificate clips it, and the
+    projected widths of the prism and of the far half."""
+    inst = octahedron_iceberg(a, h)
+    C = inst.circle
+    cert = chain_certificate(inst.body, C)
+    frame = _SliceScanner(inst.body, C.normal, origin=C.center_array).frame
+    c0, box = C.center_array, 50.0 * C.diameter
+    prism = build_hull([c0 + box * (s1 * frame[0] + s2 * frame[1]
+                                    + s3 * frame[2])
+                        for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)
+                        for s3 in (1.0, -1.0)])
+    for hs in cert.tangent_halfspaces:
+        prism = clip_halfspace(prism, hs)
+    far_normal = tuple((1.0 if cert.side == "above" else -1.0)
+                       * np.asarray(C.normal, float))
+    far = clip_halfspace(inst.body, HalfSpace(
+        far_normal, float(np.dot(far_normal, C.center))))
+
+    def widths(V):
+        pts = [((V - c0) @ ax).tolist() for ax in frame]
+        return lambda th: projected_width(*pts, th)
+
+    return (cert, frame, c0, box, prism, widths(prism.vertices),
+            widths(far.vertices))
+
+
+CHAIN_SPINDLES = [(1.01, 200.0), (1.2, 10.0), (1.38, 5.0)]
+
+
+@pytest.mark.parametrize("a, h", CHAIN_SPINDLES)
+def test_periodic_min_matches_grid_golden_reference_in_the_chain(a, h):
+    cert, *_, wh_prism, wh_far = _chain_parts(a, h)
+    for f, key in ((wh_prism, "min_wh_region"), (wh_far, "min_wh_far_half")):
+        got = periodic_min(f, np.pi, 720)
+        assert got == grid_golden_min(f, 720)
+        assert got[1] == cert.values[key]
+    inst = octahedron_iceberg(a, h)
+    diag = extremality_diagnostics(inst.body, inst.circle, chain=cert)
+    q, d = cert.contacts2, inst.circle.diameter
+
+    def cluster_cost(psi):
+        ang = psi + np.array([0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
+        ideal = (d / 2.0) * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        dd = np.linalg.norm(q[:, None, :] - ideal[None, :, :], axis=2)
+        return float(dd.min(axis=1).max())
+
+    assert (diag.cluster_rotation, diag.cluster_distance) == grid_golden_min(
+        cluster_cost, 360, 2.0 * np.pi / 3.0)
+
+
+@pytest.mark.parametrize("a, h", CHAIN_SPINDLES + [(1.05, 50.0)])
+def test_clipped_prism_matches_plane_triple_vertices(a, h):
+    cert, frame, c0, box, prism, *_ = _chain_parts(a, h)
+    hs = list(cert.tangent_halfspaces) + [
+        HalfSpace(tuple(s * ax), box + float(s * ax @ c0))
+        for ax in frame for s in (1.0, -1.0)]
+    want = bounded_intersection_vertices(hs, 1e-7 * box)
+    got = prism.vertices
+    assert len(got) == len(want)
+    dist = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
+    assert dist.min(axis=1).max() <= 1e-12 * box
+    assert dist.min(axis=0).max() <= 1e-12 * box
 
 
 def test_chain_needs_a_blocking_slice():

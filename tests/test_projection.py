@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from chain_reference import grid_golden_min
 from planar_reference import pairwise_width, qhull_hull
 
 from circlehold import (
@@ -12,6 +13,7 @@ from circlehold import (
     split_body,
     split_project,
 )
+from circlehold.planar import projected_width
 
 CUBE = build_hull(np.array([
     [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
@@ -113,3 +115,22 @@ def test_verify_paper_profiles_match_qhull_and_pairwise_slopes(make, margin,
             st = np.stack([v[:, 0] * np.cos(th) + v[:, 1] * np.sin(th),
                            v[:, 2] - level], axis=1)
             assert abs(w - pairwise_width(qhull_hull(st))) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [lambda: octahedron_iceberg(1.38, 5.0),
+                                  lambda: flat_tetrahedron(0.2),
+                                  lambda: five_vertex_flat(0.2)])
+def test_profile_margins_match_grid_golden_reference(make):
+    inst = make()
+    level = inst.circle.center[2]
+    prof = iceberg_profile(inst.body, level=level, theta_samples=720)
+    upper, lower = ([p.vertices[:, 0].tolist(), p.vertices[:, 1].tolist(),
+                     (p.vertices[:, 2] - level).tolist()]
+                    for p in split_body(inst.body, level))
+
+    def margin(th):
+        return projected_width(*lower, th) - projected_width(*upper, th)
+
+    assert (prof.margin_theta, prof.margin) == grid_golden_min(margin, 720)
+    assert (prof.margin_flipped_theta, prof.margin_flipped) == \
+        grid_golden_min(lambda th: -margin(th), 720)
