@@ -205,7 +205,6 @@ def report_to_dict(report: HoldingReport) -> dict:
         "block": None,
         "edge_bound": report.edge_bound,
         "escape": escape_to_dict(report.escape) if report.escape else None,
-        "chain": chain_to_dict(report.chain) if report.chain else None,
         "reasons": list(report.reasons),
     }
     if block is not None:

@@ -204,13 +204,15 @@ def sampled_penetration(K: Polytope3, C: Circle3,
     pts = np.ascontiguousarray(pts.T)
     n, b = K.face_planes()
     # the (S, F) product of the depth formula (``n @ pts.T`` rounds some
-    # entries differently under BLAS), reduced one face at a time: F long
-    # maxima instead of S short ones
-    G = pts @ n.T
-    G -= b
-    worst = G[:, 0].copy()
-    for col in G.T[1:]:
-        np.maximum(worst, col, out=worst)
+    # entries differently under BLAS), built 32 faces at a time so that a
+    # body with many faces never holds all of it, and reduced one face at
+    # a time: F long maxima instead of S short ones
+    worst = np.full(len(t), -np.inf)
+    for lo in range(0, len(b), 32):
+        G = pts @ n[lo:lo + 32].T
+        G -= b[lo:lo + 32]
+        for col in G.T:
+            np.maximum(worst, col, out=worst)
     dep = -worst
     k = int(np.argmax(dep))
     return float(dep[k]), float(t[k])
@@ -803,7 +805,6 @@ class HoldingReport:
     edge_bound: float | None
     edge_bound_pair: tuple[int, int] | None
     escape: EscapeResult | None
-    chain: "ChainCertificate | None"
     verdict: str
     reasons: list[str] = field(default_factory=list)
 
@@ -825,8 +826,8 @@ def _gates(K: Polytope3, C: Circle3, tol_geom: float, tol_opt: float):
 
 def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
                    seed: int = DEFAULT_SEED,
-                   tol_geom: float = TOL_GEOM, tol_opt: float = TOL_OPT,
-                   compute_chain: bool = False) -> HoldingReport:
+                   tol_geom: float = TOL_GEOM,
+                   tol_opt: float = TOL_OPT) -> HoldingReport:
     """Gather every certificate this package can produce for one circle pose
     and summarize them in a verdict.
 
@@ -837,14 +838,11 @@ def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
     validated escape path.  Everything else is ``Inconclusive``.
     """
     return _report(K, C, _gates(K, C, tol_geom, tol_opt),
-                   budget=budget, seed=seed,
-                   tol_geom=tol_geom, tol_opt=tol_opt,
-                   compute_chain=compute_chain)
+                   budget=budget, seed=seed, tol_opt=tol_opt)
 
 
 def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
-            tol_geom: float, tol_opt: float,
-            compute_chain: bool) -> HoldingReport:
+            tol_opt: float) -> HoldingReport:
     """The body of :func:`holding_report`, given the circle's
     :func:`_gates`."""
     pen, surrounds, block = gates
@@ -884,17 +882,9 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
             reasons.append(f"escape not found within {budget} checks, but "
                            f"blocking certificates are incomplete")
 
-    chain = None
-    if compute_chain and verdict == VERDICT_EVIDENCE:
-        try:
-            chain = chain_certificate(K, C, tol_geom=tol_geom,
-                                      tol_opt=tol_opt)
-        except (NoBlockingSlice, InvalidInput) as exc:
-            reasons.append(f"chain certificate unavailable: {exc}")
-
     return HoldingReport(C, not pen.intersects, pen.penetration, surrounds,
-                         block, edge_bound, edge_pair, escape, chain,
-                         verdict, reasons)
+                         block, edge_bound, edge_pair, escape, verdict,
+                         reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -966,10 +956,11 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
 
     Requires the circle's plane to cut the body and a cross-section on the
     chosen side whose circumdiameter exceeds the circle diameter (else
-    :class:`NoBlockingSlice`).  ``side="auto"`` tries every blocked side and
-    returns the first certificate whose checks all hold, falling back to
-    the one with the fewest failures; the chain is asymmetric, so typically
-    only the side whose far half is the wide one can certify.
+    :class:`NoBlockingSlice`).  ``side="auto"`` builds the blocked sides in
+    turn, above first, and returns the first certificate whose checks all
+    hold; only when none holds is every side built, to fall back to the one
+    with the fewest failures.  The chain is asymmetric, so typically only
+    the side whose far half is the wide one can certify.
 
     Each side's blocking section is its largest, over the circle's plane
     and that side's vertex heights (the profile is convex in between).  The
@@ -1107,10 +1098,12 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
             values=values, checks=checks,
         )
 
-    certs = [build(*cand) for cand in candidates]
-    for cert in certs:
+    certs = []
+    for cand in candidates:
+        cert = build(*cand)
         if cert.holds:
             return cert
+        certs.append(cert)
     return max(certs, key=lambda c: sum(c.checks.values()))
 
 
@@ -1382,8 +1375,7 @@ def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
                 or not block.blocked_below:
             continue
         report = _report(K, circle, gates, budget=escape_budget, seed=seed,
-                         tol_geom=tol_geom, tol_opt=tol_opt,
-                         compute_chain=False)
+                         tol_opt=tol_opt)
         last_report = report
         if report.verdict == VERDICT_EVIDENCE:
             return circle, report

@@ -410,24 +410,24 @@ def _candidate_width_directions(K: Polytope3) -> np.ndarray:
     segs = K.edge_segments()
     dirs = segs[:, 1] - segs[:, 0]
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    # dedupe edge directions up to sign
-    uniq = []
-    for d in dirs:
-        if d[np.argmax(np.abs(d))] < 0:
-            d = -d
-        if not any(np.linalg.norm(d - u) < 1e-12 for u in uniq):
-            uniq.append(d)
-    dirs = np.array(uniq)
-    cand = [n]
-    crosses = []
-    for i, j in combinations(range(len(dirs)), 2):
-        c = np.cross(dirs[i], dirs[j])
-        ln = np.linalg.norm(c)
-        if ln > 1e-12:
-            crosses.append(c / ln)
-    if crosses:
-        cand.append(np.array(crosses))
-    out = np.vstack(cand)
+    # dedupe edge directions up to sign: a direction within 1e-12 of an
+    # earlier kept one is dropped (compared 64 rows at a time)
+    flip = dirs[np.arange(len(dirs)), np.argmax(np.abs(dirs), axis=1)] < 0
+    dirs[flip] *= -1
+    keep = np.ones(len(dirs), bool)
+    for lo in range(0, len(dirs), 64):
+        hi = min(lo + 64, len(dirs))
+        diff = (dirs[lo:hi, None] - dirs[None, :hi]).reshape(-1, 3)
+        near = _row_norms(diff).reshape(hi - lo, hi) < 1e-12
+        for r, j in zip(*np.nonzero(np.tril(near, lo - 1))):
+            if keep[j]:
+                keep[lo + r] = False
+    dirs = dirs[keep]
+    i, j = np.triu_indices(len(dirs), 1)
+    c = np.cross(dirs[i], dirs[j])
+    ln = _row_norms(c)
+    ok = ln > 1e-12
+    out = np.vstack([n, c[ok] / ln[ok, None]])
     flip = out[np.arange(len(out)), np.argmax(np.abs(out), axis=1)] < 0
     out[flip] *= -1
     return np.unique(np.round(out, 14), axis=0)
@@ -444,8 +444,8 @@ def width3(K: Polytope3) -> WidthResult:
     V = K.vertices
     best_w = np.inf
     best = None
-    for start in range(0, len(cands), 4096):
-        chunk = cands[start:start + 4096]
+    for start in range(0, len(cands), 512):
+        chunk = cands[start:start + 512]
         proj = V @ chunk.T  # (V, c)
         hi = proj.max(axis=0)
         lo = proj.min(axis=0)

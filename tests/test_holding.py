@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -220,10 +221,34 @@ def test_sampled_penetration_matches_sample_by_face_matrix():
 
     cases = [(K, C) for _, K, C in oracle_agreement_cases(7) if K is not None]
     assert len(cases) == 1000
+    # bodies of more than one 32-face block: circles about the waist circle
+    rng = np.random.default_rng(3)
+    for m in (64, 16):
+        inst = bevelled_cylinder(10.0, m)
+        assert len(inst.body.faces) > 32
+        C = inst.circle
+        cases += [(inst.body, Circle3(
+            tuple(C.center_array + 0.5 * rng.standard_normal(3)),
+            C.diameter * rng.uniform(0.5, 1.5),
+            tuple(np.asarray(C.normal) + 0.3 * rng.standard_normal(3))))
+            for _ in range(20)]
     for i, (K, C) in enumerate(cases):
         for samples in (4096,) if i % 10 else (4096, 10_000, 7, 4095):
             got = sampled_penetration(K, C, samples=samples)
             assert got == by_sample_rows(K, C, samples)
+
+
+def test_sampled_penetration_memory_is_bounded():
+    # 32 faces at a time: a 188-face body never holds the (4096, F) depths
+    inst = bevelled_cylinder(10.0, 64)
+    sampled_penetration(inst.body, inst.circle, samples=4096)  # warm caches
+    tracemalloc.start()
+    try:
+        sampled_penetration(inst.body, inst.circle, samples=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -790,6 +815,33 @@ def test_clipped_prism_matches_plane_triple_vertices(a, h):
     dist = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
     assert dist.min(axis=1).max() <= 1e-12 * box
     assert dist.min(axis=0).max() <= 1e-12 * box
+
+
+@pytest.mark.parametrize("maker, args, side, built", [
+    # the first side (above) holds: the other is never built
+    (octahedron_iceberg, (1.2, 10.0), "above", 1),
+    (octahedron_iceberg, (1.01, 200.0), "above", 1),
+    (octahedron_iceberg, (1.05, 50.0), "above", 1),
+    (octahedron_iceberg, (1.38, 5.0), "above", 1),
+    # only the second side holds
+    (families.rectangle_circle, (1.2, 3.0), "below", 2),
+    # neither holds: the fewest failures, the first side on ties
+    (flat_tetrahedron, (0.2,), "above", 2),
+])
+def test_auto_chain_builds_sides_until_one_holds(monkeypatch, maker, args,
+                                                  side, built):
+    inst = maker(*args)
+    want = chain_certificate(inst.body, inst.circle, side=side)
+    calls = []
+    inner = holding.periodic_min
+    monkeypatch.setattr(holding, "periodic_min",
+                        lambda *a, **k: calls.append(a) or inner(*a, **k))
+    cert = chain_certificate(inst.body, inst.circle)
+    # each side built runs two minimisations: the prism and the far half
+    assert len(calls) == 2 * built
+    assert cert.side == side and cert.holds == want.holds
+    assert cert.values == want.values and cert.checks == want.checks
+    assert np.array_equal(cert.contacts3, want.contacts3)
 
 
 def test_chain_needs_a_blocking_slice():

@@ -1,12 +1,20 @@
+import tracemalloc
+from functools import cache
+
 import numpy as np
 import pytest
+import width_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_cases import oracle_agreement_cases
 from scipy.spatial import ConvexHull
 
 from circlehold import (
+    FAMILIES,
     DegenerateInput,
     HalfSpace,
     InvalidInput,
+    Polytope3,
     bevelled_cylinder,
     build_hull,
     clip_halfspace,
@@ -221,6 +229,118 @@ def test_width_result_is_a_certificate():
     res = width3(K)
     u = np.asarray(res.direction)
     assert K.breadth(u) == pytest.approx(res.width, abs=1e-9)
+
+
+#: one instance of every named family, for the width tests
+FAMILY_ARGS = {
+    "octahedron-iceberg": (1.2, 10.0),
+    "seven-vertex": (1.2, 10.0),
+    "rectangle-circle": (1.38, 5.0),
+    "flat-tetra": (0.2,),
+    "five-vertex-flat": (0.2,),
+    "skew-tetra": (0.1,),
+    "bevelled-cylinder": (10.0, 16),
+    "wd-tetra": (1.0, 2.0, 0.5),
+    "simplex-hull": (3, 1.2, 10.0),
+}
+
+
+@cache
+def family_body(name):
+    body = FAMILIES[name][0](*FAMILY_ARGS[name]).body
+    return body if isinstance(body, Polytope3) else build_hull(body.vertices)
+
+
+@cache
+def random_hull(seed):
+    """A hull of 5-40 random points; odd seeds snap them to a coarse
+    lattice, so edge directions repeat and widths tie."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((int(rng.integers(5, 41)), 3))
+    pts *= rng.uniform(0.2, 3.0, 3)
+    if seed % 2:
+        pts = np.round(2.0 * pts) / 2.0
+    try:
+        return build_hull(pts)
+    except (DegenerateInput, InvalidInput):
+        return None
+
+
+def _width_bodies():
+    assert FAMILY_ARGS.keys() == FAMILIES.keys()
+    yield from (family_body(name) for name in FAMILIES)
+    yield bevelled_cylinder(10.0, 64).body
+    hulls = [random_hull(seed) for seed in range(200)]
+    assert sum(K is not None for K in hulls) >= 190
+    yield from (K for K in hulls if K is not None)
+
+
+def test_width3_matches_reference_loop():
+    from circlehold.polytope import _candidate_width_directions
+    for K in _width_bodies():
+        cands = width_reference.candidate_width_directions(K)
+        assert _candidate_width_directions(K).tobytes() == cands.tobytes()
+        got = width3(K)
+        want = width_reference.width_over(K.vertices, cands)
+        assert got.width == want.width
+        assert got.direction.tobytes() == want.direction.tobytes()
+        assert (got.lower_vertex, got.upper_vertex) == (want.lower_vertex,
+                                                        want.upper_vertex)
+
+
+def test_width_directions_dedupe_greedily_in_edge_order():
+    from circlehold.polytope import _candidate_width_directions
+
+    class Body:
+        # three edge directions 0.8e-12 apart in the xy-plane, and z: the
+        # middle one is within 1e-12 of the first and is dropped; the third
+        # is 1.6e-12 from the first and kept, so their cross, the z-axis,
+        # is a candidate
+        def face_planes(self):
+            return np.array([[1.0, 0.0, 0.0]]), np.ones(1)
+
+        def edge_segments(self):
+            ang = np.array([0.0, 0.8e-12, 1.6e-12])
+            ends = np.vstack([np.stack([np.cos(ang), np.sin(ang),
+                                        np.zeros(3)], axis=1), [0, 0, 1]])
+            return np.stack([np.zeros((4, 3)), ends], axis=1)
+
+    got = _candidate_width_directions(Body())
+    assert got.tobytes() == width_reference.candidate_width_directions(
+        Body()).tobytes()
+    assert [0.0, 0.0, 1.0] in got.tolist()
+
+
+def test_width3_memory_is_bounded():
+    K = bevelled_cylinder(10.0, 64).body
+    width3(K)  # warm the face planes
+    tracemalloc.start()
+    try:
+        width3(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(body=st.one_of(st.sampled_from(sorted(FAMILY_ARGS)),
+                      st.integers(0, 10_000)),
+       motion=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-6.0, 6.0))
+def test_width3_is_invariant_under_motion_scaling_and_order(body, motion,
+                                                            log_scale):
+    K = family_body(body) if isinstance(body, str) else random_hull(body)
+    if K is None:
+        return
+    rng = np.random.default_rng(motion)
+    s = 10.0 ** log_scale
+    R = random_rotation(rng)
+    shift = rng.uniform(-5.0, 5.0, 3) * K.circumradius
+    w0 = width3(K).width
+    V = K.vertices[rng.permutation(len(K.vertices))]
+    for pts, want in ((V @ R.T + shift, w0), (s * V, s * w0)):
+        assert abs(width3(build_hull(pts)).width - want) <= 1e-12 * want
 
 
 def test_min_cylinder_cube():
