@@ -256,7 +256,7 @@ def cmd_escape(args) -> int:
     doc = fileio.escape_to_dict(esc)
     doc["version"] = __version__
     print(f"escape search: {esc.outcome} after {esc.checks_used} collision "
-          f"checks ({esc.nodes} tree nodes, seed {args.seed})")
+          f"checks (start clearance {_g(esc.start_clearance)})")
     if esc.found:
         print(f"escape path with {len(esc.path)} waypoints, final center "
               f"({', '.join(_g(x) for x in esc.path[-1].center)})")

@@ -171,6 +171,7 @@ def escape_to_dict(esc: EscapeResult) -> dict:
         "seed": int(esc.seed),
         "step": esc.step,
         "escape_radius": esc.escape_radius,
+        "start_clearance": esc.start_clearance,
         "path": [circle_to_dict(pose) for pose in (esc.path or [])],
     }
 

@@ -8,7 +8,7 @@ from the body.  This module provides the computational side of that notion:
 - cross-section circumcircle profiles along an axis,
 - translation-blocking certificates (the one-parameter escape family),
 - a lower bound from pairwise distances of non-adjacent edges,
-- a randomized escape search over circle poses,
+- a certified straight-line escape search over circle poses,
 - the projection chain certificate that bounds the circle diameter from
   below by two thirds of the body width,
 - a minimal-circle search built on cross-section waists, and
@@ -32,7 +32,6 @@ from itertools import accumulate
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.spatial import cKDTree
 
 from .errors import (CertificationError, InvalidInput, InvalidStart,
                      NoBlockingSlice, NotFound)
@@ -42,8 +41,8 @@ from .planar import (Circle2, Polygon2, _welzl, best_fit_equilateral,
 # the public forms of the slice kernel and the strip width; bench/tracing.py
 # wraps them under this module's name
 from .planar import horizontal_width, min_enclosing_circle  # noqa: F401
-from .polytope import (HalfSpace, Polytope3, _row_norms, build_hull,
-                       clip_halfspace, min_cylinder, plane_frame, width3)
+from .polytope import (HalfSpace, Polytope3, build_hull, clip_halfspace,
+                       min_cylinder, plane_frame, width3)
 # the scalar oracle of ``_edge_pair_distances``; bench/tracing.py wraps it
 # under this module's name
 from .polytope import segment_distance  # noqa: F401
@@ -466,6 +465,16 @@ def nonintersecting_edge_bound(K: Polytope3) -> tuple[float, tuple[int, int]]:
 
 @dataclass
 class EscapeResult:
+    """What :func:`escape_search` did and found.
+
+    ``checks_used`` counts clearance evaluations.  ``nodes`` is 0 when a
+    straight-line march escaped and 1, the start pose, when the search
+    failed.  ``seed`` is the one passed in; the search draws no random
+    numbers, so nothing depends on it.  ``start_clearance`` is the
+    certified lower bound on the start circle's distance to the body: at
+    or below 0 no motion can be certified, so a failed search did no work.
+    """
+
     outcome: str                    # "found" | "not_found_within_budget"
     path: list[Circle3] | None
     checks_used: int
@@ -473,6 +482,7 @@ class EscapeResult:
     seed: int
     step: float
     escape_radius: float
+    start_clearance: float
 
     @property
     def found(self) -> bool:
@@ -572,9 +582,8 @@ class _SupportGapBound:
 def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
                   seed: int = DEFAULT_SEED, step: float | None = None,
                   escape_radius: float | None = None,
-                  tol: float = TOL_OPT, goal_bias: float = 0.25) -> EscapeResult:
-    """Randomized search for a certified collision-free circle path leading
-    far away.
+                  tol: float = TOL_OPT) -> EscapeResult:
+    """Search for a certified collision-free circle path leading far away.
 
     Poses are (center, normal) pairs.  Every accepted motion is *certified*
     against tunneling: the circle-to-body distance is 1-Lipschitz under
@@ -590,17 +599,16 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     circle that can leave only by grazing the boundary is reported as not
     escaping.
 
-    The search first marches straight-line translations in 26 lattice
-    directions with adaptively growing certified steps, then grows a
-    rapidly-exploring random tree in the 5-dimensional pose space (normals
-    embedded on a sphere of radius equal to the circle radius, so rotation
-    steps cost the same as the arc they sweep).  Success means reaching a
-    pose whose center is at least ``escape_radius`` from the body centroid;
-    the returned path is re-validated pose by pose.
+    The search marches straight-line translations in 26 lattice directions
+    with adaptively growing certified steps, spending at most a quarter of
+    ``budget``.  Success means reaching a pose whose center is at least
+    ``escape_radius`` from the body centroid; the returned path is
+    re-validated pose by pose.
 
     ``budget`` counts clearance evaluations, the dominant cost.  Failure
-    says no escape was found *within that budget* — it is evidence, not
-    proof, of holding.  Deterministic for fixed ``(seed, budget)``.
+    says no march escaped *within that budget* — it is evidence, not
+    proof, of holding.  The search is deterministic: ``seed`` is only
+    recorded in the result.
     """
     centroid = K.centroid
     circum = K.circumradius
@@ -609,7 +617,6 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     if escape_radius is None:
         escape_radius = 10.0 * circum
     r = start.radius
-    kappa = max(r, 1e-9)
 
     start_pen = circle_interior_intersects(K, start, tol)
     if start_pen.intersects:
@@ -661,21 +668,17 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     c0 = start.center_array
     n0 = _canonical_normal(np.asarray(start.normal, float))
     cl0 = clearance(c0, n0)
-    if cl0 <= 0.0:
-        # the start pose touches the body: by the Lipschitz bound no motion
-        # whatsoever can be certified from it
-        return EscapeResult("not_found_within_budget", None, checks, 1,
-                            seed, step, escape_radius)
 
-    def finish(path, nodes: int):
+    def finish(path):
         for pose in path:
             if circle_interior_intersects(K, pose, tol).intersects:
                 raise CertificationError(
                     "escape path failed post-hoc validation")
-        return EscapeResult("found", path, checks, nodes, seed, step,
-                            escape_radius)
+        return EscapeResult("found", path, checks, 0, seed, step,
+                            escape_radius, cl0)
 
-    # certified straight-line marches
+    # certified straight-line marches; a start pose touching the body
+    # (cl0 <= 0) admits no certified motion at all by the Lipschitz bound
     if cl0 > 0.0:
         dirs = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1)
                          for k in (-1, 0, 1) if (i, j, k) != (0, 0, 0)], float)
@@ -696,99 +699,15 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
                                         tuple(n0)))
                     c_cur, cl_cur = c_new, cl_new
                     if escaped(c_new):
-                        return finish(path, 0)
+                        return finish(path)
                     h *= 1.7
                 else:
                     h *= 0.5
                     if h < 1e-9 * max(step, 1.0):
                         break
 
-    # RRT over poses with certified extensions
-    rng = np.random.default_rng(seed)
-    nodes_c = [c0]
-    nodes_n = [n0]
-    nodes_cl = [cl0]
-    parents = [-1]
-
-    emb = [np.concatenate([c0, kappa * n0])]
-    tree = cKDTree(np.array(emb))
-    tree_size = 1
-    # the embeddings not yet in the tree, emb[tree_size:], as one block
-    fresh = np.empty((256, len(emb[0])))
-
-    def rand_unit() -> np.ndarray:
-        v = rng.normal(size=3)
-        ln = np.linalg.norm(v)
-        return v / ln if ln > 0 else np.array([0.0, 0.0, 1.0])
-
-    while checks < budget:
-        if rng.random() < goal_bias:
-            samp_c = centroid + 1.05 * escape_radius * rand_unit()
-        else:
-            samp_c = centroid + (1.1 * escape_radius) * rand_unit() * rng.random() ** (1 / 3)
-        samp_n = _canonical_normal(rand_unit())
-        q = np.concatenate([samp_c, kappa * samp_n])
-
-        _, idx = tree.query(q)
-        best_i, best_d = int(idx), float(np.linalg.norm(emb[int(idx)] - q))
-        n_fresh = len(emb) - tree_size
-        if n_fresh:
-            # the first nearest fresh node wins only if strictly nearer
-            dist = _row_norms(fresh[:n_fresh] - q)
-            j = int(dist.argmin())
-            if dist[j] < best_d:
-                best_i, best_d = tree_size + j, float(dist[j])
-        if best_d <= 1e-12:
-            continue
-
-        base_c = nodes_c[best_i]
-        base_n = nodes_n[best_i]
-        base_cl = nodes_cl[best_i]
-        if base_cl <= 0.0:
-            continue
-        delta = q - emb[best_i]
-        # cap the attempt near the node's certifiable range, then shrink
-        cap = min(step, max(8.0 * base_cl, 1e-3 * step))
-        if best_d > cap:
-            delta = delta * (cap / best_d)
-        accepted = False
-        for _ in range(3):
-            new_c = base_c + delta[:3]
-            raw_n = base_n + delta[3:] / kappa
-            ln = np.linalg.norm(raw_n)
-            new_n = _canonical_normal(raw_n / ln) if ln > 1e-12 else base_n
-            if checks >= budget:
-                break
-            cl_new = clearance(new_c, new_n)
-            if cl_new > 0.0 and certify(base_c, base_n, base_cl,
-                                        new_c, new_n, cl_new):
-                accepted = True
-                break
-            delta = delta * 0.25
-        if not accepted:
-            continue
-
-        nodes_c.append(new_c)
-        nodes_n.append(new_n)
-        nodes_cl.append(cl_new)
-        parents.append(best_i)
-        emb.append(np.concatenate([new_c, kappa * new_n]))
-        fresh[len(emb) - 1 - tree_size] = emb[-1]
-        if len(emb) - tree_size >= len(fresh):
-            tree = cKDTree(np.array(emb))
-            tree_size = len(emb)
-
-        if escaped(new_c):
-            chain = []
-            i = len(nodes_c) - 1
-            while i >= 0:
-                chain.append(Circle3(tuple(nodes_c[i]), start.diameter,
-                                     tuple(nodes_n[i])))
-                i = parents[i]
-            return finish(list(reversed(chain)), len(nodes_c))
-
-    return EscapeResult("not_found_within_budget", None, checks,
-                        len(nodes_c), seed, step, escape_radius)
+    return EscapeResult("not_found_within_budget", None, checks, 1, seed,
+                        step, escape_radius, cl0)
 
 
 # ---------------------------------------------------------------------------
@@ -833,9 +752,11 @@ def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
 
     ``CertifiedHoldingEvidence`` requires: the circle avoids the interior,
     the body passes through it, cross-sections too wide for the circle exist
-    on both sides, and the escape search exhausts its budget without finding
-    a way out.  ``EscapeFound`` is returned exactly when the search finds a
-    validated escape path.  Everything else is ``Inconclusive``.
+    on both sides, and the escape search finds no way out within its budget.
+    ``EscapeFound`` is returned exactly when the search finds a validated
+    escape path.  Everything else is ``Inconclusive``.  The reasons say when
+    the search did no work: the circle touches the body, or lies closer to
+    it than the clearance bound resolves.
     """
     return _report(K, C, _gates(K, C, tol_geom, tol_opt),
                    budget=budget, seed=seed, tol_opt=tol_opt)
@@ -868,6 +789,11 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
         if not block.blocked_below:
             reasons.append("no blocking cross-section below the circle plane")
         escape = escape_search(K, C, budget=budget, seed=seed, tol=tol_opt)
+        if escape.start_clearance <= 0.0:
+            reasons.append(
+                f"the escape search did no work: the start clearance bound "
+                f"is {escape.start_clearance:.3g} <= 0, so no motion can be "
+                f"certified")
         if escape.found:
             verdict = VERDICT_ESCAPE
             reasons.append(f"escape path found after {escape.checks_used} checks")

@@ -402,11 +402,23 @@ def build_hull(points, tol: float = TOL_GEOM) -> Polytope3:
 # width
 # ---------------------------------------------------------------------------
 
-def _candidate_width_directions(K: Polytope3) -> np.ndarray:
-    """Directions that can attain the width of a polytope: face normals and
-    cross products of edge-direction pairs (vertex-vertex and edge-edge
-    antipodal configurations)."""
+def _sign_rounded(d: np.ndarray) -> np.ndarray:
+    """Unit directions flipped in place so the largest component is
+    positive, then rounded to 14 decimals: one representative per line."""
+    flip = d[np.arange(len(d)), np.argmax(np.abs(d), axis=1)] < 0
+    d[flip] *= -1
+    return np.round(d, 14)
+
+
+def _width_direction_blocks(K: Polytope3, size: int = 512):
+    """Directions that can attain the width of a polytope, in blocks of at
+    most ``size``: the face normals, then the crosses of edge-direction
+    pairs in ``np.triu_indices`` order (vertex-vertex and edge-edge
+    antipodal configurations), each through :func:`_sign_rounded`.  Repeats
+    are kept; only one block of crosses exists at a time, so memory stays
+    bounded on hulls with many edges."""
     n, _ = K.face_planes()
+    yield _sign_rounded(n.copy())
     segs = K.edge_segments()
     dirs = segs[:, 1] - segs[:, 0]
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -423,14 +435,18 @@ def _candidate_width_directions(K: Polytope3) -> np.ndarray:
             if keep[j]:
                 keep[lo + r] = False
     dirs = dirs[keep]
-    i, j = np.triu_indices(len(dirs), 1)
-    c = np.cross(dirs[i], dirs[j])
-    ln = _row_norms(c)
-    ok = ln > 1e-12
-    out = np.vstack([n, c[ok] / ln[ok, None]])
-    flip = out[np.arange(len(out)), np.argmax(np.abs(out), axis=1)] < 0
-    out[flip] *= -1
-    return np.unique(np.round(out, 14), axis=0)
+    # pair k = (i, j), i < j, in row-major order; row i starts at first[i]
+    m = len(dirs)
+    rows = np.arange(m)
+    first = rows * m - rows * (rows + 1) // 2
+    for lo in range(0, m * (m - 1) // 2, size):
+        k = np.arange(lo, min(lo + size, m * (m - 1) // 2))
+        i = np.searchsorted(first, k, side="right") - 1
+        j = k - first[i] + i + 1
+        c = np.cross(dirs[i], dirs[j])
+        ln = _row_norms(c)
+        ok = ln > 1e-12
+        yield _sign_rounded(c[ok] / ln[ok, None])
 
 
 def width3(K: Polytope3) -> WidthResult:
@@ -438,26 +454,34 @@ def width3(K: Polytope3) -> WidthResult:
 
     The minimizing direction is either a face normal or perpendicular to a
     pair of edge directions, so the exact minimum is found by enumerating
-    those finitely many candidates.
+    those finitely many candidates.  Of the candidates attaining it, the
+    first in the lexicographic order of ``np.unique`` wins.
     """
-    cands = _candidate_width_directions(K)
     V = K.vertices
-    best_w = np.inf
     best = None
-    for start in range(0, len(cands), 512):
-        chunk = cands[start:start + 512]
-        proj = V @ chunk.T  # (V, c)
-        hi = proj.max(axis=0)
-        lo = proj.min(axis=0)
-        w = hi - lo
-        k = int(np.argmin(w))
-        if w[k] < best_w:
-            best_w = float(w[k])
-            u = chunk[k]
-            best = WidthResult(best_w, u,
-                               int(np.argmin(proj[:, k])),
+    for cands in _width_direction_blocks(K):
+        if not len(cands):
+            continue
+        proj = V @ cands.T  # (V, c)
+        w = proj.max(axis=0) - proj.min(axis=0)
+        w_min = float(w.min())
+        if best is not None and w_min > best.width:
+            continue
+        tied = np.flatnonzero(w == w_min)
+        k = int(tied[np.lexsort(cands[tied].T[::-1])[0]])
+        if best is None or w_min < best.width or tuple(cands[k]) < tuple(
+                best.direction):
+            best = WidthResult(w_min, cands[k], int(np.argmin(proj[:, k])),
                                int(np.argmax(proj[:, k])))
     assert best is not None
+    if not best.direction.all():
+        # candidates that differ only in the sign of a zero are one
+        # direction, and the one np.unique keeps depends on its sort of
+        # them all: only then are all candidates held at once
+        cands = np.unique(np.vstack(list(_width_direction_blocks(K))), axis=0)
+        same = cands[(cands == best.direction).all(axis=1)][0]
+        best = WidthResult(best.width, same, best.lower_vertex,
+                           best.upper_vertex)
     return best
 
 

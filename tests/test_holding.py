@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations
@@ -38,6 +39,7 @@ from circlehold import (
     wd_tetrahedron,
 )
 from circlehold import families, holding
+from circlehold.fileio import report_to_dict
 from circlehold.holding import (_SliceScanner, _SupportGapBound,
                                 _edge_pair_distances,
                                 _support_gap_exact)
@@ -660,20 +662,32 @@ def test_exact_first_clearance_matches_screen_first():
     assert min(seen.values()) >= 50, seen
 
 
-# escape searches on the inflated circles of the benchmark, at seed 7: the
-# outcome, checks and nodes pin the whole trajectory
+# escape searches on the inflated circles of the benchmark: the outcome,
+# checks and nodes pin the whole trajectory.  A failed search ends when the
+# marches have spent their quarter of the budget.
 @pytest.mark.parametrize("inst, eps, budget, expected", [
     (bevelled_cylinder(10.0, 64), 1e-2, 150,
-     ("not_found_within_budget", 150, 50)),
+     ("not_found_within_budget", 37, 1)),
     (flat_tetrahedron(0.2), 5e-2, 1500, ("found", 206, 0)),
     (octahedron_iceberg(1.2, 10.0), 1e-2, 1500,
-     ("not_found_within_budget", 1500, 281)),
+     ("not_found_within_budget", 375, 1)),
 ])
 def test_escape_trajectory_is_pinned(inst, eps, budget, expected):
     c = inst.circle
     start = Circle3(c.center, c.diameter * (1.0 + eps), c.normal)
     res = escape_search(inst.body, start, budget=budget, seed=7)
     assert (res.outcome, res.checks_used, res.nodes) == expected
+
+
+def test_escape_search_does_not_depend_on_seed():
+    inst = octahedron_iceberg(1.2, 10.0)
+    c = inst.circle
+    start = Circle3(c.center, 1.01 * c.diameter, c.normal)
+    want = escape_search(inst.body, start, budget=1500, seed=7)
+    for seed in (0, 3, 11):
+        got = escape_search(inst.body, start, budget=1500, seed=seed)
+        assert got.seed == seed
+        assert dataclasses.replace(got, seed=7) == want
 
 
 # --- reports and certificates ------------------------------------------------
@@ -690,6 +704,22 @@ def test_holding_report_verdicts():
     rep3 = holding_report(CUBE, Circle3((0.5, 0.5, 0.5), 0.8, (1, 0, 0)), budget=500)
     assert rep3.verdict == VERDICT_INCONCLUSIVE
     assert not rep3.non_penetration
+
+
+def test_report_says_when_the_escape_search_did_no_work():
+    # the waist circle touches the body, so no motion can be certified
+    inst = flat_tetrahedron(0.2)
+    rep = holding_report(inst.body, inst.circle, budget=2000)
+    assert rep.escape.start_clearance <= 0.0
+    assert rep.escape.checks_used == 1
+    assert any("did no work" in r for r in rep.reasons)
+    assert report_to_dict(rep)["escape"]["start_clearance"] <= 0.0
+
+    loose = Circle3(inst.circle.center, 1.05 * inst.circle.diameter,
+                    inst.circle.normal)
+    rep = holding_report(inst.body, loose, budget=2000)
+    assert rep.escape.start_clearance > 0.0
+    assert not any("did no work" in r for r in rep.reasons)
 
 
 def test_min_holding_circle_flat_tetrahedron():

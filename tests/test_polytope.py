@@ -275,11 +275,16 @@ def _width_bodies():
     yield from (K for K in hulls if K is not None)
 
 
+def _candidate_set(K):
+    """Every block of width candidates, stacked and made unique."""
+    from circlehold.polytope import _width_direction_blocks
+    return np.unique(np.vstack(list(_width_direction_blocks(K))), axis=0)
+
+
 def test_width3_matches_reference_loop():
-    from circlehold.polytope import _candidate_width_directions
     for K in _width_bodies():
         cands = width_reference.candidate_width_directions(K)
-        assert _candidate_width_directions(K).tobytes() == cands.tobytes()
+        assert _candidate_set(K).tobytes() == cands.tobytes()
         got = width3(K)
         want = width_reference.width_over(K.vertices, cands)
         assert got.width == want.width
@@ -289,8 +294,6 @@ def test_width3_matches_reference_loop():
 
 
 def test_width_directions_dedupe_greedily_in_edge_order():
-    from circlehold.polytope import _candidate_width_directions
-
     class Body:
         # three edge directions 0.8e-12 apart in the xy-plane, and z: the
         # middle one is within 1e-12 of the first and is dropped; the third
@@ -305,22 +308,26 @@ def test_width_directions_dedupe_greedily_in_edge_order():
                                         np.zeros(3)], axis=1), [0, 0, 1]])
             return np.stack([np.zeros((4, 3)), ends], axis=1)
 
-    got = _candidate_width_directions(Body())
+    got = _candidate_set(Body())
     assert got.tobytes() == width_reference.candidate_width_directions(
         Body()).tobytes()
     assert [0.0, 0.0, 1.0] in got.tolist()
 
 
 def test_width3_memory_is_bounded():
-    K = bevelled_cylinder(10.0, 64).body
-    width3(K)  # warm the face planes
-    tracemalloc.start()
-    try:
-        width3(K)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3e6
+    # the 300-point sphere hull has about 900 edge directions, so about
+    # 400,000 crosses
+    pts = np.random.default_rng(0).standard_normal((300, 3))
+    sphere = build_hull(pts / np.linalg.norm(pts, axis=1)[:, None])
+    for K, bound in ((bevelled_cylinder(10.0, 64).body, 3e6), (sphere, 10e6)):
+        width3(K)  # warm the face planes
+        tracemalloc.start()
+        try:
+            width3(K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
