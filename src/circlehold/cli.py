@@ -13,6 +13,10 @@ Subcommands
   against independent arithmetic, suite by suite
 - ``render``       write the OBJ scene and SVG figures for a body
 
+Each subcommand takes only the flags it reads.  ``--theta-samples`` sets
+the projected-width profile of ``analyze`` and ``render``; the chain's
+minima are exact and take no angle count.
+
 Exit codes: 0 success (or certified evidence), 1 usage error or failed
 verification, 2 an escape was found, 3 inconclusive (``analyze`` with
 ``--require-verdict``).  All randomness is seeded (``--seed``); JSON output
@@ -31,7 +35,7 @@ import numpy as np
 
 from . import __version__, families, fileio, holding, polytope, projection
 from . import svgfig, verification
-from .errors import CircleHoldError, NoBlockingSlice, NotFound
+from .errors import CircleHoldError, InvalidInput, NoBlockingSlice, NotFound
 from .polytope import Polytope3
 from .tolerances import DEFAULT_SEED, TOL_GEOM, TOL_OPT
 
@@ -55,13 +59,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out_dir) if args.out_dir else Path(".")
-
-
 def _write(args, name: str, text: str, written: list[str]) -> None:
-    path = fileio.write_text(_out_dir(args) / name, text)
+    path = fileio.write_text(Path(args.out_dir or ".") / name, text)
     written.append(str(path))
+
+
+def _emit(args, name: str, doc: dict, written: list[str]) -> None:
+    """Print the canonical JSON of ``doc`` with ``--json`` and write it to
+    ``name`` under ``--out-dir``."""
+    text = fileio.dumps_json(doc)
+    if args.json:
+        sys.stdout.write(text)
+    if args.out_dir:
+        _write(args, name, text, written)
 
 
 def _print_written(written: list[str]) -> None:
@@ -69,10 +79,13 @@ def _print_written(written: list[str]) -> None:
         print(f"wrote {path}")
 
 
-def _load_pair(args):
+def _load_pair(args, need_3d: str | None = None):
+    """The body and circle files; ``need_3d`` names a use that needs a
+    3-dimensional body."""
     body = fileio.load_body(args.body)
-    circle = fileio.load_circle(args.circle) if getattr(args, "circle", None) \
-        else None
+    circle = fileio.load_circle(args.circle) if args.circle else None
+    if need_3d and not isinstance(body, Polytope3):
+        raise InvalidInput(f"{need_3d} needs a 3-dimensional body")
     return body, circle
 
 
@@ -163,12 +176,7 @@ def cmd_analyze(args) -> int:
         print(f"body {doc['body']}: {doc['vertices']} vertices in "
               f"dimension {body.dim}")
         print(f"width estimate (sampled + refined): {_g(west)}")
-        if args.out_dir or args.json:
-            text = fileio.dumps_json(fileio.jsonify(doc))
-            if args.json:
-                sys.stdout.write(text)
-            if args.out_dir:
-                _write(args, "analysis.json", text, written)
+        _emit(args, "analysis.json", doc, written)
         _print_written(written)
         return 0
 
@@ -225,11 +233,7 @@ def cmd_analyze(args) -> int:
               "or a circle with a vertical normal)", file=sys.stderr)
         return 1
 
-    text = fileio.dumps_json(fileio.jsonify(doc))
-    if args.json:
-        sys.stdout.write(text)
-    if args.out_dir:
-        _write(args, "analysis.json", text, written)
+    _emit(args, "analysis.json", doc, written)
     if prof is not None and args.csv:
         _write(args, "profile.csv", fileio.profile_csv(prof), written)
     if prof is not None and args.svg:
@@ -245,11 +249,7 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_escape(args) -> int:
-    body, circle = _load_pair(args)
-    if not isinstance(body, Polytope3):
-        print("error: escape search needs a 3-dimensional body",
-              file=sys.stderr)
-        return 1
+    body, circle = _load_pair(args, "escape search")
     budget = args.budget if args.budget is not None else 100_000
     esc = holding.escape_search(body, circle, budget=budget, seed=args.seed,
                                 tol=args.tol_opt)
@@ -261,11 +261,7 @@ def cmd_escape(args) -> int:
         print(f"escape path with {len(esc.path)} waypoints, final center "
               f"({', '.join(_g(x) for x in esc.path[-1].center)})")
     written: list[str] = []
-    text = fileio.dumps_json(fileio.jsonify(doc))
-    if args.json:
-        sys.stdout.write(text)
-    if args.out_dir:
-        _write(args, "escape.json", text, written)
+    _emit(args, "escape.json", doc, written)
     _print_written(written)
     return 2 if esc.found else 0
 
@@ -275,13 +271,8 @@ def cmd_escape(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_chain(args) -> int:
-    body, circle = _load_pair(args)
-    if not isinstance(body, Polytope3):
-        print("error: the chain certificate needs a 3-dimensional body",
-              file=sys.stderr)
-        return 1
+    body, circle = _load_pair(args, "the chain certificate")
     cert = holding.chain_certificate(body, circle, side=args.side,
-                                     theta_samples=args.theta_samples,
                                      tol_geom=args.tol_geom,
                                      tol_opt=args.tol_opt)
     doc = fileio.chain_to_dict(cert)
@@ -297,11 +288,7 @@ def cmd_chain(args) -> int:
     for name, ok in cert.checks.items():
         print(f"  [{'ok' if ok else 'FAIL'}] {name}")
     written: list[str] = []
-    text = fileio.dumps_json(fileio.jsonify(doc))
-    if args.json:
-        sys.stdout.write(text)
-    if args.out_dir:
-        _write(args, "chain.json", text, written)
+    _emit(args, "chain.json", doc, written)
     _print_written(written)
     return 0 if cert.holds else 1
 
@@ -320,11 +307,7 @@ def cmd_verify(args) -> int:
                      "tolerance": r.tolerance, "detail": r.detail}
                     for r in run.results]} for run in runs]}
     written: list[str] = []
-    text = fileio.dumps_json(doc)
-    if args.json:
-        sys.stdout.write(text)
-    if args.out_dir:
-        _write(args, "verify.json", text, written)
+    _emit(args, "verify.json", doc, written)
     _print_written(written)
     return 0 if all(r.passed for run in runs for r in run.results) else 1
 
@@ -334,10 +317,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_render(args) -> int:
-    body, circle = _load_pair(args)
-    if not isinstance(body, Polytope3):
-        print("error: rendering needs a 3-dimensional body", file=sys.stderr)
-        return 1
+    body, circle = _load_pair(args, "rendering")
     written: list[str] = []
     circles = [circle] if circle is not None else []
     _write(args, "scene.obj", fileio.scene_obj(body, circles), written)
@@ -352,8 +332,7 @@ def cmd_render(args) -> int:
     if circle is not None:
         try:
             cert = holding.chain_certificate(
-                body, circle, theta_samples=args.theta_samples,
-                tol_geom=args.tol_geom, tol_opt=args.tol_opt)
+                body, circle, tol_geom=args.tol_geom, tol_opt=args.tol_opt)
         except (NoBlockingSlice, CircleHoldError) as exc:
             print(f"region figure skipped: {exc}")
         else:
@@ -369,23 +348,29 @@ def cmd_render(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--tol-geom", type=float, default=TOL_GEOM,
-                        help="geometric predicate tolerance")
-    common.add_argument("--tol-opt", type=float, default=TOL_OPT,
-                        help="optimization / strictness tolerance")
-    common.add_argument("--theta-samples", type=int, default=720,
-                        help="projection angles per half-turn")
-    common.add_argument("--budget", type=int, default=None,
-                        help="escape-search collision-check budget")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="random seed (all randomness is seeded)")
-    common.add_argument("--out-dir", type=Path, default=None,
-                        help="directory for output files")
-    common.add_argument("--json", action="store_true",
-                        help="print the JSON document to stdout")
+# the shared flags; each subcommand takes only those it reads
+_FLAGS = {
+    "tol-geom": dict(type=float, default=TOL_GEOM,
+                     help="geometric predicate tolerance"),
+    "tol-opt": dict(type=float, default=TOL_OPT,
+                    help="optimization / strictness tolerance"),
+    "theta-samples": dict(type=int, default=720,
+                          help="projected-width profile angles per half-turn"),
+    "budget": dict(type=int, help="escape-search collision-check budget"),
+    "seed": dict(type=int, default=DEFAULT_SEED,
+                 help="random seed (all randomness is seeded)"),
+    "out-dir": dict(type=Path, help="directory for output files"),
+    "json": dict(action="store_true",
+                 help="print the JSON document to stdout"),
+}
 
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument("--" + name, **_FLAGS[name])
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="circlehold",
                      description="Holding circles of convex polytopes: "
                                  "certificates, searches and constructions.")
@@ -393,16 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", parents=[common],
-                       help="build a named family instance")
+    p = sub.add_parser("construct", help="build a named family instance")
+    _add_flags(p, "out-dir")
     p.add_argument("family", choices=sorted(families.FAMILIES))
     for name in _FAMILY_PARAMS:
         flag = "--" + name.replace("_", "-")
         p.add_argument(flag, type=float, default=None)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="widths, cylinder and holding evidence")
+    p = sub.add_parser("analyze", help="widths, cylinder and holding evidence")
+    _add_flags(p, "tol-geom", "tol-opt", "theta-samples", "budget", "seed",
+               "out-dir", "json")
     p.add_argument("body", help="body JSON file")
     p.add_argument("--circle", help="circle JSON file (default: search "
                    "for the smallest certified circle)")
@@ -416,29 +402,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 3 unless the verdict is conclusive")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("escape", parents=[common],
-                       help="search for an escape path of a circle")
+    p = sub.add_parser("escape", help="search for an escape path of a circle")
+    _add_flags(p, "tol-opt", "budget", "seed", "out-dir", "json")
     p.add_argument("body")
     p.add_argument("circle")
     p.set_defaults(func=cmd_escape)
 
-    p = sub.add_parser("chain", parents=[common],
-                       help="projection chain certificate for a pair")
+    p = sub.add_parser("chain", help="projection chain certificate for a pair")
+    _add_flags(p, "tol-geom", "tol-opt", "out-dir", "json")
     p.add_argument("body")
     p.add_argument("circle")
     p.add_argument("--side", choices=("auto", "above", "below"),
                    default="auto")
     p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("verify-paper", parents=[common],
+    p = sub.add_parser("verify-paper",
                        help="recompute headline quantities and compare "
                             "against independent arithmetic")
+    _add_flags(p, "seed", "out-dir", "json")
     p.add_argument("--suite", choices=verification.suite_names(),
                    default="all")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("render", parents=[common],
-                       help="write OBJ/SVG figures for a body")
+    p = sub.add_parser("render", help="write OBJ/SVG figures for a body")
+    _add_flags(p, "tol-geom", "tol-opt", "theta-samples", "out-dir")
     p.add_argument("body")
     p.add_argument("--circle")
     p.add_argument("--profile-level", type=float, default=None)

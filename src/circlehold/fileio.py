@@ -195,26 +195,23 @@ def chain_to_dict(cert: ChainCertificate) -> dict:
 
 def report_to_dict(report: HoldingReport) -> dict:
     block = report.block
-    doc = {
+    return {
         "circle": circle_to_dict(report.circle),
         "verdict": report.verdict,
         "non_penetration": report.non_penetration,
         "penetration_depth": report.penetration_depth,
         "surrounds_slice": report.surrounds_slice,
-        "blocked_above": block.blocked_above if block else None,
-        "blocked_below": block.blocked_below if block else None,
-        "block": None,
+        "blocked_above": block.blocked_above,
+        "blocked_below": block.blocked_below,
+        "block": {
+            side: {"blocked": sb.blocked, "height": sb.height,
+                   "circumdiameter": sb.circumdiameter, "margin": sb.margin}
+            for side, sb in (("above", block.above), ("below", block.below))
+        },
         "edge_bound": report.edge_bound,
         "escape": escape_to_dict(report.escape) if report.escape else None,
         "reasons": list(report.reasons),
     }
-    if block is not None:
-        doc["block"] = {
-            side: {"blocked": sb.blocked, "height": sb.height,
-                   "circumdiameter": sb.circumdiameter, "margin": sb.margin}
-            for side, sb in (("above", block.above), ("below", block.below))
-        }
-    return doc
 
 
 # ---------------------------------------------------------------------------

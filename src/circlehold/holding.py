@@ -37,12 +37,12 @@ from .errors import (CertificationError, InvalidInput, InvalidStart,
                      NoBlockingSlice, NotFound)
 from .planar import (Circle2, Polygon2, _welzl, best_fit_equilateral,
                      chebyshev_inscribed, clip_halfplane_2d, convex_hull_2d,
-                     golden_refine, periodic_min, projected_width, width2)
+                     golden_refine, periodic_min, width2)
 # the public forms of the slice kernel and the strip width; bench/tracing.py
 # wraps them under this module's name
 from .planar import horizontal_width, min_enclosing_circle  # noqa: F401
-from .polytope import (HalfSpace, Polytope3, build_hull, clip_halfspace,
-                       min_cylinder, plane_frame, width3)
+from .polytope import (HalfSpace, Polytope3, _min_shadow_width, build_hull,
+                       clip_halfspace, min_cylinder, plane_frame, width3)
 # the scalar oracle of ``_edge_pair_distances``; bench/tracing.py wraps it
 # under this module's name
 from .polytope import segment_distance  # noqa: F401
@@ -142,16 +142,11 @@ def circle_interior_intersects(K: Polytope3, C: Circle3,
         return -(vals - b[None, :]).max(axis=1)
 
     flat = R <= 1e-13 * max(r, 1.0)
-    if np.any(gamma[flat] <= 0.0):
-        probe = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-        dep = depth(probe)
-        k = int(np.argmax(dep))
-        return PenetrationWitness(False, float(dep[k]), None, None)
-
     active = ~flat
     ratio = np.empty_like(R)
     ratio[active] = gamma[active] / R[active]
-    if np.any(ratio[active] <= -1.0):
+    # some face excludes the whole circle: no arc to cut
+    if np.any(gamma[flat] <= 0.0) or np.any(ratio[active] <= -1.0):
         probe = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
         dep = depth(probe)
         k = int(np.argmax(dep))
@@ -580,8 +575,7 @@ class _SupportGapBound:
 
 
 def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
-                  seed: int = DEFAULT_SEED, step: float | None = None,
-                  escape_radius: float | None = None,
+                  seed: int = DEFAULT_SEED,
                   tol: float = TOL_OPT) -> EscapeResult:
     """Search for a certified collision-free circle path leading far away.
 
@@ -602,8 +596,9 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     The search marches straight-line translations in 26 lattice directions
     with adaptively growing certified steps, spending at most a quarter of
     ``budget``.  Success means reaching a pose whose center is at least
-    ``escape_radius`` from the body centroid; the returned path is
-    re-validated pose by pose.
+    ten circumradii of the body (``escape_radius``) from its centroid; the
+    returned path is re-validated pose by pose.  Step lengths scale with
+    ``step``, a fiftieth of the circumradius.  The result records both.
 
     ``budget`` counts clearance evaluations, the dominant cost.  Failure
     says no march escaped *within that budget* — it is evidence, not
@@ -612,10 +607,8 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     """
     centroid = K.centroid
     circum = K.circumradius
-    if step is None:
-        step = circum / 50.0
-    if escape_radius is None:
-        escape_radius = 10.0 * circum
+    step = circum / 50.0
+    escape_radius = 10.0 * circum
     r = start.radius
 
     start_pen = circle_interior_intersects(K, start, tol)
@@ -844,11 +837,13 @@ class ChainCertificate:
                   = width2(region) <= 3/2 * diameter,
 
     with wh the horizontal width of the projection into the vertical plane
-    at angle theta (vertical meaning the circle normal), minimised over
-    theta by :func:`~circlehold.planar.periodic_min`.  For computation the
-    prism is a large working box about the circle's centre, clipped by each
-    tangent half-space in turn (:func:`~circlehold.polytope.clip_halfspace`);
-    the box provably does not change either of the two middle quantities.
+    at angle theta (vertical meaning the circle normal).  Both minima over
+    theta are exact: each is taken over a finite candidate set of
+    directions (:func:`~circlehold.polytope._min_shadow_width`), not an
+    angle grid.  For computation the prism is a large working box about
+    the circle's centre, clipped by each tangent half-space in turn
+    (:func:`~circlehold.polytope.clip_halfspace`); the box provably does
+    not change either of the two middle quantities.
 
     ``values`` holds the five numbers, ``checks`` one boolean per relation
     plus internal consistency tests, and ``holds`` their conjunction.
@@ -874,8 +869,7 @@ class ChainCertificate:
         return all(self.checks.values())
 
 
-def chain_certificate(K: Polytope3, C: Circle3, *,
-                      theta_samples: int = 720, side: str = "auto",
+def chain_certificate(K: Polytope3, C: Circle3, *, side: str = "auto",
                       tol_geom: float = TOL_GEOM,
                       tol_opt: float = TOL_OPT) -> ChainCertificate:
     """Build the projection chain certificate for a circle pose.
@@ -890,7 +884,9 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
 
     Each side's blocking section is its largest, over the circle's plane
     and that side's vertex heights (the profile is convex in between).  The
-    prism is the working cube clipped by the tangent half-spaces.
+    prism is the working cube clipped by the tangent half-spaces.  The
+    minimal shadow widths of the far half and of the prism are exact, so
+    every link of the chain is computed, none sampled.
     """
     d = C.diameter
     sc = _SliceScanner(K, np.asarray(C.normal, float), origin=C.center_array)
@@ -965,26 +961,20 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
         surround = antipodal or (len(u) >= 3 and _directions_surround_origin(u))
 
         # the prism itself, as the working cube clipped by the tangent
-        # half-spaces, for the projected horizontal widths
+        # half-spaces, for its shadow widths
         c0 = C.center_array
         prism = build_hull([c0 + box * (s1 * e1 + s2 * e2 + s3 * nrm)
                             for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)
                             for s3 in (1.0, -1.0)])
         for hs in tangent_hs:
             prism = clip_halfspace(prism, hs)
-        relp = prism.vertices - c0
-        prism_pts = [(relp @ ax).tolist() for ax in (e1, e2, nrm)]
-        _, min_wh_region = periodic_min(
-            lambda th: projected_width(*prism_pts, th), np.pi, theta_samples)
+        min_wh_region = _min_shadow_width(prism, nrm)
 
-        # far half of the body, projected widths
+        # far half of the body
         far_normal = tuple(sgn * np.asarray(C.normal, float))
         far = clip_halfspace(K, HalfSpace(far_normal,
                                           float(np.dot(far_normal, C.center))))
-        rel = far.vertices - C.center_array
-        far_pts = [(rel @ ax).tolist() for ax in (e1, e2, nrm)]
-        _, min_wh_far = periodic_min(
-            lambda th: projected_width(*far_pts, th), np.pi, theta_samples)
+        min_wh_far = _min_shadow_width(far, nrm)
 
         values = {
             "width": w,
@@ -1342,11 +1332,11 @@ class ExtremalityDiagnostics:
 
 
 def extremality_diagnostics(K: Polytope3, C: Circle3,
-                            chain: ChainCertificate | None = None,
-                            **chain_kwargs) -> ExtremalityDiagnostics:
+                            chain: ChainCertificate | None = None
+                            ) -> ExtremalityDiagnostics:
     """Quantify how near a certified circle is to the sharp two-thirds bound."""
     if chain is None:
-        chain = chain_certificate(K, C, **chain_kwargs)
+        chain = chain_certificate(K, C)
     d = C.diameter
     scale = 2.0 / d
 

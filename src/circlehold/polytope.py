@@ -149,7 +149,7 @@ class Polytope3:
 
     # -- basic combinatorics -------------------------------------------------
 
-    def validate(self, tol: float = 1e-7) -> None:
+    def validate(self) -> None:
         V, E, F = len(self.vertices), len(self.edges), len(self.faces)
         if V < 4:
             raise DegenerateInput(f"need at least 4 vertices, got {V}")
@@ -157,13 +157,13 @@ class Polytope3:
             raise InvalidInput(f"V - E + F = {V - E + F} != 2 "
                                f"(V={V}, E={E}, F={F})")
         n, b = self.face_planes()
-        scale = max(1.0, float(np.abs(self.vertices).max()))
+        tol = 1e-7 * max(1.0, float(np.abs(self.vertices).max()))
         d = self.vertices @ n.T - b  # (V, F)
-        if d.max() > tol * scale:
+        if d.max() > tol:
             raise InvalidInput("a vertex lies outside a face plane; "
                                "faces are inconsistent with the hull")
         # every vertex extreme: each must attain the max in some face plane
-        on_any = (np.abs(d) <= tol * scale).any(axis=1)
+        on_any = (np.abs(d) <= tol).any(axis=1)
         if not on_any.all():
             raise InvalidInput("vertex not on any face: input is not "
                                "a minimal hull description")
@@ -257,8 +257,7 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      a0 * b1 - a1 * b0], axis=1)
 
 
-def _merge_coplanar(points: np.ndarray, hull: ConvexHull,
-                    angle_tol: float = 1e-7) -> list[list[int]]:
+def _merge_coplanar(points: np.ndarray, hull: ConvexHull) -> list[list[int]]:
     """Group hull triangles into maximal coplanar facets and return ordered
     vertex cycles (counterclockwise from outside)."""
     eq = hull.equations  # (F, 4): n.x + d = 0, n outward
@@ -279,8 +278,7 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull,
                       for p in combinations(owners, 2)])
     eq_i, eq_j = eq[pairs[:, 0]], eq[pairs[:, 1]]
     tilt = _row_norms(_cross_rows(eq_i[:, :3], eq_j[:, :3]))
-    flat = (tilt <= angle_tol) & (np.abs(eq_i[:, 3] - eq_j[:, 3])
-                                  <= 1e-7 * scale)
+    flat = (tilt <= 1e-7) & (np.abs(eq_i[:, 3] - eq_j[:, 3]) <= 1e-7 * scale)
     linked: list[list[int]] = [[] for _ in range(nf)]
     for i, j in pairs[flat].tolist():
         linked[i].append(j)
@@ -356,7 +354,7 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull,
     return faces
 
 
-def build_hull(points, tol: float = TOL_GEOM) -> Polytope3:
+def build_hull(points) -> Polytope3:
     """Convex hull of a 3D point cloud as a :class:`Polytope3`.
 
     Coplanar hull triangles are merged into polygonal facets and points that
@@ -482,6 +480,33 @@ def width3(K: Polytope3) -> WidthResult:
         same = cands[(cands == best.direction).all(axis=1)][0]
         best = WidthResult(best.width, same, best.lower_vertex,
                            best.upper_vertex)
+    return best
+
+
+def _min_shadow_width(K: Polytope3, n) -> float:
+    """Exact minimum over ``theta`` of the horizontal width of ``K``'s
+    shadow on the plane spanned by ``u = cos(theta) e1 + sin(theta) e2``
+    and the unit vector ``n``.  That width is ``min_a breadth(u - a n)``,
+    so the minimum is that of ``breadth(v) / |v x n|`` over ``v`` not
+    parallel to ``n``.
+
+    Breadth is linear on each cell of the overlay of the Gauss maps of
+    ``K`` and ``-K``.  With ``v = u - a n`` the ratio is linear in ``a``
+    along a meridian through ``n``, and a positive sinusoid in ``theta``,
+    hence concave, along any other great-circle arc.  So its minimum is at
+    a cell vertex: a face normal or a direction orthogonal to two edges,
+    which are :func:`_width_direction_blocks`' candidates (Houle &
+    Toussaint 1988), reduced block by block as in :func:`width3`.  For
+    these unit candidates ``|v x n| = sqrt(1 - (v . n)^2)``."""
+    n = np.asarray(n, float)
+    best = math.inf
+    for cands in _width_direction_blocks(K):
+        cos = cands @ n
+        sin = np.sqrt(1.0 - np.minimum(cos * cos, 1.0))
+        ok = sin > 1e-12  # directions along n cast no finite ratio
+        proj = K.vertices @ cands[ok].T
+        ratio = (proj.max(axis=0) - proj.min(axis=0)) / sin[ok]
+        best = min(best, float(ratio.min(initial=math.inf)))
     return best
 
 

@@ -113,8 +113,7 @@ def check_iceberg(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """The narrow-top octahedron profiles as narrower-above at its circle."""
     inst = families.octahedron_iceberg(1.38, 5.0)
     level = inst.circle.center[2]
-    prof = projection.iceberg_profile(inst.body, level=level,
-                                      theta_samples=720)
+    prof = projection.iceberg_profile(inst.body, level=level)
     ok = prof.orientation == "as_given" and prof.margin > 0.0
     return [_res("narrower-above-everywhere(a=1.38,h=5)", ok,
                  "orientation as_given, margin > 0",
@@ -170,8 +169,7 @@ def check_inscribed_circle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 def check_projection_chain(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """The full inequality chain on the near-extremal octahedron."""
     inst = families.octahedron_iceberg(1.01, 200.0)
-    cert = holding.chain_certificate(inst.body, inst.circle,
-                                     theta_samples=720)
+    cert = holding.chain_certificate(inst.body, inst.circle)
     v = cert.values
     out = []
     out.append(_res("width-le-min-far-width",
@@ -286,8 +284,7 @@ def check_non_iceberg(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                          (families.five_vertex_flat, "five-vertex")):
         inst = maker(0.2)
         prof = projection.iceberg_profile(inst.body,
-                                          level=inst.circle.center[2],
-                                          theta_samples=720)
+                                          level=inst.circle.center[2])
         out.append(_res(f"no-orientation-narrower({label})",
                         prof.orientation == "neither",
                         "neither", prof.orientation, "margin band 1e-7",

@@ -1,7 +1,7 @@
-"""The chain kernels that ``planar.periodic_min`` and the clipped prism
-replaced, kept as the references their tests compare against: the grid
-minimum refined by golden section, and the vertices of a bounded half-space
-intersection by plane-triple enumeration."""
+"""The chain kernels that ``planar.periodic_min``, the exact shadow minimum
+and the clipped prism replaced, kept as the references their tests compare
+against: the grid minimum refined by golden section, and the vertices of a
+bounded half-space intersection by plane-triple enumeration."""
 
 from itertools import combinations
 

@@ -102,11 +102,23 @@ def test_escape_exit_codes(tmp_path):
 
 def test_chain_certificate(tmp_path, capsys):
     construct(tmp_path, "octahedron-iceberg", "--a", "1.2", "--h", "10")
-    code = run(["chain", tmp_path / "body.json", tmp_path / "circle.json",
-                "--theta-samples", "180"])
+    code = run(["chain", tmp_path / "body.json", tmp_path / "circle.json"])
     assert code == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+@pytest.mark.parametrize("argv", [
+    # the chain's minima are exact: it takes no angle count
+    ["chain", "body.json", "circle.json", "--theta-samples", "90"],
+    # verify-paper reads no tolerance
+    ["verify-paper", "--tol-opt", "1e-3"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_suite_exit_codes(tmp_path):

@@ -757,7 +757,7 @@ def test_min_holding_circle_rejects_cube():
 
 def test_chain_certificate_octahedron():
     inst = octahedron_iceberg(1.2, 10.0)
-    cert = chain_certificate(inst.body, inst.circle, theta_samples=240)
+    cert = chain_certificate(inst.body, inst.circle)
     assert all(cert.checks.values())
     v = cert.values
     assert v["width"] <= v["min_wh_far_half"] + 1e-9
@@ -774,7 +774,7 @@ def test_verify_paper_chain_values_unchanged():
             "width2_region": 3.0299495012624624,
             "diameter_bound": 3.029949501262465}
     inst = octahedron_iceberg(1.01, 200.0)
-    cert = chain_certificate(inst.body, inst.circle, theta_samples=720)
+    cert = chain_certificate(inst.body, inst.circle)
     assert cert.values.keys() == want.keys()
     for k, v in want.items():
         assert abs(cert.values[k] - v) <= 1e-12
@@ -818,7 +818,8 @@ def test_periodic_min_matches_grid_golden_reference_in_the_chain(a, h):
     for f, key in ((wh_prism, "min_wh_region"), (wh_far, "min_wh_far_half")):
         got = periodic_min(f, np.pi, 720)
         assert got == grid_golden_min(f, 720)
-        assert got[1] == cert.values[key]
+        # the chain's minimum is exact; the sampled one agrees with it
+        assert abs(got[1] - cert.values[key]) <= 1e-12 * got[1]
     inst = octahedron_iceberg(a, h)
     diag = extremality_diagnostics(inst.body, inst.circle, chain=cert)
     q, d = cert.contacts2, inst.circle.diameter
@@ -863,8 +864,8 @@ def test_auto_chain_builds_sides_until_one_holds(monkeypatch, maker, args,
     inst = maker(*args)
     want = chain_certificate(inst.body, inst.circle, side=side)
     calls = []
-    inner = holding.periodic_min
-    monkeypatch.setattr(holding, "periodic_min",
+    inner = holding._min_shadow_width
+    monkeypatch.setattr(holding, "_min_shadow_width",
                         lambda *a, **k: calls.append(a) or inner(*a, **k))
     cert = chain_certificate(inst.body, inst.circle)
     # each side built runs two minimisations: the prism and the far half
@@ -876,13 +877,12 @@ def test_auto_chain_builds_sides_until_one_holds(monkeypatch, maker, args,
 
 def test_chain_needs_a_blocking_slice():
     with pytest.raises(NoBlockingSlice):
-        chain_certificate(CUBE, Circle3((0.5, 0.5, 0.5), 1.8, (0, 0, 1)),
-                          theta_samples=90)
+        chain_certificate(CUBE, Circle3((0.5, 0.5, 0.5), 1.8, (0, 0, 1)))
 
 
 def test_extremality_of_octahedron_waist():
     inst = octahedron_iceberg(1.2, 10.0)
-    cert = chain_certificate(inst.body, inst.circle, theta_samples=240)
+    cert = chain_certificate(inst.body, inst.circle)
     diag = extremality_diagnostics(inst.body, inst.circle, chain=cert)
     # the waist region of this spindle is an exact equilateral triangle
     assert diag.hausdorff < 1e-9

@@ -4,6 +4,7 @@ from functools import cache
 import numpy as np
 import pytest
 import width_reference
+from chain_reference import grid_golden_min
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_cases import oracle_agreement_cases
@@ -31,6 +32,8 @@ from circlehold import (
     wd_tetrahedron,
     width3,
 )
+from circlehold.planar import projected_width
+from circlehold.polytope import _min_shadow_width
 
 CUBE = np.array([
     [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
@@ -348,6 +351,82 @@ def test_width3_is_invariant_under_motion_scaling_and_order(body, motion,
     V = K.vertices[rng.permutation(len(K.vertices))]
     for pts, want in ((V @ R.T + shift, w0), (s * V, s * w0)):
         assert abs(width3(build_hull(pts)).width - want) <= 1e-12 * want
+
+
+def _grid_shadow_width(K, n):
+    """The sampled minimum the chain used before: the shadow's horizontal
+    width at 720 angles in the frame of ``n``, golden-refined.  It is at
+    most every sample it takes."""
+    pts = [(K.vertices @ ax).tolist() for ax in plane_frame(n)]
+    return grid_golden_min(lambda th: projected_width(*pts, th), 720)[1]
+
+
+def _assert_exact_shadow_min(K, n):
+    got = _min_shadow_width(K, n)
+    want = _grid_shadow_width(K, n)
+    # at most every sample, up to the candidates' rounding to 14 decimals,
+    # and no further below the sampled minimum than that
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_ARGS))
+def test_min_shadow_width_matches_the_sampled_minimum_on_families(name):
+    K = family_body(name)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        R = random_rotation(rng)
+        _assert_exact_shadow_min(build_hull(K.vertices @ R.T), R[:, 2])
+
+
+def test_min_shadow_width_matches_the_sampled_minimum_on_random_hulls():
+    rng = np.random.default_rng(5)
+    hulls = [K for K in map(random_hull, range(24)) if K is not None]
+    assert len(hulls) >= 20
+    for K in hulls:
+        n = rng.standard_normal(3)
+        _assert_exact_shadow_min(K, n / np.linalg.norm(n))
+
+
+def test_min_shadow_width_closed_forms():
+    # the unit cube seen along z: every shadow is at least 1 wide
+    assert _min_shadow_width(build_hull(CUBE), np.array([0.0, 0.0, 1.0])) == 1.0
+    # below its waist a spindle keeps its bottom triangle (circumradius 2),
+    # whose breadth is at least its altitude 3 in every shadow; a strip
+    # sheared along a side edge attains 3
+    for a, h in ((1.01, 200.0), (1.2, 10.0), (1.38, 5.0)):
+        inst = octahedron_iceberg(a, h)
+        zc = inst.circle.center[2]
+        far = clip_halfspace(inst.body, HalfSpace((0.0, 0.0, 1.0), zc))
+        got = _min_shadow_width(far, np.array([0.0, 0.0, 1.0]))
+        assert abs(got - 3.0) <= 1e-12 * 3.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(body=st.one_of(st.sampled_from(sorted(FAMILY_ARGS)),
+                      st.integers(0, 10_000)),
+       motion=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-6.0, 6.0))
+def test_min_shadow_width_is_invariant_under_motion_scaling_and_order(
+        body, motion, log_scale):
+    K = family_body(body) if isinstance(body, str) else random_hull(body)
+    if K is None:
+        return
+    rng = np.random.default_rng(motion)
+    n = rng.standard_normal(3)
+    n /= np.linalg.norm(n)
+    s = 10.0 ** log_scale
+    R = random_rotation(rng)
+    shift = rng.uniform(-5.0, 5.0, 3) * K.circumradius
+    w0 = _min_shadow_width(K, n)
+    # the same polytope with its vertices renumbered, moved and scaled (not
+    # re-hulled: the property is of the minimum, not of build_hull)
+    perm = rng.permutation(len(K.vertices))
+    new_index = np.argsort(perm)
+    faces = [[int(new_index[i]) for i in f] for f in K.faces]
+    V = K.vertices[perm]
+    for pts, m, want in ((V @ R.T + shift, R @ n, w0), (s * V, n, s * w0)):
+        moved = Polytope3(pts, faces, validate=False)
+        assert abs(_min_shadow_width(moved, m) - want) <= 1e-12 * want
 
 
 def test_min_cylinder_cube():
