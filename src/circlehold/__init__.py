@@ -13,17 +13,15 @@ from .errors import (CertificationError, CircleHoldError, DegenerateInput,
                      NoBlockingSlice, NoSolution, NotFound)
 from .tolerances import DEFAULT_SEED, TOL_GEOM, TOL_OPT
 from .planar import (Circle2, Polygon2, SplitWidths, Strip,
-                     best_fit_equilateral, breadth2, chebyshev_inscribed,
-                     circle_support_points, clip_halfplane_2d,
-                     convex_hull_2d, equilateral_triangle,
+                     best_fit_equilateral, chebyshev_inscribed,
+                     clip_halfplane_2d, convex_hull_2d, equilateral_triangle,
                      hausdorff_distance, horizontal_width,
                      min_enclosing_circle, point_polygon_distance,
                      projected_width, random_axis_crossing_polygon,
                      random_convex_polygon, split_width_identities, width2)
-from .polytope import (CylinderResult, HalfSpace, PlanarSection, Polytope3,
-                       WidthResult, build_hull, clip_halfspace, min_cylinder,
-                       plane_frame, point_location, segment_distance,
-                       slice_plane, width3)
+from .polytope import (CylinderResult, HalfSpace, Polytope3, WidthResult,
+                       build_hull, clip_halfspace, min_cylinder, plane_frame,
+                       point_location, segment_distance, width3)
 from .projection import (IcebergProfile, iceberg_profile, split_body,
                          split_project)
 from .holding import (VERDICT_ESCAPE, VERDICT_EVIDENCE, VERDICT_INCONCLUSIVE,
@@ -57,17 +55,16 @@ __all__ = [
     "TOL_GEOM", "TOL_OPT", "DEFAULT_SEED",
     # planar
     "Polygon2", "Strip", "Circle2", "SplitWidths", "convex_hull_2d",
-    "width2", "breadth2", "horizontal_width", "projected_width",
+    "width2", "horizontal_width", "projected_width",
     "clip_halfplane_2d", "split_width_identities", "min_enclosing_circle",
-    "circle_support_points", "chebyshev_inscribed",
+    "chebyshev_inscribed",
     "point_polygon_distance", "hausdorff_distance", "equilateral_triangle",
     "best_fit_equilateral", "random_convex_polygon",
     "random_axis_crossing_polygon",
     # polytope
     "HalfSpace", "Polytope3", "WidthResult", "CylinderResult",
-    "PlanarSection", "build_hull", "width3", "clip_halfspace",
-    "slice_plane", "min_cylinder", "point_location", "segment_distance",
-    "plane_frame",
+    "build_hull", "width3", "clip_halfspace", "min_cylinder",
+    "point_location", "segment_distance", "plane_frame",
     # projection
     "split_body", "split_project", "IcebergProfile", "iceberg_profile",
     # holding

@@ -211,12 +211,6 @@ def width2(P) -> tuple[float, np.ndarray]:
     return float(widths[k]), n[k]
 
 
-def breadth2(P, u) -> float:
-    verts = _vertices_of(P)
-    proj = verts @ np.asarray(u, float)
-    return float(proj.max() - proj.min())
-
-
 def _narrowest_strip(h: list) -> tuple[float, float, float, float]:
     """``(width, slope, b1, b2)`` of the narrowest horizontal strip around
     the convex polygon ``h``, a non-empty list of ``(s, t)`` vertices in
@@ -457,14 +451,6 @@ def min_enclosing_circle(points, seed: int = 1) -> Circle2:
     eps = 1e-12 * max(1.0, float(np.abs(pts).max()))
     cx, cy, r = _welzl(pts.tolist(), eps, seed)
     return Circle2((cx, cy), r)
-
-
-def circle_support_points(circle: Circle2, points, rtol: float = 1e-7) -> np.ndarray:
-    """Points lying on the circle boundary (within ``rtol`` relative slack)."""
-    pts = as_points(points)
-    d = np.hypot(pts[:, 0] - circle.center[0], pts[:, 1] - circle.center[1])
-    tol = rtol * max(circle.radius, 1e-30)
-    return pts[np.abs(d - circle.radius) <= tol]
 
 
 # ---------------------------------------------------------------------------

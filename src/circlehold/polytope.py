@@ -1,5 +1,5 @@
 """Convex polytopes in 3-space: hull construction, width, circumscribing
-cylinders, clipping, and plane sections.
+cylinders and clipping.
 
 A :class:`Polytope3` stores hull vertices together with its facets as vertex
 index cycles (coplanar triangles merged into one facet).  Edges are derived
@@ -13,14 +13,16 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInput, EmptyResult, InvalidInput
-from .planar import Circle2, convex_hull_2d, min_enclosing_circle
+from .planar import Circle2, min_enclosing_circle
+# the planar hull, as this module imported it; bench/tracing.py wraps it
+# under this module's name
+from .planar import convex_hull_2d  # noqa: F401
 from .tolerances import TOL_GEOM
 
 
@@ -259,23 +261,23 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _merge_coplanar(points: np.ndarray, hull: ConvexHull) -> list[list[int]]:
     """Group hull triangles into maximal coplanar facets and return ordered
-    vertex cycles (counterclockwise from outside)."""
+    vertex cycles (counterclockwise from outside).
+
+    The adjacency is Qhull's: ``hull.neighbors[f, k]`` is the triangle
+    across the edge opposite ``hull.simplices[f, k]``."""
     eq = hull.equations  # (F, 4): n.x + d = 0, n outward
     simplices = hull.simplices
     tris = simplices.tolist()
+    nbrs = hull.neighbors.tolist()
     nf = len(tris)
-    scale = max(1.0, float(np.abs(points).max()))
-
-    # adjacency via shared undirected edges
-    edge_owner: dict[tuple[int, int], list[int]] = {}
-    for fi, (a, b, c) in enumerate(tris):
-        for e in ((a, b) if a < b else (b, a), (b, c) if b < c else (c, b),
-                  (c, a) if c < a else (a, c)):
-            edge_owner.setdefault(e, []).append(fi)
+    # the body's own size: the offset and bend tests below are relative to
+    # it at every scale
+    scale = float(np.abs(points).max())
 
     # coplanarity of every two triangles that share an edge, in one batch
-    pairs = np.array([p for owners in edge_owner.values()
-                      for p in combinations(owners, 2)])
+    owner = np.repeat(np.arange(nf), 3)
+    across = hull.neighbors.ravel()
+    pairs = np.stack([owner, across], axis=1)[owner < across]
     eq_i, eq_j = eq[pairs[:, 0]], eq[pairs[:, 1]]
     tilt = _row_norms(_cross_rows(eq_i[:, :3], eq_j[:, :3]))
     flat = (tilt <= 1e-7) & (np.abs(eq_i[:, 3] - eq_j[:, 3]) <= 1e-7 * scale)
@@ -318,19 +320,17 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull) -> list[list[int]]:
             faces.append([tri[0], tri[2], tri[1]] if flipped[facet[0]]
                          else tri)
             continue
-        # keep only the directed edges used once (the facet boundary)
-        count: dict[tuple[int, int], int] = {}
-        directed: list[tuple[int, int]] = []
+        # the directed edges whose neighbour lies in another facet (the
+        # facet boundary), in triangle order
+        gi = group[facet[0]]
+        boundary: list[tuple[int, int]] = []
         for fi in facet:
-            tri = tris[fi]
-            if flipped[fi]:
-                tri = [tri[0], tri[2], tri[1]]
-            for i in range(3):
-                de = (tri[i], tri[(i + 1) % 3])
-                count[de] = count.get(de, 0) + 1
-                directed.append(de)
-        boundary = [de for de in directed
-                    if count.get(de, 0) == 1 and count.get((de[1], de[0]), 0) == 0]
+            t0, t1, t2 = tris[fi]
+            n0, n1, n2 = nbrs[fi]
+            sides = ((((t0, t2), n1), ((t2, t1), n0), ((t1, t0), n2))
+                     if flipped[fi] else
+                     (((t0, t1), n2), ((t1, t2), n0), ((t2, t0), n1)))
+            boundary += [de for de, n in sides if group[n] != gi]
         merged.append(len(faces))
         faces.append(_chain_cycle(boundary))
     if not merged:
@@ -511,79 +511,30 @@ def _min_shadow_width(K: Polytope3, n) -> float:
 
 
 # ---------------------------------------------------------------------------
-# clipping and plane sections
+# clipping
 # ---------------------------------------------------------------------------
 
-def _plane_cut(K: Polytope3, n: np.ndarray, offset: float,
-               tol: float) -> tuple[np.ndarray, float, list]:
-    """Signed distances ``n . v - offset`` of the vertices, the window
-    ``tol * scale`` within which a vertex counts as on the plane, and the
-    points where edges cross the plane from one side of the window to the
-    other."""
-    d = K.vertices @ n - offset
-    eps = tol * max(1.0, float(np.abs(K.vertices).max()))
-    cross = []
-    for a, b in K.edges:
-        da, db = d[a], d[b]
-        if (da < -eps and db > eps) or (da > eps and db < -eps):
-            lam = da / (da - db)
-            cross.append(K.vertices[a] + lam * (K.vertices[b] - K.vertices[a]))
-    return d, eps, cross
-
-
 def clip_halfspace(K: Polytope3, hs: HalfSpace, tol: float = TOL_GEOM) -> Polytope3:
-    """Intersection of a polytope with a half-space, as a new polytope."""
-    d, eps, cross = _plane_cut(K, np.asarray(hs.normal, float), hs.offset, tol)
+    """Intersection of a polytope with a half-space, as a new polytope.
+
+    A vertex within ``tol * scale`` of the plane counts as on it; edges
+    that cross from one side of that window to the other add their
+    crossing points."""
+    d = K.vertices @ np.asarray(hs.normal, float) - hs.offset
+    eps = tol * max(1.0, float(np.abs(K.vertices).max()))
     if d.max() <= eps:
         return K
     if d.min() >= -eps:
         raise EmptyResult("half-space removes the whole polytope")
-    pts = [K.vertices[i] for i in np.flatnonzero(d <= eps)] + cross
+    pts = [K.vertices[i] for i in np.flatnonzero(d <= eps)]
+    for a, b in K.edges:
+        da, db = d[a], d[b]
+        if (da < -eps and db > eps) or (da > eps and db < -eps):
+            lam = da / (da - db)
+            pts.append(K.vertices[a] + lam * (K.vertices[b] - K.vertices[a]))
     if len(pts) < 4:
         raise EmptyResult("clipped region is not full-dimensional")
     return build_hull(np.array(pts))
-
-
-@dataclass
-class PlanarSection:
-    """Cross-section of a polytope by a plane ``normal . x = offset``.
-
-    ``points2`` are the section's hull vertices in the plane's own frame
-    (see :func:`plane_frame`); ``kind`` is ``"polygon"``, ``"segment"``,
-    ``"point"`` or ``"empty"``.
-    """
-
-    normal: np.ndarray
-    offset: float
-    frame: tuple[np.ndarray, np.ndarray, np.ndarray]
-    points2: np.ndarray
-    kind: str
-
-    def circumcircle(self, seed: int = 1) -> Circle2:
-        if self.kind == "empty":
-            raise EmptyResult("empty section has no circumcircle")
-        return min_enclosing_circle(self.points2, seed=seed)
-
-
-def slice_plane(K: Polytope3, normal, offset: float,
-                tol: float = TOL_GEOM) -> PlanarSection:
-    """Cross-section of a polytope by the plane ``normal . x = offset``."""
-    ln = float(np.linalg.norm(np.asarray(normal, float)))
-    if ln == 0:
-        raise InvalidInput("plane normal must be nonzero")
-    n = np.asarray(normal, float) / ln
-    off = float(offset) / ln
-    d, eps, cross = _plane_cut(K, n, off, tol)
-    pts = [K.vertices[i] for i in np.flatnonzero(np.abs(d) <= eps)] + cross
-    frame = plane_frame(n)
-    if not pts:
-        return PlanarSection(n, off, frame, np.empty((0, 2)), "empty")
-    P = np.array(pts)
-    e1, e2, _ = frame
-    p2 = np.stack([P @ e1, P @ e2], axis=1)
-    hull = convex_hull_2d(p2, tol)
-    kind = {1: "point", 2: "segment"}.get(len(hull), "polygon")
-    return PlanarSection(n, off, frame, hull, kind)
 
 
 # ---------------------------------------------------------------------------

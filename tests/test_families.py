@@ -19,12 +19,12 @@ from circlehold import (
     simplex_hull_nd,
     simplex_waist_minimum,
     skew_tetrahedron,
-    slice_plane,
     steinhagen_constant,
     wd_tetrahedron,
     width3,
     width_estimate_nd,
 )
+from circlehold.holding import _SliceScanner
 
 
 def test_registry_names():
@@ -54,8 +54,9 @@ def test_octahedron_predictions_match_geometry():
     assert width3(inst.body).width == pytest.approx(
         inst.predictions["width"].value, abs=1e-9)
     # the announced circle sits at the waist and circumscribes that slice
-    sec = slice_plane(inst.body, (0.0, 0.0, 1.0), inst.predictions["center_z"].value)
-    assert 2.0 * sec.circumcircle().radius == pytest.approx(
+    waist = _SliceScanner(inst.body, (0.0, 0.0, 1.0)).circum(
+        inst.predictions["center_z"].value)
+    assert 2.0 * waist.radius == pytest.approx(
         inst.predictions["diameter"].value, abs=1e-9)
     assert inst.circle.diameter == pytest.approx(
         inst.predictions["diameter"].value, abs=1e-12)

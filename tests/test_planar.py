@@ -9,9 +9,7 @@ from circlehold import (
     InvalidInput,
     Polygon2,
     best_fit_equilateral,
-    breadth2,
     chebyshev_inscribed,
-    circle_support_points,
     clip_halfplane_2d,
     convex_hull_2d,
     equilateral_triangle,
@@ -51,13 +49,6 @@ def test_width_of_square_and_triangle():
     w, _ = width2(tri)
     # the width of an equilateral triangle is its height
     assert w == pytest.approx(3.0, abs=1e-9)
-
-
-def test_breadth_matches_support_gap():
-    P = Polygon2.from_points(SQUARE)
-    assert breadth2(P, (1.0, 0.0)) == pytest.approx(1.0)
-    d = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert breadth2(P, d) == pytest.approx(np.sqrt(2.0))
 
 
 # --- horizontal width -------------------------------------------------------
@@ -259,8 +250,9 @@ def test_min_enclosing_circle_random():
         c = min_enclosing_circle(pts)
         d = np.linalg.norm(pts - np.asarray(c.center), axis=1)
         assert d.max() <= c.radius + 1e-9
-        # minimality: at least two points on the boundary
-        assert len(circle_support_points(c, pts)) >= 2
+        # minimality: at least two points on the boundary, within 1e-7
+        # relative slack
+        assert (np.abs(d - c.radius) <= 1e-7 * c.radius).sum() >= 2
 
 
 def _brute_force_circle(pts):

@@ -28,10 +28,10 @@ from circlehold import (
     point_location,
     segment_distance,
     skew_tetrahedron,
-    slice_plane,
     wd_tetrahedron,
     width3,
 )
+from circlehold.holding import _SliceScanner
 from circlehold.planar import projected_width
 from circlehold.polytope import _min_shadow_width
 
@@ -73,7 +73,7 @@ def _merge_coplanar_by_np_cross(points, hull, angle_tol=1e-7):
     eq = hull.equations
     simplices = hull.simplices
     nf = len(simplices)
-    scale = max(1.0, float(np.abs(points).max()))
+    scale = float(np.abs(points).max())
     edge_owner = {}
     for fi, tri in enumerate(simplices):
         for i in range(3):
@@ -351,6 +351,62 @@ def test_width3_is_invariant_under_motion_scaling_and_order(body, motion,
     V = K.vertices[rng.permutation(len(K.vertices))]
     for pts, want in ((V @ R.T + shift, w0), (s * V, s * w0)):
         assert abs(width3(build_hull(pts)).width - want) <= 1e-12 * want
+
+
+def _moved_copy(K, rng, log_scale=None):
+    """The vertices of ``K`` rotated, shifted, scaled by ``10**log_scale``
+    (drawn from -6 to 6 when not given) and renumbered, with the rotation,
+    shift and scale."""
+    R = random_rotation(rng)
+    shift = rng.uniform(-5.0, 5.0, 3) * K.circumradius
+    s = 10.0 ** (rng.uniform(-6.0, 6.0) if log_scale is None else log_scale)
+    V = ((K.vertices @ R.T + shift) * s)[rng.permutation(len(K.vertices))]
+    return V, R, shift, s
+
+
+def _assert_same_hull(K, V, R, shift, s):
+    """``build_hull(V)`` is ``K`` moved by ``s * (R x + shift)``: the same
+    vertex and face counts, and every face plane on a moved face plane of
+    ``K`` to 1e-9 relative to the body's scale."""
+    H = build_hull(V)
+    assert (len(H.vertices), len(H.faces)) == (len(K.vertices), len(K.faces))
+    n0, b0 = K.face_planes()
+    n_want = n0 @ R.T
+    b_want = s * (b0 + n_want @ shift)
+    n, b = H.face_planes()
+    scale = float(np.abs(V).max())
+    dn = np.abs(n[:, None, :] - n_want[None, :, :]).max(axis=2)
+    db = np.abs(b[:, None] - b_want[None, :])
+    assert ((dn <= 1e-9) & (db <= 1e-9 * scale)).any(axis=1).all()
+
+
+#: (seed, draw) of the moved copies on which the merge's bend test, with its
+#: scale floored at 1, dropped real corners of bodies about 1e-5 across
+SMALL_BODY_DRAWS = [(89, 1), (91, 0), (187, 2), (209, 2), (381, 1), (411, 2),
+                    (565, 0), (569, 0)]
+
+
+@pytest.mark.parametrize("seed, draw", SMALL_BODY_DRAWS)
+def test_build_hull_keeps_the_corners_of_small_bodies(seed, draw):
+    K = random_hull(seed)
+    rng = np.random.default_rng(10_000 + seed)
+    for _ in range(draw + 1):
+        moved = _moved_copy(K, rng)
+    _assert_same_hull(K, *moved)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(body=st.one_of(st.sampled_from(sorted(FAMILY_ARGS)),
+                      st.integers(0, 10_000)),
+       motion=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-6.0, 6.0))
+def test_build_hull_is_invariant_under_motion_scaling_and_order(body, motion,
+                                                                log_scale):
+    K = family_body(body) if isinstance(body, str) else random_hull(body)
+    if K is None:
+        return
+    _assert_same_hull(K, *_moved_copy(K, np.random.default_rng(motion),
+                                      log_scale))
 
 
 def _grid_shadow_width(K, n):
@@ -695,16 +751,16 @@ def test_clip_through_vertex():
 
 
 def test_slice_cube():
-    sec = slice_plane(build_hull(CUBE), (0.0, 0.0, 1.0), 0.5)
-    assert sec.kind == "polygon"
-    assert len(sec.points2) == 4
-    c = sec.circumcircle()
+    sc = _SliceScanner(build_hull(CUBE), (0.0, 0.0, 1.0))
+    assert len(sc.points2(0.5)) == 4
+    c = sc.circum(0.5)
     assert c.radius == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-9)
 
 
 def test_slice_misses_body():
-    sec = slice_plane(build_hull(CUBE), (0.0, 0.0, 1.0), 2.0)
-    assert sec.kind == "empty"
+    sc = _SliceScanner(build_hull(CUBE), (0.0, 0.0, 1.0))
+    assert len(sc.points2(2.0)) == 0
+    assert sc.circum(2.0) is None
 
 
 def test_segment_distance_cases():
