@@ -466,8 +466,9 @@ class EscapeResult:
     straight-line march escaped and 1, the start pose, when the search
     failed.  ``seed`` is the one passed in; the search draws no random
     numbers, so nothing depends on it.  ``start_clearance`` is the
-    certified lower bound on the start circle's distance to the body: at
-    or below 0 no motion can be certified, so a failed search did no work.
+    search's lower bound on the start circle's distance to the body (not
+    always its best: see :class:`_SupportGapBound`).  At or below 0 no
+    motion can be certified, so a failed search did no work.
     """
 
     outcome: str                    # "found" | "not_found_within_budget"
@@ -491,58 +492,53 @@ def _canonical_normal(n: np.ndarray) -> np.ndarray:
     return n
 
 
-def _support_gap_exact(beta: np.ndarray, A: np.ndarray, B: np.ndarray,
-                       pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """Exact ``min over t of max_f (beta_f + A_f cos t + B_f sin t)``.
-
-    The upper envelope of sinusoids attains its minimum either at a
-    critical angle of one sinusoid or where two of them cross, so those
-    angles are a complete candidate set.  ``pairs`` is
-    ``np.triu_indices(len(beta), 1)``: every face pair ``i < j``.
-    """
-    i, j = pairs
-    dA = A[i] - A[j]
-    dB = B[i] - B[j]
-    rhs = beta[j] - beta[i]
-    Rc = np.hypot(dA, dB)
-    ok = Rc > 1e-15
-    x = rhs[ok] / Rc[ok]
-    hit = np.abs(x) <= 1.0
-    pc = np.arctan2(dB[ok][hit], dA[ok][hit])
-    al = np.arccos(x[hit])
-    ts = np.concatenate([np.arctan2(B, A) + np.pi, pc + al, pc - al])
-    vals = (beta[None, :] + np.cos(ts)[:, None] * A[None, :]
-            + np.sin(ts)[:, None] * B[None, :])
-    return float(vals.max(axis=1).min())
-
-
 class _SupportGapBound:
     """Lower bound on ``min over t of max_f (beta_f + A_f cos t + B_f sin t)``
-    for inputs with a fixed number of faces: the smallest face support gap
-    of a circle, hence a lower bound on its distance to the body.
+    with ``beta`` given per call: the smallest face support gap of a
+    circle, hence a lower bound on its distance to the body.  Translating
+    the circle changes only ``beta``, so what depends on ``A`` and ``B``
+    alone is computed once.
 
     The minimum over a 128-angle grid minus its Lipschitz slack
     ``R_max pi / 128`` answers when positive.  Otherwise the bound is exact
-    (:func:`_support_gap_exact`) for at most 12 faces.  Above that it is the
-    minimum over 8192 angles minus ``R_max pi / 8192``, where only the
-    coarse cells whose Lipschitz lower bound ``(G_k + G_k+1) / 2 - slack``
-    reaches the coarse minimum are sampled: no other cell can hold the fine
-    minimum, so the value is that of the full 8192-angle grid.
+    (:meth:`exact`) for at most 12 faces.  Above that it is the minimum over
+    8192 angles minus ``R_max pi / 8192``, where only the coarse cells whose
+    Lipschitz lower bound ``(G_k + G_k+1) / 2 - slack`` reaches the coarse
+    minimum are sampled: no other cell can hold the fine minimum, so the
+    value is that of the full 8192-angle grid.
 
     At most 12 faces the exact value ``E`` comes first and the grid runs
     only when ``E > 0``: ``U - slack <= min <= E``, so the grid cannot
-    answer when ``E <= 0`` and the result is that of the grid first.
+    answer when ``E <= 0`` and the result is that of the grid first.  A
+    positive ``U - slack`` is returned even though it may lie below ``E``.
     """
 
     n_coarse = 128
     n_fine = 8192
     max_exact_faces = 12
 
-    def __init__(self, n_faces: int):
+    def __init__(self, A: np.ndarray, B: np.ndarray):
+        self.A, self.B = A, B
         t = np.linspace(0.0, 2.0 * np.pi, self.n_coarse, endpoint=False)
-        self.cos_c, self.sin_c = np.cos(t)[:, None], np.sin(t)[:, None]
-        if n_faces <= self.max_exact_faces:
-            self.pairs = np.triu_indices(n_faces, 1)
+        self.cos_A = np.cos(t)[:, None] * A
+        self.sin_B = np.sin(t)[:, None] * B
+        self.r_max = float(np.hypot(A, B).max(initial=0.0))
+        self.slack = self.r_max * (np.pi / self.n_coarse)
+        self.is_exact = len(A) <= self.max_exact_faces
+        if self.is_exact:
+            # the angles where one sinusoid is lowest: candidates for every
+            # beta, so their rows are fixed
+            ts = np.arctan2(B, A) + np.pi
+            self.crit_cos_A = np.cos(ts)[:, None] * A[None, :]
+            self.crit_sin_B = np.sin(ts)[:, None] * B[None, :]
+            # face pairs i < j whose sinusoids can cross:
+            # (A_i - A_j) cos t + (B_i - B_j) sin t = beta_j - beta_i
+            i, j = np.triu_indices(len(A), 1)
+            dA, dB = A[i] - A[j], B[i] - B[j]
+            Rc = np.hypot(dA, dB)
+            ok = Rc > 1e-15
+            self.i, self.j, self.Rc = i[ok], j[ok], Rc[ok]
+            self.pc = np.arctan2(dB[ok], dA[ok])
         else:
             t = np.linspace(0.0, 2.0 * np.pi, self.n_fine, endpoint=False)
             # row k: the fine angles of coarse cell [t_k, t_k+1)
@@ -550,53 +546,67 @@ class _SupportGapBound:
             self.cos_f = np.cos(t).reshape(shape)
             self.sin_f = np.sin(t).reshape(shape)
 
-    def __call__(self, beta: np.ndarray, A: np.ndarray,
-                 B: np.ndarray) -> float:
-        exact = len(beta) <= self.max_exact_faces
-        if exact:
-            E = _support_gap_exact(beta, A, B, self.pairs)
+    def exact(self, beta: np.ndarray) -> float:
+        """The exact minimum, for at most 12 faces.
+
+        The upper envelope of sinusoids attains its minimum either at a
+        critical angle of one sinusoid or where two of them cross, so those
+        angles are a complete candidate set.
+        """
+        x = (beta[self.j] - beta[self.i]) / self.Rc
+        hit = np.abs(x) <= 1.0
+        pc, al = self.pc[hit], np.arccos(x[hit])
+        ts = np.concatenate([pc + al, pc - al])[:, None]
+        vals = np.concatenate([beta + self.crit_cos_A + self.crit_sin_B,
+                               beta + np.cos(ts) * self.A
+                               + np.sin(ts) * self.B])
+        return float(vals.max(axis=1).min())
+
+    def __call__(self, beta: np.ndarray) -> float:
+        if self.is_exact:
+            E = self.exact(beta)
             if E <= 0.0:
                 return E
-        g = beta + self.cos_c * A + self.sin_c * B
-        r_max = float(np.hypot(A, B).max(initial=0.0))
-        slack = r_max * (np.pi / self.n_coarse)
-        G = g.max(axis=1)
+        G = (beta + self.cos_A + self.sin_B).max(axis=1)
         U = float(G.min())
-        if U - slack > 0.0:
-            return U - slack
-        if exact:
+        if U - self.slack > 0.0:
+            return U - self.slack
+        if self.is_exact:
             return E
         # the pad only admits more cells, against rounding in G and slack
-        reach = 0.5 * (G + np.roll(G, -1)) - slack
-        cells = np.flatnonzero(reach <= U + 1e-12 * (abs(U) + r_max))
-        g = beta + self.cos_f[cells] * A + self.sin_f[cells] * B
+        reach = 0.5 * (G + np.roll(G, -1)) - self.slack
+        cells = np.flatnonzero(reach <= U + 1e-12 * (abs(U) + self.r_max))
+        g = beta + self.cos_f[cells] * self.A + self.sin_f[cells] * self.B
         return (float(g.max(axis=2).min())
-                - slack * (self.n_coarse / self.n_fine))
+                - self.slack * (self.n_coarse / self.n_fine))
 
 
 def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
                   seed: int = DEFAULT_SEED,
                   tol: float = TOL_OPT) -> EscapeResult:
-    """Search for a certified collision-free circle path leading far away.
+    """Search for a certified collision-free translation of the circle
+    leading far away; every pose keeps the start's diameter and normal.
 
-    Poses are (center, normal) pairs.  Every accepted motion is *certified*
-    against tunneling: the circle-to-body distance is 1-Lipschitz under
-    rigid displacement, so a motion in which each circle point moves at most
-    ``h`` cannot cross the body when ``h < clearance(start pose) +
-    clearance(end pose)``; segments that fail the test are bisected (with
-    bounded depth) before being rejected.  Clearance lower bounds come from
-    the face support gaps minimized over the circle: exactly for bodies with
-    at most 12 faces; above that, over 8192 angles minus a Lipschitz slack,
-    sampled only in the 128-angle cells that can hold the minimum.  A consequence
-    is that poses touching the body (zero clearance) admit no certified
-    motion at all: escape paths keep strictly positive clearance, and a
-    circle that can leave only by grazing the boundary is reported as not
-    escaping.
+    Every accepted motion is *certified* against tunneling: the
+    circle-to-body distance is 1-Lipschitz under translation, so a move by
+    ``h`` cannot cross the body when ``h < clearance(start) +
+    clearance(end)``; segments that fail the test are bisected (with
+    bounded depth) before being rejected.  Clearance lower bounds are the
+    face support gaps minimized over the circle (:class:`_SupportGapBound`):
+    at most 12 faces the exact minimum, unless the 128-angle grid's minimum
+    less its Lipschitz slack is positive, which is returned instead and may
+    be smaller; above 12 faces, over 8192 angles minus a Lipschitz slack.
+    A consequence is that poses touching the body (zero clearance) admit no
+    certified motion at all: escape paths keep strictly positive clearance,
+    and a circle that can leave only by grazing the boundary is reported as
+    not escaping.
 
-    The search marches straight-line translations in 26 lattice directions
-    with adaptively growing certified steps, spending at most a quarter of
-    ``budget``.  Success means reaching a pose whose center is at least
-    ten circumradii of the body (``escape_radius``) from its centroid; the
+    The search marches straight in 26 lattice directions with adaptively
+    growing certified steps.  A march takes a new step only while fewer
+    than ``budget // 4`` checks are spent, but a step under way bisects
+    until ``budget`` is spent, so a search can use more than a quarter.
+    Success means reaching a pose whose center is at least ten
+    circumradii of the body (``escape_radius``) from its centroid; the
     returned path is re-validated pose by pose.  Step lengths scale with
     ``step``, a fiftieth of the circumradius.  The result records both.
 
@@ -609,7 +619,6 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     circum = K.circumradius
     step = circum / 50.0
     escape_radius = 10.0 * circum
-    r = start.radius
 
     start_pen = circle_interior_intersects(K, start, tol)
     if start_pen.intersects:
@@ -617,50 +626,37 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
             f"start pose penetrates the body (depth {start_pen.penetration:.3g})")
 
     n_faces, b_faces = K.face_planes()
-    support_gap = _SupportGapBound(len(b_faces))
+    n0 = _canonical_normal(np.asarray(start.normal, float))
+    e1, e2, _ = plane_frame(n0)
+    r = start.radius
+    support_gap = _SupportGapBound(r * (n_faces @ e1), r * (n_faces @ e2))
     checks = 0
 
-    def clearance(center: np.ndarray, normal: np.ndarray) -> float:
+    def clearance(center: np.ndarray) -> float:
         """Lower bound on the distance from the circle to the body."""
         nonlocal checks
         checks += 1
-        e1, e2, _ = plane_frame(normal)
-        beta = n_faces @ center - b_faces
-        A = r * (n_faces @ e1)
-        B = r * (n_faces @ e2)
-        return support_gap(beta, A, B)
+        return support_gap(n_faces @ center - b_faces)
 
-    def sweep(c1, n1, c2, n2) -> float:
-        """Max displacement of any circle point between the two poses."""
-        dot = abs(min(max(float(n1 @ n2), -1.0), 1.0))
-        dc = c2 - c1
-        return math.sqrt(dc @ dc) + r * float(np.arccos(dot))
-
-    def certify(c1, n1, cl1, c2, n2, cl2, depth: int = 12) -> bool:
-        """True iff the straight motion between the poses certifiably
-        avoids the body."""
+    def certify(c1, cl1, c2, cl2, depth: int = 12) -> bool:
+        """True iff the translation between the centers certifiably avoids
+        the body."""
         if cl1 <= 0.0 or cl2 <= 0.0:
             return False
-        if sweep(c1, n1, c2, n2) < cl1 + cl2:
+        dc = c2 - c1
+        if math.sqrt(dc @ dc) < cl1 + cl2:
             return True
         if depth == 0 or checks >= budget:
             return False
         cm = 0.5 * (c1 + c2)
-        nm = n1 + n2 if float(n1 @ n2) >= 0.0 else n1 - n2
-        ln = float(np.linalg.norm(nm))
-        nm = nm / ln if ln > 1e-12 else n1
-        clm = clearance(cm, nm)
+        clm = clearance(cm)
         if clm <= 0.0:
             return False
-        return (certify(c1, n1, cl1, cm, nm, clm, depth - 1)
-                and certify(cm, nm, clm, c2, n2, cl2, depth - 1))
-
-    def escaped(center: np.ndarray) -> bool:
-        return float(np.linalg.norm(center - centroid)) >= escape_radius
+        return (certify(c1, cl1, cm, clm, depth - 1)
+                and certify(cm, clm, c2, cl2, depth - 1))
 
     c0 = start.center_array
-    n0 = _canonical_normal(np.asarray(start.normal, float))
-    cl0 = clearance(c0, n0)
+    cl0 = clearance(c0)
 
     def finish(path):
         for pose in path:
@@ -685,13 +681,12 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
             h = max(1.5 * cl_cur, 1e-3 * step)
             while checks < probe_cap:
                 c_new = c_cur + h * u
-                cl_new = clearance(c_new, n0)
-                if cl_new > 0.0 and certify(c_cur, n0, cl_cur,
-                                            c_new, n0, cl_new):
+                cl_new = clearance(c_new)
+                if cl_new > 0.0 and certify(c_cur, cl_cur, c_new, cl_new):
                     path.append(Circle3(tuple(c_new), start.diameter,
                                         tuple(n0)))
                     c_cur, cl_cur = c_new, cl_new
-                    if escaped(c_new):
+                    if np.linalg.norm(c_new - centroid) >= escape_radius:
                         return finish(path)
                     h *= 1.7
                 else:
@@ -798,7 +793,8 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
                 f"clearance evaluations used)")
         else:
             verdict = VERDICT_INCONCLUSIVE
-            reasons.append(f"escape not found within {budget} checks, but "
+            reasons.append(f"escape not found ({escape.checks_used} of "
+                           f"{budget} clearance evaluations used), but "
                            f"blocking certificates are incomplete")
 
     return HoldingReport(C, not pen.intersects, pen.penetration, surrounds,

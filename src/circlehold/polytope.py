@@ -71,8 +71,8 @@ def plane_frame(normal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic right-handed frame ``(e1, e2, n)`` for a plane normal.
 
     ``e1`` is the unit vector along ``e_k - n_k n`` for the first ``k`` with
-    the smallest ``|n_k|``, and ``e2 = n x e1``.  Written out on floats:
-    this runs once per escape-search clearance check.
+    the smallest ``|n_k|``, and ``e2 = n x e1``.  Written out on floats;
+    the tests hold it to the ``np.cross`` construction bit for bit.
     """
     n = _unit(normal)
     nx, ny, nz = n.tolist()
