@@ -37,7 +37,7 @@ from .errors import (CertificationError, InvalidInput, InvalidStart,
                      NoBlockingSlice, NotFound)
 from .planar import (Circle2, Polygon2, _welzl, best_fit_equilateral,
                      chebyshev_inscribed, clip_halfplane_2d, convex_hull_2d,
-                     golden_refine, periodic_min, width2)
+                     golden_refine, width2)
 # the public forms of the slice kernel and the strip width; bench/tracing.py
 # wraps them under this module's name
 from .planar import horizontal_width, min_enclosing_circle  # noqa: F401
@@ -66,7 +66,10 @@ class Circle3:
         ln = np.linalg.norm(n)
         if not np.isfinite(ln) or ln == 0:
             raise InvalidInput("circle normal must be a nonzero vector")
-        object.__setattr__(self, "normal", tuple(float(x) for x in n / ln))
+        # a normal unit to rounding is kept, so rebuilding gives this circle
+        if abs(ln - 1.0) > 4.0 * np.finfo(float).eps:
+            n = n / ln
+        object.__setattr__(self, "normal", tuple(float(x) for x in n))
         if not (self.diameter > 0):
             raise InvalidInput("circle diameter must be positive")
         object.__setattr__(self, "center", tuple(float(x) for x in self.center))
@@ -399,8 +402,7 @@ def surrounds_slice(K: Polytope3, C: Circle3,
     P = sc.points2(0.0)
     if len(P) == 0:
         return False
-    scale = max(1.0, sc.scale)
-    return bool(np.linalg.norm(P, axis=1).max() <= C.radius + tol * scale)
+    return bool(np.linalg.norm(P, axis=1).max() <= C.radius + tol * sc.scale)
 
 
 def _edge_pair_distances(K: Polytope3) -> tuple[np.ndarray, np.ndarray,
@@ -466,9 +468,9 @@ class EscapeResult:
     straight-line march escaped and 1, the start pose, when the search
     failed.  ``seed`` is the one passed in; the search draws no random
     numbers, so nothing depends on it.  ``start_clearance`` is the
-    search's lower bound on the start circle's distance to the body (not
-    always its best: see :class:`_SupportGapBound`).  At or below 0 no
-    motion can be certified, so a failed search did no work.
+    search's lower bound on the start circle's distance to the body (the
+    exact support gap at most 12 faces: :class:`_SupportGapBound`).  At
+    or below 0 no motion can be certified, so a failed search did no work.
     """
 
     outcome: str                    # "found" | "not_found_within_budget"
@@ -499,18 +501,13 @@ class _SupportGapBound:
     the circle changes only ``beta``, so what depends on ``A`` and ``B``
     alone is computed once.
 
-    The minimum over a 128-angle grid minus its Lipschitz slack
-    ``R_max pi / 128`` answers when positive.  Otherwise the bound is exact
-    (:meth:`exact`) for at most 12 faces.  Above that it is the minimum over
-    8192 angles minus ``R_max pi / 8192``, where only the coarse cells whose
-    Lipschitz lower bound ``(G_k + G_k+1) / 2 - slack`` reaches the coarse
-    minimum are sampled: no other cell can hold the fine minimum, so the
-    value is that of the full 8192-angle grid.
-
-    At most 12 faces the exact value ``E`` comes first and the grid runs
-    only when ``E > 0``: ``U - slack <= min <= E``, so the grid cannot
-    answer when ``E <= 0`` and the result is that of the grid first.  A
-    positive ``U - slack`` is returned even though it may lie below ``E``.
+    For at most 12 faces the bound is the exact minimum (:meth:`exact`).
+    Above that, the minimum over a 128-angle grid minus its Lipschitz
+    slack ``R_max pi / 128`` answers when positive; otherwise it is the
+    minimum over 8192 angles minus ``R_max pi / 8192``, where only the
+    coarse cells whose Lipschitz lower bound ``(G_k + G_k+1) / 2 - slack``
+    reaches the coarse minimum are sampled: no other cell can hold the
+    fine minimum, so the value is that of the full 8192-angle grid.
     """
 
     n_coarse = 128
@@ -519,11 +516,6 @@ class _SupportGapBound:
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
         self.A, self.B = A, B
-        t = np.linspace(0.0, 2.0 * np.pi, self.n_coarse, endpoint=False)
-        self.cos_A = np.cos(t)[:, None] * A
-        self.sin_B = np.sin(t)[:, None] * B
-        self.r_max = float(np.hypot(A, B).max(initial=0.0))
-        self.slack = self.r_max * (np.pi / self.n_coarse)
         self.is_exact = len(A) <= self.max_exact_faces
         if self.is_exact:
             # the angles where one sinusoid is lowest: candidates for every
@@ -540,6 +532,11 @@ class _SupportGapBound:
             self.i, self.j, self.Rc = i[ok], j[ok], Rc[ok]
             self.pc = np.arctan2(dB[ok], dA[ok])
         else:
+            t = np.linspace(0.0, 2.0 * np.pi, self.n_coarse, endpoint=False)
+            self.cos_A = np.cos(t)[:, None] * A
+            self.sin_B = np.sin(t)[:, None] * B
+            self.r_max = float(np.hypot(A, B).max(initial=0.0))
+            self.slack = self.r_max * (np.pi / self.n_coarse)
             t = np.linspace(0.0, 2.0 * np.pi, self.n_fine, endpoint=False)
             # row k: the fine angles of coarse cell [t_k, t_k+1)
             shape = (self.n_coarse, self.n_fine // self.n_coarse, 1)
@@ -564,15 +561,11 @@ class _SupportGapBound:
 
     def __call__(self, beta: np.ndarray) -> float:
         if self.is_exact:
-            E = self.exact(beta)
-            if E <= 0.0:
-                return E
+            return self.exact(beta)
         G = (beta + self.cos_A + self.sin_B).max(axis=1)
         U = float(G.min())
         if U - self.slack > 0.0:
             return U - self.slack
-        if self.is_exact:
-            return E
         # the pad only admits more cells, against rounding in G and slack
         reach = 0.5 * (G + np.roll(G, -1)) - self.slack
         cells = np.flatnonzero(reach <= U + 1e-12 * (abs(U) + self.r_max))
@@ -593,9 +586,8 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     clearance(end)``; segments that fail the test are bisected (with
     bounded depth) before being rejected.  Clearance lower bounds are the
     face support gaps minimized over the circle (:class:`_SupportGapBound`):
-    at most 12 faces the exact minimum, unless the 128-angle grid's minimum
-    less its Lipschitz slack is positive, which is returned instead and may
-    be smaller; above 12 faces, over 8192 angles minus a Lipschitz slack.
+    at most 12 faces the exact minimum; above that, the minimum over a
+    128- or 8192-angle grid less its Lipschitz slack.
     A consequence is that poses touching the body (zero clearance) admit no
     certified motion at all: escape paths keep strictly positive clearance,
     and a circle that can leave only by grazing the boundary is reported as
@@ -626,8 +618,7 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
             f"start pose penetrates the body (depth {start_pen.penetration:.3g})")
 
     n_faces, b_faces = K.face_planes()
-    n0 = _canonical_normal(np.asarray(start.normal, float))
-    e1, e2, _ = plane_frame(n0)
+    e1, e2, _ = start.frame()
     r = start.radius
     support_gap = _SupportGapBound(r * (n_faces @ e1), r * (n_faces @ e2))
     checks = 0
@@ -684,7 +675,7 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
                 cl_new = clearance(c_new)
                 if cl_new > 0.0 and certify(c_cur, cl_cur, c_new, cl_new):
                     path.append(Circle3(tuple(c_new), start.diameter,
-                                        tuple(n0)))
+                                        start.normal))
                     c_cur, cl_cur = c_new, cl_new
                     if np.linalg.norm(c_new - centroid) >= escape_radius:
                         return finish(path)
@@ -743,8 +734,9 @@ def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
     on both sides, and the escape search finds no way out within its budget.
     ``EscapeFound`` is returned exactly when the search finds a validated
     escape path.  Everything else is ``Inconclusive``.  The reasons say when
-    the search did no work: the circle touches the body, or lies closer to
-    it than the clearance bound resolves.
+    the search did no work: the circle touches the body, or (above 12
+    faces, where the bound is sampled) lies closer to it than the
+    clearance bound resolves.
     """
     return _report(K, C, _gates(K, C, tol_geom, tol_opt),
                    budget=budget, seed=seed, tol_opt=tol_opt)
@@ -982,7 +974,7 @@ def chain_certificate(K: Polytope3, C: Circle3, *, side: str = "auto",
 
         inscribed_r = chebyshev_inscribed(region_poly).radius
 
-        abs_tol = tol_geom * max(1.0, sc.scale)
+        abs_tol = tol_geom * sc.scale
         map_tol = 1e-9 * max(1.0, d)
         checks = {
             "section_exceeds_circle": d_h > d + tol_opt,
@@ -1345,15 +1337,21 @@ def extremality_diagnostics(K: Polytope3, C: Circle3,
         tri2 = None
         haus = float("inf")
 
-    q = chain.contacts2
-
-    def cluster_cost(psi: float) -> float:
-        ang = psi + np.array([0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
-        ideal = (d / 2.0) * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        dd = np.linalg.norm(q[:, None, :] - ideal[None, :, :], axis=2)
-        return float(dd.min(axis=1).max())
-
-    psi_best, v_best = periodic_min(cluster_cost, 2.0 * np.pi / 3.0, 360)
+    # the contacts lie on the circle, so the cost grows with each contact's
+    # angle to its nearest ideal point: the best rotation centres the
+    # shortest arc that covers the contact angles modulo 2 pi / 3
+    q, period = chain.contacts2, 2.0 * np.pi / 3.0
+    ang = np.arctan2(q[:, 1], q[:, 0]) % period  # -tiny % period == period
+    ang = np.sort(np.where(ang < period, ang, 0.0))
+    gaps = np.diff(ang, append=ang[0] + period)
+    k = int(np.argmax(gaps))
+    psi_best = float(ang[(k + 1) % len(ang)] + (period - gaps[k]) / 2)
+    psi_best %= period
+    if period - psi_best <= 1e-12 * period:  # centred by rounding below 0
+        psi_best = 0.0
+    ideal = psi_best + np.array([0.0, period, 2.0 * period])
+    ideal = (d / 2.0) * np.stack([np.cos(ideal), np.sin(ideal)], axis=1)
+    v_best = float(np.linalg.norm(q[:, None] - ideal, axis=2).min(axis=1).max())
 
     v = chain.values
     slacks = {

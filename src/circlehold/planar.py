@@ -473,7 +473,7 @@ def _offset_apex(n: list, b: list, i: int, j: int,
     return cx, cy, b[j] - (xj * cx + yj * cy)
 
 
-def chebyshev_inscribed(P, tol: float = TOL_GEOM) -> Circle2:
+def chebyshev_inscribed(P) -> Circle2:
     """Largest circle inscribed in a convex polygon.
 
     Found by the wavefront of the polygon's straight skeleton (Aichholzer,
