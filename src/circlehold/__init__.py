@@ -39,7 +39,7 @@ from .families import (FAMILIES, FamilyInstance, PolytopeND, Prediction,
                        seven_vertex_iceberg, simplex_holding_sphere_diameter,
                        simplex_hull_nd, simplex_waist_minimum,
                        skew_tetrahedron, steinhagen_constant,
-                       wd_tetrahedron, width_estimate_nd)
+                       wd_tetrahedron, width_nd)
 from .verification import CheckResult, SUITES, run_suite, suite_names
 from . import fileio, svgfig
 
@@ -82,7 +82,7 @@ __all__ = [
     "five_vertex_flat", "skew_tetrahedron", "bevelled_cylinder",
     "wd_tetrahedron", "PolytopeND", "simplex_hull_nd",
     "steinhagen_constant", "simplex_holding_sphere_diameter",
-    "simplex_waist_minimum", "width_estimate_nd",
+    "simplex_waist_minimum", "width_nd",
     # verification
     "CheckResult", "SUITES", "run_suite", "suite_names",
     # submodules

@@ -169,13 +169,13 @@ def cmd_analyze(args) -> int:
             print("error: holding-circle analysis needs a 3-dimensional body",
                   file=sys.stderr)
             return 1
-        west = families.width_estimate_nd(body, seed=args.seed)
+        w = families.width_nd(body)
         doc = {"body": fileio.body_id(body), "dimension": body.dim,
-               "vertices": len(body.vertices), "width_estimate": west,
-               "seed": args.seed, "version": __version__}
+               "vertices": len(body.vertices), "width": w,
+               "version": __version__}
         print(f"body {doc['body']}: {doc['vertices']} vertices in "
               f"dimension {body.dim}")
-        print(f"width estimate (sampled + refined): {_g(west)}")
+        print(f"width: {_g(w)}")
         _emit(args, "analysis.json", doc, written)
         _print_written(written)
         return 0

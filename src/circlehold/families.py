@@ -40,13 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import fsolve, minimize, minimize_scalar
-from scipy.spatial import ConvexHull
+from scipy.optimize import fsolve, minimize_scalar
 
 from .errors import DegenerateInput, InvalidParam, NoSolution
 from .holding import Circle3
-from .polytope import Polytope3, build_hull
-from .tolerances import DEFAULT_SEED
+from .polytope import Polytope3, _difference_normals, build_hull
 
 __all__ = [
     "J",
@@ -66,7 +64,7 @@ __all__ = [
     "simplex_waist_minimum",
     "simplex_holding_sphere_diameter",
     "steinhagen_constant",
-    "width_estimate_nd",
+    "width_nd",
 ]
 
 #: Primitive cube root of unity; the triangular families live in C x R.
@@ -431,18 +429,15 @@ class PolytopeND:
         if n < 2 or m < n + 1:
             raise DegenerateInput(
                 f"need at least n+1 vertices in R^n (n >= 2), got {m} in R^{n}")
+        # build_hull's rank tolerance, relative to the body's size
         centred = self.vertices - self.vertices.mean(axis=0)
-        if np.linalg.matrix_rank(centred, tol=1e-9) < n:
+        scale = max(1.0, float(np.abs(self.vertices).max()))
+        if np.linalg.matrix_rank(centred, tol=1e-10 * scale) < n:
             raise DegenerateInput("vertex set is not full-dimensional")
 
     @property
     def dim(self) -> int:
         return int(self.vertices.shape[1])
-
-    def breadth(self, direction: np.ndarray) -> float:
-        """Extent of the vertex set along a unit direction."""
-        proj = self.vertices @ np.asarray(direction, float)
-        return float(proj.max() - proj.min())
 
 
 def _simplex_directions(n: int) -> np.ndarray:
@@ -546,44 +541,17 @@ def simplex_hull_nd(n: int, a: float, h: float) -> FamilyInstance:
                           body, None, predictions)
 
 
-def width_estimate_nd(P: PolytopeND, samples: int = 2000,
-                      refine: bool = True,
-                      seed: int = DEFAULT_SEED) -> float:
-    """Upper bound on the width of an n-dimensional polytope.
+def width_nd(P: PolytopeND) -> float:
+    """Exact width (smallest breadth) of an n-dimensional polytope.
 
-    Scans facet normals of the convex hull, the coordinate axes and random
-    directions, then locally minimizes the breadth from the best starting
-    points.  Deterministic for a fixed seed.
+    Breadth is the support function of the difference body ``P - P``, so
+    the width is that body's inradius: the smallest breadth over its facet
+    normals (:func:`~circlehold.polytope._difference_normals`), the overlay
+    of the Gauss maps of ``P`` and ``-P``.
     """
     V = P.vertices
-    n = P.dim
-    hull = ConvexHull(V)
-    dirs = [hull.equations[:, :n]]
-    dirs.append(np.eye(n))
-    rng = np.random.default_rng(seed)
-    rand = rng.standard_normal((max(int(samples), 1), n))
-    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
-    dirs.append(rand)
-    D = np.vstack(dirs)
-    proj = V @ D.T
-    breadths = proj.max(axis=0) - proj.min(axis=0)
-    best = float(breadths.min())
-    if not refine:
-        return best
-
-    def objective(x: np.ndarray) -> float:
-        nx = np.linalg.norm(x)
-        if nx < 1e-12:
-            return float("inf")
-        return P.breadth(x / nx)
-
-    order = np.argsort(breadths)[:10]
-    for idx in order:
-        res = minimize(objective, D[idx], method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14,
-                                "maxiter": 400 * n})
-        best = min(best, float(res.fun))
-    return best
+    proj = V @ _difference_normals(V).T
+    return float((proj.max(axis=0) - proj.min(axis=0)).min())
 
 
 #: CLI registry: family name -> (constructor, parameter names).

@@ -279,8 +279,11 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull) -> list[list[int]]:
     across = hull.neighbors.ravel()
     pairs = np.stack([owner, across], axis=1)[owner < across]
     eq_i, eq_j = eq[pairs[:, 0]], eq[pairs[:, 1]]
+    # parallel, not antiparallel: the two sides of a sliver are not a facet
     tilt = _row_norms(_cross_rows(eq_i[:, :3], eq_j[:, :3]))
-    flat = (tilt <= 1e-7) & (np.abs(eq_i[:, 3] - eq_j[:, 3]) <= 1e-7 * scale)
+    facing = (eq_i[:, :3] * eq_j[:, :3]).sum(axis=1) > 0
+    flat = ((tilt <= 1e-7) & facing
+            & (np.abs(eq_i[:, 3] - eq_j[:, 3]) <= 1e-7 * scale))
     linked: list[list[int]] = [[] for _ in range(nf)]
     for i, j in pairs[flat].tolist():
         linked[i].append(j)
@@ -402,85 +405,46 @@ def build_hull(points) -> Polytope3:
 
 def _sign_rounded(d: np.ndarray) -> np.ndarray:
     """Unit directions flipped in place so the largest component is
-    positive, then rounded to 14 decimals: one representative per line."""
+    positive, then rounded to 14 decimals: one representative per line
+    (a zero's sign dropped)."""
     flip = d[np.arange(len(d)), np.argmax(np.abs(d), axis=1)] < 0
     d[flip] *= -1
-    return np.round(d, 14)
+    return np.round(d, 14) + 0.0
 
 
-def _width_direction_blocks(K: Polytope3, size: int = 512):
-    """Directions that can attain the width of a polytope, in blocks of at
-    most ``size``: the face normals, then the crosses of edge-direction
-    pairs in ``np.triu_indices`` order (vertex-vertex and edge-edge
-    antipodal configurations), each through :func:`_sign_rounded`.  Repeats
-    are kept; only one block of crosses exists at a time, so memory stays
-    bounded on hulls with many edges."""
-    n, _ = K.face_planes()
-    yield _sign_rounded(n.copy())
-    segs = K.edge_segments()
-    dirs = segs[:, 1] - segs[:, 0]
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    # dedupe edge directions up to sign: a direction within 1e-12 of an
-    # earlier kept one is dropped (compared 64 rows at a time)
-    flip = dirs[np.arange(len(dirs)), np.argmax(np.abs(dirs), axis=1)] < 0
-    dirs[flip] *= -1
-    keep = np.ones(len(dirs), bool)
-    for lo in range(0, len(dirs), 64):
-        hi = min(lo + 64, len(dirs))
-        diff = (dirs[lo:hi, None] - dirs[None, :hi]).reshape(-1, 3)
-        near = _row_norms(diff).reshape(hi - lo, hi) < 1e-12
-        for r, j in zip(*np.nonzero(np.tril(near, lo - 1))):
-            if keep[j]:
-                keep[lo + r] = False
-    dirs = dirs[keep]
-    # pair k = (i, j), i < j, in row-major order; row i starts at first[i]
-    m = len(dirs)
-    rows = np.arange(m)
-    first = rows * m - rows * (rows + 1) // 2
-    for lo in range(0, m * (m - 1) // 2, size):
-        k = np.arange(lo, min(lo + size, m * (m - 1) // 2))
-        i = np.searchsorted(first, k, side="right") - 1
-        j = k - first[i] + i + 1
-        c = np.cross(dirs[i], dirs[j])
-        ln = _row_norms(c)
-        ok = ln > 1e-12
-        yield _sign_rounded(c[ok] / ln[ok, None])
+def _difference_normals(V: np.ndarray) -> np.ndarray:
+    """Unit facet normals of the difference body ``K - K`` of ``K =
+    conv(V)``, the hull of all vertex differences, in any dimension.
+
+    The support function of ``K - K`` is ``K``'s breadth, so the width of
+    ``K`` is the inradius of ``K - K``: its smallest facet offset, the
+    breadth along that facet's normal.  The normal fan of ``K - K`` is the
+    overlay of the Gauss maps of ``K`` and ``-K``, so these normals are
+    that overlay's vertices (in 3-space: face normals, and the crosses of
+    edge pairs whose Gauss arcs meet; Houle & Toussaint 1988).  Both signs
+    of each occur, and Qhull may split a facet into several that repeat
+    or nearly repeat its normal; no direction's breadth is below the
+    width, so the extras are harmless."""
+    d = V.shape[1]
+    return ConvexHull((V[:, None] - V[None]).reshape(-1, d)).equations[:, :-1]
 
 
 def width3(K: Polytope3) -> WidthResult:
     """Exact width (minimal breadth) of a convex polytope.
 
-    The minimizing direction is either a face normal or perpendicular to a
-    pair of edge directions, so the exact minimum is found by enumerating
-    those finitely many candidates.  Of the candidates attaining it, the
-    first in the lexicographic order of ``np.unique`` wins.
+    Breadth is the support function of the difference body ``K - K`` and
+    the width its inradius, attained along one of its facet normals
+    (:func:`_difference_normals`).  Those are made one per line and
+    unique, and of the ones attaining the minimum the first in
+    ``np.unique``'s lexicographic order wins.
     """
     V = K.vertices
-    best = None
-    for cands in _width_direction_blocks(K):
-        if not len(cands):
-            continue
-        proj = V @ cands.T  # (V, c)
-        w = proj.max(axis=0) - proj.min(axis=0)
-        w_min = float(w.min())
-        if best is not None and w_min > best.width:
-            continue
-        tied = np.flatnonzero(w == w_min)
-        k = int(tied[np.lexsort(cands[tied].T[::-1])[0]])
-        if best is None or w_min < best.width or tuple(cands[k]) < tuple(
-                best.direction):
-            best = WidthResult(w_min, cands[k], int(np.argmin(proj[:, k])),
-                               int(np.argmax(proj[:, k])))
-    assert best is not None
-    if not best.direction.all():
-        # candidates that differ only in the sign of a zero are one
-        # direction, and the one np.unique keeps depends on its sort of
-        # them all: only then are all candidates held at once
-        cands = np.unique(np.vstack(list(_width_direction_blocks(K))), axis=0)
-        same = cands[(cands == best.direction).all(axis=1)][0]
-        best = WidthResult(best.width, same, best.lower_vertex,
-                           best.upper_vertex)
-    return best
+    cands = np.unique(_sign_rounded(_difference_normals(V)), axis=0)
+    proj = V @ cands.T  # (V, c)
+    w = proj.max(axis=0) - proj.min(axis=0)
+    k = int(np.argmin(w))
+    return WidthResult(float(w[k]), cands[k], int(np.argmin(proj[:, k])),
+                       int(np.argmax(proj[:, k])))
 
 
 def _min_shadow_width(K: Polytope3, n) -> float:
@@ -490,24 +454,21 @@ def _min_shadow_width(K: Polytope3, n) -> float:
     so the minimum is that of ``breadth(v) / |v x n|`` over ``v`` not
     parallel to ``n``.
 
-    Breadth is linear on each cell of the overlay of the Gauss maps of
-    ``K`` and ``-K``.  With ``v = u - a n`` the ratio is linear in ``a``
-    along a meridian through ``n``, and a positive sinusoid in ``theta``,
-    hence concave, along any other great-circle arc.  So its minimum is at
-    a cell vertex: a face normal or a direction orthogonal to two edges,
-    which are :func:`_width_direction_blocks`' candidates (Houle &
-    Toussaint 1988), reduced block by block as in :func:`width3`.  For
-    these unit candidates ``|v x n| = sqrt(1 - (v . n)^2)``."""
-    n = np.asarray(n, float)
-    best = math.inf
-    for cands in _width_direction_blocks(K):
-        cos = cands @ n
-        sin = np.sqrt(1.0 - np.minimum(cos * cos, 1.0))
-        ok = sin > 1e-12  # directions along n cast no finite ratio
-        proj = K.vertices @ cands[ok].T
-        ratio = (proj.max(axis=0) - proj.min(axis=0)) / sin[ok]
-        best = min(best, float(ratio.min(initial=math.inf)))
-    return best
+    Breadth is the support function of ``K - K``, linear on each cell of
+    its normal fan, the overlay of the Gauss maps of ``K`` and ``-K``.
+    With ``v = u - a n`` the ratio is linear in ``a`` along a meridian
+    through ``n``, and a positive sinusoid in ``theta``, hence concave,
+    along any other great-circle arc.  So its minimum is at a cell vertex:
+    a facet normal of ``K - K`` (:func:`_difference_normals`), rounded as
+    in :func:`width3`.  For these unit candidates ``|v x n| =
+    sqrt(1 - (v . n)^2)``."""
+    cands = _sign_rounded(_difference_normals(K.vertices))
+    cos = cands @ np.asarray(n, float)
+    sin = np.sqrt(1.0 - np.minimum(cos * cos, 1.0))
+    ok = sin > 1e-12  # directions along n cast no finite ratio
+    proj = K.vertices @ cands[ok].T
+    ratio = (proj.max(axis=0) - proj.min(axis=0)) / sin[ok]
+    return float(ratio.min(initial=math.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -343,11 +343,11 @@ def check_higher_dim(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                           for n in range(3, 9)), "exact")]
     for n in (4, 5):
         inst = families.simplex_hull_nd(n, 1.001, 1000.0)
-        west = families.width_estimate_nd(inst.body, seed=seed)
+        w = families.width_nd(inst.body)
         target = 2.0 / families.steinhagen_constant(n)
-        rel = abs(west - target) / target
+        rel = abs(w - target) / target
         out.append(_res(f"simplex-hull-width(n={n})", rel < 0.02,
-                        f"{target:.9f} within 2%", f"{west:.9f} "
+                        f"{target:.9f} within 2%", f"{w:.9f} "
                         f"(rel err {rel:.3g})", "2%"))
     lam, d_num = families.simplex_waist_minimum(5, 1.001)
     d_closed = families.simplex_holding_sphere_diameter(5, 1.001)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from circlehold import cli
+from circlehold import cli, fileio, width_nd
 
 
 def run(argv):
@@ -61,6 +61,19 @@ def test_analyze_finds_holding_circle(tmp_path, capsys):
     assert doc["holding"]["circle"]["diameter"] == pytest.approx(
         0.392232270276, abs=1e-6)
     assert "CertifiedHoldingEvidence" in capsys.readouterr().out
+
+
+def test_analyze_reports_the_width_of_an_nd_body(tmp_path, capsys):
+    construct(tmp_path, "simplex-hull", "--n", "4", "--a", "1.001",
+              "--h", "1000")
+    capsys.readouterr()
+    assert run(["analyze", tmp_path / "body.json", "--json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out[out.index("{"):])
+    want = width_nd(fileio.load_body(tmp_path / "body.json"))
+    assert doc["width"] == pytest.approx(want, rel=1e-11)
+    assert "seed" not in doc
+    assert f"width: {cli._g(want)}" in out
 
 
 def test_analyze_given_circle_escapes(tmp_path):

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlehold import (
     Circle3,
@@ -22,7 +26,7 @@ from circlehold import (
     steinhagen_constant,
     wd_tetrahedron,
     width3,
-    width_estimate_nd,
+    width_nd,
 )
 from circlehold.holding import _SliceScanner
 
@@ -182,7 +186,57 @@ def test_simplex_waist_matches_holding_sphere():
     assert val == pytest.approx(simplex_holding_sphere_diameter(4, 1.001), abs=1e-6)
 
 
-def test_width_estimate_hypercube():
-    import itertools
+def test_width_nd_hypercube():
     cube4 = PolytopeND(np.array(list(itertools.product([0.0, 1.0], repeat=4))))
-    assert width_estimate_nd(cube4, samples=400) == pytest.approx(1.0, abs=1e-6)
+    assert width_nd(cube4) == 1.0
+
+
+def regular_simplex(n):
+    """A regular simplex with unit edges in R^n: the scaled unit vectors of
+    R^(n+1), centred and written in a basis of their hyperplane."""
+    E = np.eye(n + 1) / np.sqrt(2.0)
+    C = E - E.mean(axis=0)
+    return C @ np.linalg.svd(C)[2][:n].T
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_width_nd_regular_simplex(n):
+    # Steinhagen: sqrt(2/(n+1)) for odd n, sqrt(2(n+1)/(n(n+2))) for even n
+    want = (np.sqrt(2.0 / (n + 1)) if n % 2
+            else np.sqrt(2.0 * (n + 1) / (n * (n + 2))))
+    assert abs(width_nd(PolytopeND(regular_simplex(n))) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("n,want", [(4, 3.464099308048), (5, 4.082474402894)])
+def test_width_nd_simplex_hull(n, want):
+    got = width_nd(simplex_hull_nd(n, 1.001, 1000.0).body)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def _nd_body(n, kind, seed):
+    if kind == "simplex":
+        return regular_simplex(n)
+    if kind == "cube":
+        return np.array(list(itertools.product([0.0, 1.0], repeat=n)))
+    if kind == "simplex-hull":
+        return simplex_hull_nd(n, 1.2, 10.0).body.vertices
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((int(rng.integers(n + 2, n + 12)), n))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 6),
+       kind=st.sampled_from(["simplex", "cube", "simplex-hull", "random"]),
+       seed=st.integers(0, 10_000),
+       motion=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-6.0, 6.0))
+def test_width_nd_is_invariant_under_motion_scaling_and_order(
+        n, kind, seed, motion, log_scale):
+    V = _nd_body(n, kind, seed)
+    w0 = width_nd(PolytopeND(V))
+    rng = np.random.default_rng(motion)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    shift = rng.uniform(-5.0, 5.0, n) * np.abs(V).max()
+    s = 10.0 ** log_scale
+    moved = (s * (V @ Q.T + shift))[rng.permutation(len(V))]
+    assert abs(width_nd(PolytopeND(moved)) - s * w0) <= 1e-12 * s * w0

@@ -16,6 +16,7 @@ from circlehold import (
     HalfSpace,
     InvalidInput,
     Polytope3,
+    PolytopeND,
     bevelled_cylinder,
     build_hull,
     clip_halfspace,
@@ -30,6 +31,7 @@ from circlehold import (
     skew_tetrahedron,
     wd_tetrahedron,
     width3,
+    width_nd,
 )
 from circlehold.holding import _SliceScanner
 from circlehold.planar import projected_width
@@ -82,6 +84,8 @@ def _merge_coplanar_by_np_cross(points, hull, angle_tol=1e-7):
 
     def coplanar(i, j):
         if np.linalg.norm(np.cross(eq[i, :3], eq[j, :3])) > angle_tol:
+            return False
+        if eq[i, :3] @ eq[j, :3] <= 0:
             return False
         return abs(eq[i, 3] - eq[j, 3]) <= 1e-7 * scale
 
@@ -137,7 +141,8 @@ def _hull_clouds():
     clouds += [CUBE, 1e-6 * CUBE, 1e6 * CUBE + 3.0]
     clouds += [inst.body.vertices for inst in (
         bevelled_cylinder(10.0, 64), octahedron_iceberg(1.2, 10.0),
-        flat_tetrahedron(0.2))]
+        flat_tetrahedron(0.2), flat_tetrahedron(1e-9),
+        skew_tetrahedron(1e-8))]
     return clouds
 
 
@@ -278,48 +283,48 @@ def _width_bodies():
     yield from (K for K in hulls if K is not None)
 
 
-def _candidate_set(K):
-    """Every block of width candidates, stacked and made unique."""
-    from circlehold.polytope import _width_direction_blocks
-    return np.unique(np.vstack(list(_width_direction_blocks(K))), axis=0)
-
-
 def test_width3_matches_reference_loop():
+    # the difference body's facet normals are not the reference's edge-pair
+    # crosses, so the widths agree to rounding, not bit for bit
     for K in _width_bodies():
-        cands = width_reference.candidate_width_directions(K)
-        assert _candidate_set(K).tobytes() == cands.tobytes()
         got = width3(K)
-        want = width_reference.width_over(K.vertices, cands)
-        assert got.width == want.width
-        assert got.direction.tobytes() == want.direction.tobytes()
-        assert (got.lower_vertex, got.upper_vertex) == (want.lower_vertex,
-                                                        want.upper_vertex)
+        want = width_reference.width_over(
+            K.vertices, width_reference.candidate_width_directions(K))
+        assert abs(got.width - want.width) <= 1e-13 * want.width
+        # the returned direction attains the returned width
+        proj = K.vertices @ got.direction
+        for span in (proj[got.upper_vertex] - proj[got.lower_vertex],
+                     proj.max() - proj.min()):
+            assert abs(span - got.width) <= 1e-13 * got.width
 
 
-def test_width_directions_dedupe_greedily_in_edge_order():
-    class Body:
-        # three edge directions 0.8e-12 apart in the xy-plane, and z: the
-        # middle one is within 1e-12 of the first and is dropped; the third
-        # is 1.6e-12 from the first and kept, so their cross, the z-axis,
-        # is a candidate
-        def face_planes(self):
-            return np.array([[1.0, 0.0, 0.0]]), np.ones(1)
+SLIVERS = [(f, eps) for f in (flat_tetrahedron, five_vertex_flat,
+                              skew_tetrahedron) for eps in (1e-8, 1e-9)]
 
-        def edge_segments(self):
-            ang = np.array([0.0, 0.8e-12, 1.6e-12])
-            ends = np.vstack([np.stack([np.cos(ang), np.sin(ang),
-                                        np.zeros(3)], axis=1), [0, 0, 1]])
-            return np.stack([np.zeros((4, 3)), ends], axis=1)
 
-    got = _candidate_set(Body())
-    assert got.tobytes() == width_reference.candidate_width_directions(
-        Body()).tobytes()
-    assert [0.0, 0.0, 1.0] in got.tolist()
+@pytest.mark.parametrize("family,eps", SLIVERS,
+                         ids=[f"{f.__name__}-{eps:g}" for f, eps in SLIVERS])
+def test_slivers_build_and_have_their_width(family, eps):
+    # a sliver's two sides are adjacent, antiparallel and at one offset:
+    # they must not merge into one facet
+    K = family(eps).body
+    w = width3(K).width
+    if family is flat_tetrahedron:
+        want = 2.0 * eps / np.sqrt(1.0 + eps * eps)
+        assert abs(w - want) <= 1e-12 * want
+    assert abs(w - width_nd(PolytopeND(K.vertices))) <= 1e-12 * w
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_ARGS))
+def test_width_nd_is_width3_on_family_bodies(name):
+    K = family_body(name)
+    w = width3(K).width
+    assert abs(width_nd(PolytopeND(K.vertices)) - w) <= 1e-13 * w
 
 
 def test_width3_memory_is_bounded():
     # the 300-point sphere hull has about 900 edge directions, so about
-    # 400,000 crosses
+    # 400,000 crosses, and 90,000 vertex differences
     pts = np.random.default_rng(0).standard_normal((300, 3))
     sphere = build_hull(pts / np.linalg.norm(pts, axis=1)[:, None])
     for K, bound in ((bevelled_cylinder(10.0, 64).body, 3e6), (sphere, 10e6)):

@@ -1,8 +1,10 @@
-"""The width kernel that the array form of
-``polytope._candidate_width_directions`` replaced, kept as the reference its
-tests compare against: edge directions deduplicated one at a time, one
-``np.cross`` per pair of directions, and the candidates projected 4096 at a
-time."""
+"""The edge-pair width kernel that the difference body's facet normals
+(``polytope._difference_normals``) replaced, kept as the oracle ``width3``
+is compared against: the face normals and the crosses of every pair of
+edge directions, a superset of the directions that can attain the width
+(Houle & Toussaint 1988).  Edge directions are deduplicated one at a time,
+one ``np.cross`` is taken per pair of directions, and the candidates are
+projected 4096 at a time."""
 
 from itertools import combinations
 
