@@ -257,6 +257,8 @@ def cmd_escape(args) -> int:
     doc["version"] = __version__
     print(f"escape search: {esc.outcome} after {esc.checks_used} collision "
           f"checks (start clearance {_g(esc.start_clearance)})")
+    print(f"march steps: {esc.accepted} accepted, {esc.rejected} rejected; "
+          f"reach {_g(esc.reach)} of escape radius {_g(esc.escape_radius)}")
     if esc.found:
         print(f"escape path with {len(esc.path)} waypoints, final center "
               f"({', '.join(_g(x) for x in esc.path[-1].center)})")

@@ -172,6 +172,9 @@ def escape_to_dict(esc: EscapeResult) -> dict:
         "step": esc.step,
         "escape_radius": esc.escape_radius,
         "start_clearance": esc.start_clearance,
+        "accepted": int(esc.accepted),
+        "rejected": int(esc.rejected),
+        "reach": esc.reach,
         "path": [circle_to_dict(pose) for pose in (esc.path or [])],
     }
 

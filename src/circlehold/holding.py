@@ -52,6 +52,9 @@ VERDICT_EVIDENCE = "CertifiedHoldingEvidence"
 VERDICT_ESCAPE = "EscapeFound"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
+# how far from 1 a normal's norm may be for Circle3 to keep it as it is
+_UNIT_SLACK = 4.0 * float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class Circle3:
@@ -63,16 +66,21 @@ class Circle3:
 
     def __post_init__(self):
         n = np.asarray(self.normal, float)
-        ln = np.linalg.norm(n)
-        if not np.isfinite(ln) or ln == 0:
+        if n.shape != (3,) or np.shape(self.center) != (3,):
+            raise InvalidInput("circle center and normal must have 3 entries")
+        ln = math.sqrt(n @ n)
+        if not math.isfinite(ln) or ln == 0:
             raise InvalidInput("circle normal must be a nonzero vector")
         # a normal unit to rounding is kept, so rebuilding gives this circle
-        if abs(ln - 1.0) > 4.0 * np.finfo(float).eps:
+        if abs(ln - 1.0) > _UNIT_SLACK:
             n = n / ln
         object.__setattr__(self, "normal", tuple(float(x) for x in n))
-        if not (self.diameter > 0):
-            raise InvalidInput("circle diameter must be positive")
-        object.__setattr__(self, "center", tuple(float(x) for x in self.center))
+        if not (0 < self.diameter < math.inf):
+            raise InvalidInput("circle diameter must be positive and finite")
+        center = tuple(float(x) for x in self.center)
+        if not all(map(math.isfinite, center)):
+            raise InvalidInput("circle center must be finite")
+        object.__setattr__(self, "center", center)
 
     @property
     def radius(self) -> float:
@@ -471,6 +479,10 @@ class EscapeResult:
     search's lower bound on the start circle's distance to the body (the
     exact support gap at most 12 faces: :class:`_SupportGapBound`).  At
     or below 0 no motion can be certified, so a failed search did no work.
+    ``accepted`` and ``rejected`` count the march steps whose segment was
+    certified and taken, or refused; ``reach`` is the largest distance
+    from the body's centroid of the start center or any accepted center,
+    to compare with ``escape_radius``.
     """
 
     outcome: str                    # "found" | "not_found_within_budget"
@@ -481,6 +493,9 @@ class EscapeResult:
     step: float
     escape_radius: float
     start_clearance: float
+    accepted: int
+    rejected: int
+    reach: float
 
     @property
     def found(self) -> bool:
@@ -501,13 +516,16 @@ class _SupportGapBound:
     the circle changes only ``beta``, so what depends on ``A`` and ``B``
     alone is computed once.
 
-    For at most 12 faces the bound is the exact minimum (:meth:`exact`).
-    Above that, the minimum over a 128-angle grid minus its Lipschitz
-    slack ``R_max pi / 128`` answers when positive; otherwise it is the
-    minimum over 8192 angles minus ``R_max pi / 8192``, where only the
-    coarse cells whose Lipschitz lower bound ``(G_k + G_k+1) / 2 - slack``
-    reaches the coarse minimum are sampled: no other cell can hold the
-    fine minimum, so the value is that of the full 8192-angle grid.
+    For at most 12 faces the bound is the exact minimum (:meth:`exact`):
+    the critical angle of each face leads one vector of candidate angles,
+    the pairwise crossings follow, and one faces x candidates array of
+    values is reduced over faces, then over candidates.  Above that, the
+    minimum over a 128-angle grid minus its Lipschitz slack ``R_max pi /
+    128`` answers when positive; otherwise it is the minimum over 8192
+    angles minus ``R_max pi / 8192``, where only the coarse cells whose
+    Lipschitz lower bound ``(G_k + G_k+1) / 2 - slack`` reaches the coarse
+    minimum are sampled: no other cell can hold the fine minimum, so the
+    value is that of the full 8192-angle grid.
     """
 
     n_coarse = 128
@@ -519,10 +537,9 @@ class _SupportGapBound:
         self.is_exact = len(A) <= self.max_exact_faces
         if self.is_exact:
             # the angles where one sinusoid is lowest: candidates for every
-            # beta, so their rows are fixed
-            ts = np.arctan2(B, A) + np.pi
-            self.crit_cos_A = np.cos(ts)[:, None] * A[None, :]
-            self.crit_sin_B = np.sin(ts)[:, None] * B[None, :]
+            # beta, ahead of the crossings in every candidate vector
+            self.t_crit = np.arctan2(B, A) + np.pi
+            self.A_col, self.B_col = A[:, None], B[:, None]
             # face pairs i < j whose sinusoids can cross:
             # (A_i - A_j) cos t + (B_i - B_j) sin t = beta_j - beta_i
             i, j = np.triu_indices(len(A), 1)
@@ -548,16 +565,18 @@ class _SupportGapBound:
 
         The upper envelope of sinusoids attains its minimum either at a
         critical angle of one sinusoid or where two of them cross, so those
-        angles are a complete candidate set.
+        angles are a complete candidate set.  The values form one faces x
+        candidates array, reduced over faces, then over candidates.
         """
-        x = (beta[self.j] - beta[self.i]) / self.Rc
+        x = beta[self.j] - beta[self.i]
+        x /= self.Rc
         hit = np.abs(x) <= 1.0
         pc, al = self.pc[hit], np.arccos(x[hit])
-        ts = np.concatenate([pc + al, pc - al])[:, None]
-        vals = np.concatenate([beta + self.crit_cos_A + self.crit_sin_B,
-                               beta + np.cos(ts) * self.A
-                               + np.sin(ts) * self.B])
-        return float(vals.max(axis=1).min())
+        ts = np.concatenate([self.t_crit, pc + al, pc - al])
+        vals = np.cos(ts) * self.A_col
+        vals += beta[:, None]
+        vals += np.sin(ts) * self.B_col
+        return float(np.minimum.reduce(np.maximum.reduce(vals, axis=0)))
 
     def __call__(self, beta: np.ndarray) -> float:
         if self.is_exact:
@@ -600,12 +619,17 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     Success means reaching a pose whose center is at least ten
     circumradii of the body (``escape_radius``) from its centroid; the
     returned path is re-validated pose by pose.  Step lengths scale with
-    ``step``, a fiftieth of the circumradius.  The result records both.
+    ``step``, a fiftieth of the circumradius.  The result records both,
+    with the march steps accepted and rejected and the furthest center
+    reached.  A march keeps only its accepted centers; circle poses are
+    built for the path that is returned.
 
-    ``budget`` counts clearance evaluations, the dominant cost.  Failure
-    says no march escaped *within that budget* — it is evidence, not
-    proof, of holding.  The search is deterministic: ``seed`` is only
-    recorded in the result.
+    ``budget`` counts clearance evaluations, the dominant cost: one
+    matrix-vector product for the gaps ``beta`` of the circle's center,
+    then the bound (:class:`_SupportGapBound`, exact at most 12 faces).
+    Failure says no march escaped *within that budget* — it is
+    evidence, not proof, of holding.  The search is deterministic:
+    ``seed`` is only recorded in the result.
     """
     centroid = K.centroid
     circum = K.circumradius
@@ -621,41 +645,56 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     e1, e2, _ = start.frame()
     r = start.radius
     support_gap = _SupportGapBound(r * (n_faces @ e1), r * (n_faces @ e2))
-    checks = 0
+    checks = accepted = rejected = 0
 
     def clearance(center: np.ndarray) -> float:
         """Lower bound on the distance from the circle to the body."""
         nonlocal checks
         checks += 1
-        return support_gap(n_faces @ center - b_faces)
+        beta = n_faces @ center
+        beta -= b_faces
+        return support_gap(beta)
 
-    def certify(c1, cl1, c2, cl2, depth: int = 12) -> bool:
+    def certify(c1, cl1, c2, cl2) -> bool:
         """True iff the translation between the centers certifiably avoids
-        the body."""
-        if cl1 <= 0.0 or cl2 <= 0.0:
-            return False
-        dc = c2 - c1
-        if math.sqrt(dc @ dc) < cl1 + cl2:
-            return True
-        if depth == 0 or checks >= budget:
-            return False
-        cm = 0.5 * (c1 + c2)
-        clm = clearance(cm)
-        if clm <= 0.0:
-            return False
-        return (certify(c1, cl1, cm, clm, depth - 1)
-                and certify(cm, clm, c2, cl2, depth - 1))
+        the body: a segment longer than its end clearances allow is
+        halved, at most 12 times, the first half first.  A stack, not
+        recursion: a recursive closure would hold this search's bound in
+        a reference cycle until the next full garbage collection."""
+        segments = [(c1, cl1, c2, cl2, 12)]
+        while segments:
+            c1, cl1, c2, cl2, depth = segments.pop()
+            if cl1 <= 0.0 or cl2 <= 0.0:
+                return False
+            dc = c2 - c1
+            if math.sqrt(dc @ dc) < cl1 + cl2:
+                continue
+            if depth == 0 or checks >= budget:
+                return False
+            cm = 0.5 * (c1 + c2)
+            clm = clearance(cm)
+            if clm <= 0.0:
+                return False
+            segments += [(cm, clm, c2, cl2, depth - 1),
+                         (c1, cl1, cm, clm, depth - 1)]
+        return True
 
     c0 = start.center_array
     cl0 = clearance(c0)
+    d = c0 - centroid
+    reach = math.sqrt(d @ d)
 
-    def finish(path):
+    def finish(centers):
+        """The escape path, validated: the start, then a pose per accepted
+        center of the march that escaped."""
+        path = [start] + [Circle3(tuple(c), start.diameter, start.normal)
+                          for c in centers]
         for pose in path:
             if circle_interior_intersects(K, pose, tol).intersects:
                 raise CertificationError(
                     "escape path failed post-hoc validation")
         return EscapeResult("found", path, checks, 0, seed, step,
-                            escape_radius, cl0)
+                            escape_radius, cl0, accepted, rejected, reach)
 
     # certified straight-line marches; a start pose touching the body
     # (cl0 <= 0) admits no certified motion at all by the Lipschitz bound
@@ -667,26 +706,30 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
         for u in dirs:
             if checks >= probe_cap:
                 break
-            path = [start]
+            centers = []
             c_cur, cl_cur = c0, cl0
             h = max(1.5 * cl_cur, 1e-3 * step)
             while checks < probe_cap:
                 c_new = c_cur + h * u
                 cl_new = clearance(c_new)
                 if cl_new > 0.0 and certify(c_cur, cl_cur, c_new, cl_new):
-                    path.append(Circle3(tuple(c_new), start.diameter,
-                                        start.normal))
+                    accepted += 1
+                    centers.append(c_new)
                     c_cur, cl_cur = c_new, cl_new
-                    if np.linalg.norm(c_new - centroid) >= escape_radius:
-                        return finish(path)
+                    d = c_new - centroid
+                    dist = math.sqrt(d @ d)
+                    reach = max(reach, dist)
+                    if dist >= escape_radius:
+                        return finish(centers)
                     h *= 1.7
                 else:
+                    rejected += 1
                     h *= 0.5
                     if h < 1e-9 * max(step, 1.0):
                         break
 
     return EscapeResult("not_found_within_budget", None, checks, 1, seed,
-                        step, escape_radius, cl0)
+                        step, escape_radius, cl0, accepted, rejected, reach)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,22 @@ def test_escape_exit_codes(tmp_path):
                 "--budget", "5000"]) == 0
 
 
+def test_escape_reports_march_statistics(tmp_path, capsys):
+    pts = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    (tmp_path / "body.json").write_text(json.dumps({"vertices": pts}))
+    (tmp_path / "ring.json").write_text(json.dumps(
+        {"center": [0.5, 0.5, 0.5], "diameter": 1.8, "normal": [0, 0, 1]}))
+    assert run(["escape", tmp_path / "body.json", tmp_path / "ring.json",
+                "--budget", "20000", "--out-dir", tmp_path]) == 2
+    out = capsys.readouterr().out
+    doc = json.loads((tmp_path / "escape.json").read_text())
+    assert doc["accepted"] >= len(doc["path"]) - 1 > 0
+    assert doc["reach"] >= doc["escape_radius"]
+    assert (f"march steps: {doc['accepted']} accepted, {doc['rejected']} "
+            f"rejected; reach {cli._g(doc['reach'])} of escape radius "
+            f"{cli._g(doc['escape_radius'])}") in out
+
+
 def test_chain_certificate(tmp_path, capsys):
     construct(tmp_path, "octahedron-iceberg", "--a", "1.2", "--h", "10")
     code = run(["chain", tmp_path / "body.json", tmp_path / "circle.json"])

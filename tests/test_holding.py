@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from chain_reference import bounded_intersection_vertices, grid_golden_min
+from clearance_reference import reference_bound
 from oracle_cases import oracle_agreement_cases
 from profile_reference import (inward_intervals, sampled_grid,
                                sampled_side_max, sampled_waists,
@@ -14,6 +15,7 @@ from profile_reference import (inward_intervals, sampled_grid,
 
 from circlehold import (
     Circle3,
+    DegenerateInput,
     InvalidInput,
     InvalidStart,
     NoBlockingSlice,
@@ -40,7 +42,7 @@ from circlehold import (
     wd_tetrahedron,
 )
 from circlehold import families, holding
-from circlehold.fileio import report_to_dict
+from circlehold.fileio import circle_from_dict, escape_to_dict, report_to_dict
 from circlehold.holding import (_SliceScanner, _SupportGapBound,
                                 _edge_pair_distances)
 from circlehold.planar import (golden_refine, min_enclosing_circle,
@@ -69,6 +71,29 @@ def test_circle_normal_is_normalized():
         c = Circle3((0.0, 0.0, 0.0), 1.0, tuple(n))
         assert Circle3(c.center, c.diameter, c.normal) == c
         assert abs(np.linalg.norm(c.normal) - 1.0) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("center, diameter", [
+    ((np.nan, 0.0, 0.0), 1.0), ((0.0, np.inf, 0.0), 1.0),
+    ((0.0, 0.0, -np.inf), 1.0), ((0.0, 0.0, 0.0), np.inf),
+    ((0.0, 0.0, 0.0), np.nan), ((0.0, 0.0, 0.0), 0.0),
+])
+def test_circle_rejects_non_finite_center_and_diameter(center, diameter):
+    with pytest.raises(InvalidInput):
+        Circle3(center, diameter, (0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("center, normal", [
+    ((3.0, 0.5), (1.0, 0.0, 0.0)), ((3.0, 0.5, 0.5, 0.0), (1.0, 0.0, 0.0)),
+    ((3.0, 0.5, 0.5), (1.0, 0.0)), ((3.0, 0.5, 0.5), (1.0, 0.0, 0.0, 0.0)),
+    ((3.0, 0.5, 0.5), 1.0),
+])
+def test_circle_rejects_center_or_normal_not_in_3d(center, normal):
+    with pytest.raises(InvalidInput):
+        Circle3(center, 0.8, normal)
+    with pytest.raises(InvalidInput):
+        circle_from_dict({"center": list(center), "diameter": 0.8,
+                          "normal": list(np.atleast_1d(normal))})
 
 
 def test_penetration_witness():
@@ -688,6 +713,173 @@ def test_escape_trajectory_is_pinned(inst, eps, budget, expected):
     start = Circle3(c.center, c.diameter * (1.0 + eps), c.normal)
     res = escape_search(inst.body, start, budget=budget, seed=7)
     assert (res.outcome, res.checks_used, res.nodes) == expected
+
+
+# march steps accepted and rejected, and the furthest center reached, on
+# the pinned trajectories above
+@pytest.mark.parametrize("inst, eps, budget, expected", [
+    (bevelled_cylinder(10.0, 64), 1e-2, 150, (7, 17, 0.16638195704633427)),
+    (flat_tetrahedron(0.2), 5e-2, 1500, (43, 94, 16.284657394542343)),
+    (octahedron_iceberg(1.2, 10.0), 1e-2, 1500, (70, 230, 4.222538326359666)),
+    (SimpleNamespace(body=CUBE, circle=Circle3(
+        (0.4808379854734502, 0.4938942056441401, 0.5236299442141927), 1.8,
+        (-0.005796839549119991, 0.010980277381678297, 1.0006648549128156))),
+     0.0, 20000, (161, 454, 10.59034465518842)),
+])
+def test_escape_statistics_are_pinned(inst, eps, budget, expected):
+    c = inst.circle
+    start = Circle3(c.center, c.diameter * (1.0 + eps), c.normal)
+    res = escape_search(inst.body, start, budget=budget, seed=7)
+    accepted, rejected, reach = expected
+    assert (res.accepted, res.rejected) == (accepted, rejected)
+    assert res.reach == pytest.approx(reach, rel=1e-12)
+    assert (res.reach >= res.escape_radius) == res.found
+    if res.found:
+        # the last march's accepted centers are the path after the start
+        assert len(res.path) - 1 <= res.accepted
+        d = np.asarray(res.path[-1].center) - inst.body.centroid
+        assert res.reach == pytest.approx(np.linalg.norm(d), rel=1e-15)
+    doc = escape_to_dict(res)
+    assert (doc["accepted"], doc["rejected"], doc["reach"]) == (
+        res.accepted, res.rejected, res.reach)
+
+
+def _bench_escape_starts(seed):
+    """The starts of the benchmark's 16 escape searches at ``seed``: five
+    family circles inflated by 0, 1e-2 and 5e-2 (budget 1500, 150 above
+    12 faces), and the loose ring about the unit cube (budget 20,000),
+    whose pose depends on the seed."""
+    out = []
+    for name, inst in [("oct(1.2,10)", octahedron_iceberg(1.2, 10.0)),
+                       ("oct(1.05,50)", octahedron_iceberg(1.05, 50.0)),
+                       ("flat(0.2)", flat_tetrahedron(0.2)),
+                       ("skew(0.1)", skew_tetrahedron(0.1)),
+                       ("bevelled(10,64)", bevelled_cylinder(10.0, 64))]:
+        c = inst.circle
+        budget = 150 if len(inst.body.faces) > 12 else 1500
+        for eps in (0.0, 1e-2, 5e-2):
+            out.append((f"{name}/eps={eps:g}", inst.body,
+                        Circle3(c.center, c.diameter * (1.0 + eps), c.normal),
+                        budget))
+    rng = np.random.default_rng(seed)
+    center = 0.5 + rng.uniform(-0.03, 0.03, 3)
+    normal = np.array([0.0, 0.0, 1.0]) + rng.uniform(-0.03, 0.03, 3)
+    out.append(("cube/loose-ring", CUBE,
+                Circle3(tuple(center), 1.8, tuple(normal)), 20_000))
+    return out
+
+
+# (outcome, checks_used, start_clearance) of the benchmark's escape
+# searches at seed 7, recorded before the clearance kernel was rewritten
+BENCH_ESCAPES_SEED_7 = {
+    "oct(1.2,10)/eps=0": ("not_found_within_budget", 1,
+                          -5.608426340773475e-17),
+    "oct(1.2,10)/eps=0.01": ("not_found_within_budget", 375,
+                             0.011223454208009298),
+    "oct(1.2,10)/eps=0.05": ("not_found_within_budget", 375,
+                             0.055911829132939905),
+    "oct(1.05,50)/eps=0": ("not_found_within_budget", 375,
+                           7.454482926029456e-18),
+    "oct(1.05,50)/eps=0.01": ("not_found_within_budget", 375,
+                              0.01031285186916441),
+    "oct(1.05,50)/eps=0.05": ("not_found_within_budget", 375,
+                              0.051284929724615264),
+    "flat(0.2)/eps=0": ("not_found_within_budget", 1,
+                        -6.938893903907228e-18),
+    "flat(0.2)/eps=0.01": ("not_found_within_budget", 375,
+                           0.001528830443751017),
+    "flat(0.2)/eps=0.05": ("found", 186, 0.007525010748910321),
+    "skew(0.1)/eps=0": ("not_found_within_budget", 1,
+                        -1.3877787807814457e-17),
+    "skew(0.1)/eps=0.01": ("not_found_within_budget", 379,
+                           0.0004030227047728818),
+    "skew(0.1)/eps=0.05": ("not_found_within_budget", 375,
+                           0.001988320403776986),
+    "bevelled(10,64)/eps=0": ("not_found_within_budget", 1,
+                              -0.0038307796581827968),
+    "bevelled(10,64)/eps=0.01": ("not_found_within_budget", 37,
+                                 0.06684159066388998),
+    "bevelled(10,64)/eps=0.05": ("not_found_within_budget", 38,
+                                 0.09612499756333126),
+    "cube/loose-ring": ("found", 783, 0.1205515781260943),
+}
+
+
+def test_bench_escape_searches_are_pinned():
+    got = {name: escape_search(K, C, budget=budget, seed=7)
+           for name, K, C, budget in _bench_escape_starts(7)}
+    assert {name: (r.outcome, r.checks_used, r.start_clearance)
+            for name, r in got.items()} == BENCH_ESCAPES_SEED_7
+
+
+def test_clearance_equals_reference_on_bench_searches(monkeypatch):
+    # every clearance the benchmark's searches evaluate, recorded by
+    # wrapping the bound, equals the two-block exact minimum (at most 12
+    # faces) or the coarse grid and the full fine grid (above)
+    calls = []
+
+    class Recording(_SupportGapBound):
+        def __call__(self, beta):
+            got = super().__call__(beta)
+            calls.append((self.A, self.B, beta.copy(), got))
+            return got
+
+    monkeypatch.setattr(holding, "_SupportGapBound", Recording)
+    starts = _bench_escape_starts(7)
+    starts += [s for seed in (3, 11) for s in _bench_escape_starts(seed)[-1:]]
+    for _, K, C, budget in starts:
+        escape_search(K, C, budget=budget, seed=7)
+    assert len(calls) > 4000
+    assert sum(len(A) > _SupportGapBound.max_exact_faces
+               for A, _, _, _ in calls) >= 70
+    for A, B, beta, got in calls:
+        assert got == reference_bound(beta, A, B)
+
+
+def _pose_gap_inputs(rng, K, radius):
+    n = rng.normal(size=3)
+    c = K.centroid + K.circumradius * rng.uniform(-1.0, 1.0, 3)
+    return _gap_inputs_for_pose(K, radius * rng.uniform(0.2, 1.5), c,
+                                n / np.linalg.norm(n))
+
+
+def test_clearance_equals_reference_about_bevelled_cylinders():
+    rng = np.random.default_rng(20)
+    fine = 0
+    for sides in (16, 64):
+        inst = bevelled_cylinder(10.0, sides)
+        K, C = inst.body, inst.circle
+        c0, n0 = C.center_array, np.asarray(C.normal, float)
+        poses = []
+        for eps in (0.0, 1e-3, 1e-2, 5e-2):  # near the waist
+            for _ in range(10):
+                n = n0 + eps * rng.normal(size=3)
+                poses.append(_gap_inputs_for_pose(
+                    K, C.radius * (1.0 + eps), c0 + eps * rng.normal(size=3),
+                    n / np.linalg.norm(n)))
+        poses += [_pose_gap_inputs(rng, K, C.radius) for _ in range(40)]
+        for beta, A, B in poses:
+            assert _SupportGapBound(A, B)(beta) == reference_bound(beta, A, B)
+            slack = float(np.hypot(A, B).max()) * np.pi / 128
+            fine += _grid_gap(beta, A, B, 128) - slack <= 0.0
+    assert fine >= 60
+
+
+def test_clearance_equals_reference_on_random_hulls():
+    rng = np.random.default_rng(21)
+    seen = {"exact": 0, "grid": 0}
+    while min(seen.values()) < 100:
+        pts = rng.standard_normal((int(rng.integers(4, 23)), 3))
+        try:
+            K = build_hull(pts * rng.uniform(0.3, 2.0, 3))
+        except DegenerateInput:
+            continue
+        if not 4 <= len(K.faces) <= 40:
+            continue
+        for _ in range(10):
+            beta, A, B = _pose_gap_inputs(rng, K, K.circumradius)
+            assert _SupportGapBound(A, B)(beta) == reference_bound(beta, A, B)
+        seen["exact" if len(K.faces) <= 12 else "grid"] += 10
 
 
 def test_escape_search_does_not_depend_on_seed():
