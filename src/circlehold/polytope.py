@@ -250,13 +250,11 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(v, v))
 
 
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross products: the component products and differences of
-    ``np.cross``, without its axis handling."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                     a0 * b1 - a1 * b0], axis=1)
+def _cross_norm(ux: float, uy: float, uz: float,
+                vx: float, vy: float, vz: float) -> float:
+    """``|u x v|`` on floats, with the component products of ``np.cross``."""
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return math.sqrt(cx * cx + cy * cy + cz * cz)
 
 
 def _merge_coplanar(points: np.ndarray, hull: ConvexHull) -> list[list[int]]:
@@ -264,96 +262,78 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull) -> list[list[int]]:
     vertex cycles (counterclockwise from outside).
 
     The adjacency is Qhull's: ``hull.neighbors[f, k]`` is the triangle
-    across the edge opposite ``hull.simplices[f, k]``."""
-    eq = hull.equations  # (F, 4): n.x + d = 0, n outward
-    simplices = hull.simplices
-    tris = simplices.tolist()
+    across the edge opposite ``hull.simplices[f, k]``.  One pass over
+    Python floats: numpy's per-call overhead dominates at the few dozen
+    triangles of a typical hull."""
+    eq = hull.equations.tolist()  # n.x + d = 0, n outward
+    tris = hull.simplices.tolist()
     nbrs = hull.neighbors.tolist()
+    coords = points.tolist()
     nf = len(tris)
     # the body's own size: the offset and bend tests below are relative to
     # it at every scale
     scale = float(np.abs(points).max())
 
-    # coplanarity of every two triangles that share an edge, in one batch
-    owner = np.repeat(np.arange(nf), 3)
-    across = hull.neighbors.ravel()
-    pairs = np.stack([owner, across], axis=1)[owner < across]
-    eq_i, eq_j = eq[pairs[:, 0]], eq[pairs[:, 1]]
-    # parallel, not antiparallel: the two sides of a sliver are not a facet
-    tilt = _row_norms(_cross_rows(eq_i[:, :3], eq_j[:, :3]))
-    facing = (eq_i[:, :3] * eq_j[:, :3]).sum(axis=1) > 0
-    flat = ((tilt <= 1e-7) & facing
-            & (np.abs(eq_i[:, 3] - eq_j[:, 3]) <= 1e-7 * scale))
+    # coplanarity, once for every two triangles that share an edge; the
+    # offset test first, as it turns away most pairs
     linked: list[list[int]] = [[] for _ in range(nf)]
-    for i, j in pairs[flat].tolist():
-        linked[i].append(j)
-        linked[j].append(i)
+    for i, (ax, ay, az, ad) in enumerate(eq):
+        for j in nbrs[i]:
+            bx, by, bz, bd = eq[j]
+            # parallel, not antiparallel: the two sides of a sliver are not
+            # a facet
+            if (i < j and abs(ad - bd) <= 1e-7 * scale
+                    and ax * bx + ay * by + az * bz > 0
+                    and _cross_norm(ax, ay, az, bx, by, bz) <= 1e-7):
+                linked[i].append(j)
+                linked[j].append(i)
 
     group = [-1] * nf
     members: list[list[int]] = []  # the triangles of each facet, in order
     for fi in range(nf):
-        if group[fi] != -1:
-            continue
-        stack = [fi]
-        group[fi] = len(members)
-        while stack:
-            for nb in linked[stack.pop()]:
-                if group[nb] == -1:
-                    group[nb] = len(members)
-                    stack.append(nb)
-        members.append([])
-    for fi, gi in enumerate(group):
-        members[gi].append(fi)
-
-    # orient each triangle so its winding matches the outward normal of its
-    # facet's first triangle
-    a = points[simplices[:, 0]]
-    wind = _cross_rows(points[simplices[:, 1]] - a,
-                       points[simplices[:, 2]] - a)
-    nrm = eq[[m[0] for m in members], :3][group]
-    flipped = ((wind[:, None, :] @ nrm[:, :, None]).ravel() < 0).tolist()
+        if group[fi] == -1:
+            stack, facet = [fi], []
+            group[fi] = len(members)
+            while stack:
+                facet.append(stack.pop())
+                for nb in linked[facet[-1]]:
+                    if group[nb] == -1:
+                        group[nb] = len(members)
+                        stack.append(nb)
+            members.append(sorted(facet))
 
     faces: list[list[int]] = []
-    merged: list[int] = []  # the facets of more than one triangle
-    for facet in members:
-        if len(facet) == 1:
-            # a lone triangle is its own boundary cycle, and the bend test
-            # below keeps all three of its vertices or fewer than three
-            tri = tris[facet[0]]
-            faces.append([tri[0], tri[2], tri[1]] if flipped[facet[0]]
-                         else tri)
-            continue
-        # the directed edges whose neighbour lies in another facet (the
-        # facet boundary), in triangle order
-        gi = group[facet[0]]
+    for gi, facet in enumerate(members):
+        # each triangle wound to match the outward normal of the facet's
+        # first triangle; the directed edges whose neighbour lies in another
+        # facet (the facet boundary), in triangle order
+        nx, ny, nz, _ = eq[facet[0]]
         boundary: list[tuple[int, int]] = []
         for fi in facet:
             t0, t1, t2 = tris[fi]
             n0, n1, n2 = nbrs[fi]
-            sides = ((((t0, t2), n1), ((t2, t1), n0), ((t1, t0), n2))
-                     if flipped[fi] else
-                     (((t0, t1), n2), ((t1, t2), n0), ((t2, t0), n1)))
-            boundary += [de for de, n in sides if group[n] != gi]
-        merged.append(len(faces))
-        faces.append(_chain_cycle(boundary))
-    if not merged:
-        return faces
-
-    # drop vertices interior to a boundary edge (collinear chain points),
-    # all merged facet cycles in one batch
-    cycles = [faces[k] for k in merged]
-    pts = points[[v for c in cycles for v in c]]
-    prev_idx = [v for c in cycles for v in c[-1:] + c[:-1]]
-    next_idx = [v for c in cycles for v in c[1:] + c[:1]]
-    bend = _row_norms(_cross_rows(pts - points[prev_idx],
-                                  points[next_idx] - pts))
-    keep_all = (bend > 1e-9 * scale * scale).tolist()
-    start = 0
-    for k, cyc in zip(merged, cycles):
-        keep = [v for v, kp in zip(cyc, keep_all[start:start + len(cyc)]) if kp]
-        if len(keep) >= 3:
-            faces[k] = keep
-        start += len(cyc)
+            (ax, ay, az), (bx, by, bz), (cx, cy, cz) = (
+                coords[t0], coords[t1], coords[t2])
+            ux, uy, uz = bx - ax, by - ay, bz - az
+            vx, vy, vz = cx - ax, cy - ay, cz - az
+            if ((uy * vz - uz * vy) * nx + (uz * vx - ux * vz) * ny
+                    + (ux * vy - uy * vx) * nz < 0):
+                t1, t2, n1, n2 = t2, t1, n2, n1
+            boundary += [de for de, n in (((t0, t1), n2), ((t1, t2), n0),
+                                          ((t2, t0), n1)) if group[n] != gi]
+        if len(facet) == 1:
+            # a lone triangle is its own boundary cycle, and the bend test
+            # below keeps all three of its vertices or fewer than three
+            faces.append([t0, t1, t2])
+            continue
+        # drop vertices interior to a boundary edge (collinear chain points)
+        cyc = _chain_cycle(boundary)
+        pts = [coords[v] for v in cyc]
+        keep = [v for v, (px, py, pz), (vx, vy, vz), (qx, qy, qz)
+                in zip(cyc, pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
+                if _cross_norm(vx - px, vy - py, vz - pz, qx - vx, qy - vy,
+                               qz - vz) > 1e-9 * scale * scale]
+        faces.append(keep if len(keep) >= 3 else cyc)
     return faces
 
 

@@ -260,16 +260,21 @@ def check_skew_tetra(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                     all(dd < radius for dd in dists),
                     f"< {radius:.6g}",
                     ", ".join(f"{dd:.9f}" for dd in dists), "strict"))
-    outcomes = []
-    for s in range(seed, seed + 5):
-        esc = holding.escape_search(inst.body, inst.circle, budget=100_000,
-                                    seed=s)
-        outcomes.append(esc.outcome)
+    searches = [holding.escape_search(inst.body, inst.circle,
+                                      budget=100_000, seed=s)
+                for s in range(seed, seed + 5)]
+    outcomes = [esc.outcome for esc in searches]
+    # a search whose start clearance is at most 0 returns after one check:
+    # it did no work, and the detail says so
     out.append(_res("escape-search-exhausts-budget-5-seeds",
                     all(o == "not_found_within_budget" for o in outcomes),
                     "not_found_within_budget x5",
                     ", ".join(sorted(set(outcomes))), "budget 100000",
-                    f"seeds {seed}..{seed + 4}"))
+                    f"seeds {seed}..{seed + 4}; checks_used "
+                    + ", ".join(str(esc.checks_used) for esc in searches)
+                    + "; start_clearance "
+                    + ", ".join(f"{esc.start_clearance:.3g}"
+                                for esc in searches)))
     return out
 
 

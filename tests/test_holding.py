@@ -41,7 +41,7 @@ from circlehold import (
     translation_block_certificate,
     wd_tetrahedron,
 )
-from circlehold import families, holding
+from circlehold import families, holding, verification
 from circlehold.fileio import circle_from_dict, escape_to_dict, report_to_dict
 from circlehold.holding import (_SliceScanner, _SupportGapBound,
                                 _edge_pair_distances)
@@ -933,6 +933,22 @@ def test_report_says_when_the_escape_search_did_no_work():
     rep = holding_report(inst.body, loose, budget=2000)
     assert rep.escape.start_clearance > 0.0
     assert not any("did no work" in r for r in rep.reasons)
+
+
+def test_skew_tetra_check_shows_the_work_of_its_escape_searches():
+    inst = skew_tetrahedron(0.1)
+    searches = [escape_search(inst.body, inst.circle, budget=100_000, seed=s)
+                for s in range(7, 12)]
+    res = verification.check_skew_tetra(7)[-1]
+    assert res.name == "escape-search-exhausts-budget-5-seeds"
+    assert res.detail == (
+        "seeds 7..11; checks_used "
+        + ", ".join(str(e.checks_used) for e in searches)
+        + "; start_clearance "
+        + ", ".join(f"{e.start_clearance:.3g}" for e in searches))
+    # the circle touches the body: each search returns after one check
+    assert all(e.checks_used == 1 and e.start_clearance <= 0.0
+               for e in searches)
 
 
 def test_min_holding_circle_flat_tetrahedron():
