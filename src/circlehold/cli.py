@@ -187,7 +187,7 @@ def cmd_analyze(args) -> int:
                  "width_direction": w.direction,
                  "cylinder_diameter": cyl.diameter,
                  "tolerances": {"geom": args.tol_geom, "opt": args.tol_opt},
-                 "seed": args.seed, "version": __version__}
+                 "version": __version__}
     print(f"body {doc['body']}: {doc['vertices']} vertices")
     print(f"width: {_g(w.width)}   minimal cylinder diameter: "
           f"{_g(cyl.diameter)}")
@@ -195,14 +195,12 @@ def cmd_analyze(args) -> int:
     report = None
     if circle is not None:
         report = holding.holding_report(body, circle, budget=budget,
-                                        seed=args.seed,
                                         tol_geom=args.tol_geom,
                                         tol_opt=args.tol_opt)
     else:
         try:
             circle, report = holding.min_holding_circle(
-                body, escape_budget=budget, seed=args.seed,
-                tol_geom=args.tol_geom, tol_opt=args.tol_opt)
+                body, tol_geom=args.tol_geom, tol_opt=args.tol_opt)
             print("smallest certified circle found by waist search:")
         except NotFound as exc:
             print(f"holding-circle search: {exc}")
@@ -389,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze", help="widths, cylinder and holding evidence")
-    _add_flags(p, "tol-geom", "tol-opt", "theta-samples", "budget", "seed",
+    _add_flags(p, "tol-geom", "tol-opt", "theta-samples", "budget",
                "out-dir", "json")
     p.add_argument("body", help="body JSON file")
     p.add_argument("--circle", help="circle JSON file (default: search "

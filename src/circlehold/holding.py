@@ -17,8 +17,9 @@ from the body.  This module provides the computational side of that notion:
 
 Whether a circle *holds* a body has no known finite decision procedure, so
 the strongest verdict issued here is ``CertifiedHoldingEvidence``: the
-cheap necessary certificates all pass and a budgeted escape search failed.
-That is evidence, not proof.  ``EscapeFound`` on the other hand is
+circle avoids the interior, the body passes through it, and sections wider
+than it on both sides stop every translation.  Rotations are not examined:
+that is evidence, not proof.  ``EscapeFound`` on the other hand is
 constructive: it comes with a validated collision-free path.
 """
 
@@ -206,18 +207,15 @@ def sampled_penetration(K: Polytope3, C: Circle3,
     pts += np.multiply.outer(e2, sin_t)
     pts *= C.radius
     pts += C.center_array[:, None]
-    pts = np.ascontiguousarray(pts.T)
     n, b = K.face_planes()
-    # the (S, F) product of the depth formula (``n @ pts.T`` rounds some
-    # entries differently under BLAS), built 32 faces at a time so that a
-    # body with many faces never holds all of it, and reduced one face at
-    # a time: F long maxima instead of S short ones
+    # the (F, S) gaps of the depth formula, built 32 faces at a time so
+    # that a body with many faces never holds all of them, and each block
+    # reduced over its faces
     worst = np.full(len(t), -np.inf)
     for lo in range(0, len(b), 32):
-        G = pts @ n[lo:lo + 32].T
-        G -= b[lo:lo + 32]
-        for col in G.T:
-            np.maximum(worst, col, out=worst)
+        G = n[lo:lo + 32] @ pts
+        G -= b[lo:lo + 32, None]
+        np.maximum(worst, np.maximum.reduce(G, axis=0), out=worst)
     dep = -worst
     k = int(np.argmax(dep))
     return float(dep[k]), float(t[k])
@@ -766,26 +764,26 @@ def _gates(K: Polytope3, C: Circle3, tol_geom: float, tol_opt: float):
 
 
 def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
-                   seed: int = DEFAULT_SEED,
                    tol_geom: float = TOL_GEOM,
                    tol_opt: float = TOL_OPT) -> HoldingReport:
     """Gather every certificate this package can produce for one circle pose
     and summarize them in a verdict.
 
     ``CertifiedHoldingEvidence`` requires: the circle avoids the interior,
-    the body passes through it, cross-sections too wide for the circle exist
-    on both sides, and the escape search finds no way out within its budget.
-    ``EscapeFound`` is returned exactly when the search finds a validated
-    escape path.  Everything else is ``Inconclusive``.  The reasons say when
+    the body passes through it, and cross-sections too wide for the circle
+    exist on both sides, so no translation frees it (rotations are not
+    examined) and no escape search runs: ``escape`` is ``None``.  Otherwise
+    the search runs; ``EscapeFound`` is returned exactly when it finds a
+    validated escape path, else ``Inconclusive``.  The reasons say when
     the search did no work: the circle touches the body, or (above 12
     faces, where the bound is sampled) lies closer to it than the
     clearance bound resolves.
     """
     return _report(K, C, _gates(K, C, tol_geom, tol_opt),
-                   budget=budget, seed=seed, tol_opt=tol_opt)
+                   budget=budget, tol_opt=tol_opt)
 
 
-def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
+def _report(K: Polytope3, C: Circle3, gates, *, budget: int,
             tol_opt: float) -> HoldingReport:
     """The body of :func:`holding_report`, given the circle's
     :func:`_gates`."""
@@ -804,6 +802,13 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
         reasons.append(f"circle penetrates the body "
                        f"(depth {pen.penetration:.3g}) — not a holding circle")
         verdict = VERDICT_INCONCLUSIVE
+    elif surrounds and block.blocked_above and block.blocked_below:
+        verdict = VERDICT_EVIDENCE
+        reasons.append(
+            f"the body passes through the circle and sections wider than it "
+            f"lie on both sides (margins {block.above.margin:.3g} above, "
+            f"{block.below.margin:.3g} below), so no translation carries "
+            f"the circle past them; rotations are not examined")
     else:
         if not surrounds:
             reasons.append("body does not pass through the circle")
@@ -811,7 +816,7 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
             reasons.append("no blocking cross-section above the circle plane")
         if not block.blocked_below:
             reasons.append("no blocking cross-section below the circle plane")
-        escape = escape_search(K, C, budget=budget, seed=seed, tol=tol_opt)
+        escape = escape_search(K, C, budget=budget, tol=tol_opt)
         if escape.start_clearance <= 0.0:
             reasons.append(
                 f"the escape search did no work: the start clearance bound "
@@ -820,12 +825,6 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int, seed: int,
         if escape.found:
             verdict = VERDICT_ESCAPE
             reasons.append(f"escape path found after {escape.checks_used} checks")
-        elif surrounds and block.blocked_above and block.blocked_below:
-            verdict = VERDICT_EVIDENCE
-            reasons.append(
-                f"all blocking certificates hold and the escape search found "
-                f"no certified way out ({escape.checks_used} of {budget} "
-                f"clearance evaluations used)")
         else:
             verdict = VERDICT_INCONCLUSIVE
             reasons.append(f"escape not found ({escape.checks_used} of "
@@ -1236,9 +1235,8 @@ def _waist_candidates(K: Polytope3, axis: np.ndarray, tol_opt: float):
     return out
 
 
-def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
-                       seed: int = DEFAULT_SEED,
-                       tol_geom: float = TOL_GEOM, tol_opt: float = TOL_OPT
+def min_holding_circle(K: Polytope3, *, tol_geom: float = TOL_GEOM,
+                       tol_opt: float = TOL_OPT
                        ) -> tuple[Circle3, HoldingReport]:
     """Search for the smallest circle with certified holding evidence.
 
@@ -1250,9 +1248,9 @@ def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
     axes (coordinate axes, the minimal-cylinder axis, directions derived
     from the closest non-adjacent edge pairs), collects waist circles in
     ascending diameter order (at most 12 distinct ones), polishes the best
-    axis, and returns the first candidate whose :func:`holding_report`
-    verdict is ``CertifiedHoldingEvidence``.  A body with a non-finite
-    vertex raises :class:`InvalidInput` before any work is done.
+    axis, and returns the first candidate that passes the gates of
+    ``CertifiedHoldingEvidence`` (:func:`holding_report`).  A body with a
+    non-finite vertex raises :class:`InvalidInput` before any work is done.
 
     The profile is convex between consecutive vertex heights, so waists are
     found exactly, not on a height grid (:func:`_waists`).  A waist is a
@@ -1313,24 +1311,17 @@ def min_holding_circle(K: Polytope3, *, escape_budget: int = 4000,
                 dd, tt, cc2, ssc = extra[0]
                 filtered.insert(0, (dd, ssc.lift(cc2, tt), ssc.frame[2]))
 
-    last_report = None
     for dia, center, axis in filtered:
         circle = Circle3(tuple(center), dia, tuple(axis))
         gates = _gates(K, circle, tol_geom, tol_opt)
         pen, surrounds, block = gates
-        if pen.intersects or not surrounds or not block.blocked_above \
-                or not block.blocked_below:
-            continue
-        report = _report(K, circle, gates, budget=escape_budget, seed=seed,
-                         tol_opt=tol_opt)
-        last_report = report
-        if report.verdict == VERDICT_EVIDENCE:
-            return circle, report
+        if (not pen.intersects and surrounds and block.blocked_above
+                and block.blocked_below):
+            # the gates pass, so the report runs no search: no budget
+            return circle, _report(K, circle, gates, budget=0,
+                                   tol_opt=tol_opt)
 
-    raise NotFound(
-        "no waist candidate produced certified holding evidence"
-        + ("" if last_report is None else
-           f" (last verdict: {last_report.verdict})"))
+    raise NotFound("no waist candidate produced certified holding evidence")
 
 
 # ---------------------------------------------------------------------------

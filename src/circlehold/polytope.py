@@ -367,7 +367,21 @@ def build_hull(points) -> Polytope3:
         scale = max(1.0, float(np.abs(pts).max()))
         jit = pts + rng.normal(scale=1e-9 * scale, size=pts.shape)
         hull = ConvexHull(jit, qhull_options="QJ")
-        hull_pts = pts[np.unique(hull.vertices)]
+        # a candidate strictly between two of its joggled-hull neighbours
+        # lies inside a hull edge: drop it (the merge's bend test)
+        nbrs: dict[int, set[int]] = {int(i): set() for i in hull.vertices}
+        for tri in hull.simplices.tolist():
+            for i in tri:
+                nbrs[i].update(tri)
+        bend = 1e-9 * float(np.abs(pts).max()) ** 2
+        keep = []
+        for i, adj in nbrs.items():
+            d = pts[sorted(adj - {i})] - pts[i]
+            dots = d @ d.T
+            crosses = np.linalg.norm(np.cross(d[:, None], d[None]), axis=2)
+            if not ((crosses <= bend) & (dots < 0.0)).any():
+                keep.append(i)
+        hull_pts = pts[sorted(keep)]
         hull2 = ConvexHull(hull_pts, qhull_options="QJ")
         faces = _merge_coplanar(hull_pts, hull2)
         pts = hull_pts

@@ -69,8 +69,7 @@ def check_ratio_bound(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     for a, h in [(1.2, 10.0), (1.05, 50.0), (1.01, 200.0)]:
         inst = families.octahedron_iceberg(a, h)
         w = polytope.width3(inst.body).width
-        circle, _ = holding.min_holding_circle(inst.body, seed=seed,
-                                               escape_budget=3000)
+        circle, _ = holding.min_holding_circle(inst.body)
         ratio = circle.diameter / w
         ratios.append(ratio)
         out.append(_res(f"ratio-above-two-thirds(a={a},h={h:g})",
@@ -207,8 +206,7 @@ def check_flat_tetra(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     d_pred = inst.predicted("diameter")
     alt_pred = inst.predicted("altitude")
     out = []
-    circle, _ = holding.min_holding_circle(inst.body, seed=seed,
-                                           escape_budget=2000)
+    circle, _ = holding.min_holding_circle(inst.body)
     out.append(_res("search-matches-closed-diameter",
                     abs(circle.diameter - d_pred) < 1e-3,
                     f"{d_pred:.9f}", f"{circle.diameter:.9f}", "1e-3"))
@@ -306,8 +304,7 @@ def check_width_equals_diameter(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Width against certified diameter for the orthogonal-edge tetrahedron."""
     inst = families.wd_tetrahedron(2.0, 2.0, 1.0)
     w = polytope.width3(inst.body).width
-    circle, _ = holding.min_holding_circle(inst.body, seed=seed,
-                                           escape_budget=2000)
+    circle, _ = holding.min_holding_circle(inst.body)
     gap = abs(w - circle.diameter)
     out = [_res("equality-instance(2,2,1)", gap < 5e-3,
                 "|w - d| < 5e-3", f"w {w:.6f}, d {circle.diameter:.6f}, "
@@ -321,8 +318,7 @@ def check_width_equals_diameter(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     verts[idx] = verts[idx] + np.array([0.1, 0.0, 0.0])
     body2 = polytope.build_hull(verts)
     w2 = polytope.width3(body2).width
-    circle2, _ = holding.min_holding_circle(body2, seed=seed,
-                                            escape_budget=2000)
+    circle2, _ = holding.min_holding_circle(body2)
     gap2 = abs(w2 - circle2.diameter)
     out.append(_res("perturbed-instance-breaks-equality", gap2 > 1e-2,
                     "|w - d| > 1e-2",
@@ -370,12 +366,12 @@ def check_higher_dim(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 def check_bevelled(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Certified diametral circle with unbounded diameter/cylinder ratio."""
     inst = families.bevelled_cylinder(10.0, 64)
-    rep = holding.holding_report(inst.body, inst.circle, budget=3000,
-                                 seed=seed)
+    rep = holding.holding_report(inst.body, inst.circle, budget=3000)
     out = [_res("diametral-circle-certified",
                 rep.verdict == holding.VERDICT_EVIDENCE,
                 holding.VERDICT_EVIDENCE, rep.verdict,
-                "escape budget 3000", "; ".join(rep.reasons))]
+                "blocked on both sides by more than tol_opt",
+                "; ".join(rep.reasons))]
     cyl = polytope.min_cylinder(inst.body)
     ratio = inst.circle.diameter / cyl.diameter
     out.append(_res("diameter-to-cylinder-ratio", ratio >= 4.0,

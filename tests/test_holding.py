@@ -254,8 +254,9 @@ def test_sampled_penetration_matches_sample_by_face_matrix():
         k = int(np.argmax(dep))
         return float(dep[k]), float(t[k])
 
-    cases = [(K, C) for _, K, C in oracle_agreement_cases(7) if K is not None]
-    assert len(cases) == 1000
+    cases = [(K, C) for seed in (7, 3, 11)
+             for _, K, C in oracle_agreement_cases(seed) if K is not None]
+    assert len(cases) == 3000
     # bodies of more than one 32-face block: circles about the waist circle
     rng = np.random.default_rng(3)
     for m in (64, 16):
@@ -267,6 +268,17 @@ def test_sampled_penetration_matches_sample_by_face_matrix():
             C.diameter * rng.uniform(0.5, 1.5),
             tuple(np.asarray(C.normal) + 0.3 * rng.standard_normal(3))))
             for _ in range(20)]
+    # one full 32-face block, and one face past it: prisms over 30- and
+    # 31-gons, circles about their middle
+    for m, faces in ((30, 32), (31, 33)):
+        t = 2.0 * np.pi * np.arange(m) / m
+        ring = np.stack([np.cos(t), np.sin(t), np.zeros(m)], axis=1)
+        K = build_hull(np.vstack([ring, ring + [0.0, 0.0, 2.0]]))
+        assert len(K.faces) == faces
+        cases += [(K, Circle3(tuple(rng.uniform(-1.0, 1.0, 3) + [0, 0, 1]),
+                              rng.uniform(0.5, 3.0),
+                              tuple(rng.standard_normal(3))))
+                  for _ in range(20)]
     for i, (K, C) in enumerate(cases):
         for samples in (4096,) if i % 10 else (4096, 10_000, 7, 4095):
             got = sampled_penetration(K, C, samples=samples)
@@ -445,7 +457,7 @@ def test_blocking_maximum_is_at_the_side_end_or_a_vertex_height():
 @pytest.mark.parametrize("h", [10.0, 50.0, 200.0, 500.0, 2000.0])
 def test_min_holding_circle_certifies_long_spindles(a, h):
     inst = octahedron_iceberg(a, h)
-    circ, rep = min_holding_circle(inst.body, escape_budget=200)
+    circ, rep = min_holding_circle(inst.body)
     assert rep.verdict == VERDICT_EVIDENCE
     assert abs(circ.diameter - inst.circle.diameter) <= 1e-9
 
@@ -486,7 +498,7 @@ def test_min_holding_circle_is_invariant_under_rigid_motion(inst):
     for _ in range(3):
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         K = build_hull(inst.body.vertices @ q.T + rng.uniform(-10, 10, 3))
-        circ, rep = min_holding_circle(K, escape_budget=200)
+        circ, rep = min_holding_circle(K)
         assert rep.verdict == VERDICT_EVIDENCE
         assert abs(circ.diameter - d) <= 1e-9 * d
 
@@ -919,20 +931,77 @@ def test_holding_report_verdicts():
         f"evaluations used), but blocking certificates are incomplete")
 
 
+def _blocked_reason(block):
+    return (f"the body passes through the circle and sections wider than "
+            f"it lie on both sides (margins {block.above.margin:.3g} above, "
+            f"{block.below.margin:.3g} below), so no translation carries "
+            f"the circle past them; rotations are not examined")
+
+
 def test_report_says_when_the_escape_search_did_no_work():
-    # the waist circle touches the body, so no motion can be certified
+    # the waist circle touches the body, but it is linked and blocked on
+    # both sides: the gates decide and no search runs
     inst = flat_tetrahedron(0.2)
     rep = holding_report(inst.body, inst.circle, budget=2000)
+    assert rep.verdict == VERDICT_EVIDENCE and rep.escape is None
+    assert rep.reasons == [_blocked_reason(rep.block)]
+    assert report_to_dict(rep)["escape"] is None
+
+    # the thinnest spindle's waist touches the body and is not blocked
+    # above, so the search runs and no motion can be certified
+    inst = octahedron_iceberg(1.001, 10.0)
+    rep = holding_report(inst.body, inst.circle, budget=2000)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
     assert rep.escape.start_clearance <= 0.0
     assert rep.escape.checks_used == 1
     assert any("did no work" in r for r in rep.reasons)
     assert report_to_dict(rep)["escape"]["start_clearance"] <= 0.0
 
+    inst = flat_tetrahedron(0.2)
     loose = Circle3(inst.circle.center, 1.05 * inst.circle.diameter,
                     inst.circle.normal)
     rep = holding_report(inst.body, loose, budget=2000)
     assert rep.escape.start_clearance > 0.0
     assert not any("did no work" in r for r in rep.reasons)
+
+
+def test_march_never_frees_a_linked_circle_blocked_on_both_sides():
+    # a linked circle translates free only if every section on one side
+    # of its plane fits through it, so the march must fail wherever the
+    # gates certify; the report then runs no search
+    rng = np.random.default_rng(11)
+    poses = []
+    motions = [(np.linalg.qr(rng.standard_normal((3, 3)))[0],
+                rng.uniform(-5.0, 5.0, 3)) for _ in range(2)]
+    for inst in (octahedron_iceberg(1.2, 10.0), octahedron_iceberg(1.05, 50.0),
+                 flat_tetrahedron(0.2), skew_tetrahedron(0.1),
+                 wd_tetrahedron(1.0, 1.0, 1.0), bevelled_cylinder(10.0, 64)):
+        c = inst.circle
+        for q, s in motions:
+            K = build_hull(inst.body.vertices @ q.T + s)
+            poses += [(K, Circle3(tuple(q @ c.center_array + s),
+                                  c.diameter * (1.0 + eps),
+                                  tuple(q @ np.asarray(c.normal))))
+                      for eps in (0.0, 1e-4, 1e-3, 1e-2)]
+    for _ in range(10):
+        K = build_hull(rng.standard_normal((rng.integers(5, 14), 3)))
+        for axis in np.eye(3):
+            for d, t, c2, sc in holding._waist_candidates(K, axis, TOL_OPT):
+                poses += [(K, Circle3(tuple(sc.lift(c2, t)), d * (1.0 + eps),
+                                      tuple(sc.frame[2])))
+                          for eps in (0.0, 1e-3)]
+    certified = escaped = 0
+    for K, C in poses:
+        rep = holding_report(K, C, budget=2000)
+        if rep.verdict != VERDICT_EVIDENCE:
+            # the march is live: it frees some circles the gates reject
+            escaped += rep.verdict == VERDICT_ESCAPE
+            continue
+        certified += 1
+        assert rep.escape is None
+        assert rep.reasons == [_blocked_reason(rep.block)]
+        assert not escape_search(K, C, budget=2000).found
+    assert certified >= 60 and escaped >= 1
 
 
 def test_skew_tetra_check_shows_the_work_of_its_escape_searches():
@@ -953,7 +1022,7 @@ def test_skew_tetra_check_shows_the_work_of_its_escape_searches():
 
 def test_min_holding_circle_flat_tetrahedron():
     inst = flat_tetrahedron(0.2)
-    circ, rep = min_holding_circle(inst.body, escape_budget=800)
+    circ, rep = min_holding_circle(inst.body)
     assert circ.diameter == pytest.approx(
         inst.predictions["diameter"].value, abs=1e-6)
     assert rep.verdict == VERDICT_EVIDENCE
@@ -965,7 +1034,7 @@ def test_min_holding_circle_reports_with_the_gates_it_computed(monkeypatch):
     block = holding.translation_block_certificate
     monkeypatch.setattr(holding, "translation_block_certificate",
                         lambda K, C, *a: blocked.append(C) or block(K, C, *a))
-    circ, rep = min_holding_circle(inst.body, escape_budget=800)
+    circ, rep = min_holding_circle(inst.body)
     # each candidate circle is blocked once, the reported one included
     assert circ in blocked and len(set(blocked)) == len(blocked)
     monkeypatch.undo()
@@ -974,14 +1043,14 @@ def test_min_holding_circle_reports_with_the_gates_it_computed(monkeypatch):
 
 def test_min_holding_circle_matches_waist_in_equality_class():
     inst = wd_tetrahedron(1.0, 1.0, 1.0)
-    circ, _ = min_holding_circle(inst.body, escape_budget=800)
+    circ, _ = min_holding_circle(inst.body)
     assert circ.diameter == pytest.approx(
         inst.predictions["waist_diameter"].value, abs=1e-6)
 
 
 def test_min_holding_circle_rejects_cube():
     with pytest.raises(NotFound):
-        min_holding_circle(CUBE, escape_budget=300)
+        min_holding_circle(CUBE)
 
 
 def test_chain_certificate_octahedron():

@@ -166,23 +166,14 @@ def test_chain_cycle_rejects_boundaries_that_are_not_one_cycle(edges,
         _chain_cycle(edges)
 
 
-#: a point on an edge survives the joggled hull as a vertex, and its
-#: triangles with the edge's ends are collinear on the original coordinates
-#: (``face_planes`` raises); the fallback does not yet drop such points
-_FALLBACK_KEEPS_EDGE_POINTS = pytest.mark.xfail(
-    strict=True, raises=DegenerateInput,
-    reason="jitter fallback keeps points interior to a hull edge")
-
-
 @pytest.mark.parametrize("cloud", [
     np.vstack([CUBE, [[0.5, 0.5, 0.5], [0.5, 0.5, 0.0]]]),
     np.random.default_rng(8).standard_normal((12, 3)),
     bevelled_cylinder(10.0, 64).body.vertices,
-    pytest.param(np.vstack([CUBE, [[0.5, 0.0, 0.0]]]),
-                 marks=_FALLBACK_KEEPS_EDGE_POINTS),
-    pytest.param(
-        np.random.default_rng(4).integers(0, 3, (30, 3)).astype(float),
-        marks=_FALLBACK_KEEPS_EDGE_POINTS),
+    # a point on an edge is a vertex of the joggled hull, and its triangles
+    # with the edge's ends are collinear on the original coordinates
+    np.vstack([CUBE, [[0.5, 0.0, 0.0]]]),
+    np.random.default_rng(4).integers(0, 3, (30, 3)).astype(float),
 ], ids=["cube-centres", "gaussian", "bevelled", "cube-edge-midpoint",
         "lattice"])
 def test_build_hull_jitter_fallback_keeps_the_vertices(cloud, monkeypatch):
