@@ -160,6 +160,10 @@ def _verdict_exit(verdict: str | None, require: bool) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.budget is not None and not args.circle:
+        print("error: --budget needs --circle: the search for the smallest "
+              "certified circle runs no escape search", file=sys.stderr)
+        return 1
     body, circle = _load_pair(args)
     budget = args.budget if args.budget is not None else 20_000
     written: list[str] = []
@@ -356,7 +360,8 @@ _FLAGS = {
                     help="optimization / strictness tolerance"),
     "theta-samples": dict(type=int, default=720,
                           help="projected-width profile angles per half-turn"),
-    "budget": dict(type=int, help="escape-search collision-check budget"),
+    "budget": dict(type=int, help="escape-search collision-check budget "
+                   "(analyze reads it only with --circle)"),
     "seed": dict(type=int, default=DEFAULT_SEED,
                  help="random seed (all randomness is seeded)"),
     "out-dir": dict(type=Path, help="directory for output files"),

@@ -32,7 +32,6 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (CertificationError, InvalidInput, InvalidStart,
                      NoBlockingSlice, NotFound)
@@ -42,8 +41,9 @@ from .planar import (Circle2, Polygon2, _welzl, best_fit_equilateral,
 # the public forms of the slice kernel and the strip width; bench/tracing.py
 # wraps them under this module's name
 from .planar import horizontal_width, min_enclosing_circle  # noqa: F401
-from .polytope import (HalfSpace, Polytope3, _min_shadow_width, build_hull,
-                       clip_halfspace, min_cylinder, plane_frame, width3)
+from .polytope import (HalfSpace, Polytope3, _min_shadow_width, _polish_axis,
+                       build_hull, clip_halfspace, min_cylinder, plane_frame,
+                       width3)
 # the scalar oracle of ``_edge_pair_distances``; bench/tracing.py wraps it
 # under this module's name
 from .polytope import segment_distance  # noqa: F401
@@ -742,7 +742,6 @@ class HoldingReport:
     surrounds_slice: bool
     block: TranslationBlock
     edge_bound: float | None
-    edge_bound_pair: tuple[int, int] | None
     escape: EscapeResult | None
     verdict: str
     reasons: list[str] = field(default_factory=list)
@@ -791,9 +790,8 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int,
     reasons: list[str] = []
 
     edge_bound = None
-    edge_pair = None
     try:
-        edge_bound, edge_pair = nonintersecting_edge_bound(K)
+        edge_bound, _ = nonintersecting_edge_bound(K)
     except InvalidInput:
         pass
 
@@ -832,19 +830,18 @@ def _report(K: Polytope3, C: Circle3, gates, *, budget: int,
                            f"blocking certificates are incomplete")
 
     return HoldingReport(C, not pen.intersects, pen.penetration, surrounds,
-                         block, edge_bound, edge_pair, escape, verdict,
-                         reasons)
+                         block, edge_bound, escape, verdict, reasons)
 
 
 # ---------------------------------------------------------------------------
 # projection chain certificate
 # ---------------------------------------------------------------------------
 
-def _directions_surround_origin(u: np.ndarray, slack: float = 1e-7) -> bool:
+def _directions_surround_origin(u: np.ndarray) -> bool:
     """True if the unit vectors positively span the plane (origin in hull)."""
     ang = np.sort(np.arctan2(u[:, 1], u[:, 0]))
     gaps = np.diff(np.concatenate([ang, [ang[0] + 2.0 * np.pi]]))
-    return bool(gaps.max() < np.pi - slack)
+    return bool(gaps.max() < np.pi - 1e-7)
 
 
 @dataclass
@@ -1290,21 +1287,12 @@ def min_holding_circle(K: Polytope3, *, tol_geom: float = TOL_GEOM,
     if filtered:
         dia0, cen0, ax0 = filtered[0]
 
-        def waist_along(x) -> float:
-            th, ph = x
-            axis = np.array([np.sin(th) * np.cos(ph),
-                             np.sin(th) * np.sin(ph), np.cos(th)])
+        def waist_along(axis) -> float:
             return min(_waists(_SliceScanner(K, axis), tol_opt, smallest=True),
                        1e30)
 
-        th0 = float(np.arccos(np.clip(ax0[2], -1, 1)))
-        ph0 = float(np.arctan2(ax0[1], ax0[0]))
-        res = minimize(waist_along, np.array([th0, ph0]), method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 60})
-        if res.fun < dia0 - 1e-12:
-            th, ph = res.x
-            axis = np.array([np.sin(th) * np.cos(ph),
-                             np.sin(th) * np.sin(ph), np.cos(th)])
+        dia, axis = _polish_axis(waist_along, [ax0], 1e-7, 1e-12, 60)
+        if dia < dia0 - 1e-12:
             extra = _waist_candidates(K, axis, tol_opt)
             extra.sort(key=lambda c: c[0])
             if extra:
@@ -1337,18 +1325,14 @@ class ExtremalityDiagnostics:
     equally spaced points on it.  ``hausdorff`` measures the region's
     distance from its best-fit equilateral triangle; ``cluster_distance``
     the worst contact's distance to the nearest of three ideal tangency
-    points (optimized over their common rotation).  ``normalized`` values
-    rescale the configuration so the circle has diameter 2.  ``slacks``
+    points (optimized over their common rotation).  ``slacks``
     lists the gaps in the chain inequalities — all of them shrink to zero
     exactly in the extremal limit.
     """
 
     hausdorff: float
-    hausdorff_normalized: float
     cluster_distance: float
-    cluster_distance_normalized: float
     cluster_rotation: float
-    triangle2: np.ndarray | None
     slacks: dict[str, float]
     chain: ChainCertificate
 
@@ -1360,15 +1344,12 @@ def extremality_diagnostics(K: Polytope3, C: Circle3,
     if chain is None:
         chain = chain_certificate(K, C)
     d = C.diameter
-    scale = 2.0 / d
 
     if chain.region_kind == "polygon":
-        tri, haus, _, _ = best_fit_equilateral(
+        _, haus, _, _ = best_fit_equilateral(
             Polygon2.from_points(chain.region2),
             height=chain.values["width2_region"])
-        tri2 = tri.vertices
     else:
-        tri2 = None
         haus = float("inf")
 
     # the contacts lie on the circle, so the cost grows with each contact's
@@ -1394,7 +1375,6 @@ def extremality_diagnostics(K: Polytope3, C: Circle3,
         "region_vs_diameter_bound": v["diameter_bound"] - v["width2_region"],
     }
     return ExtremalityDiagnostics(
-        hausdorff=haus, hausdorff_normalized=haus * scale,
-        cluster_distance=v_best, cluster_distance_normalized=v_best * scale,
-        cluster_rotation=psi_best, triangle2=tri2, slacks=slacks, chain=chain,
+        hausdorff=haus, cluster_distance=v_best, cluster_rotation=psi_best,
+        slacks=slacks, chain=chain,
     )

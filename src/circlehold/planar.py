@@ -39,7 +39,7 @@ def as_points(points) -> np.ndarray:
     return pts
 
 
-def _hull(pts: list, tol: float = TOL_GEOM) -> list:
+def _hull(pts: list) -> list:
     """Counterclockwise hull of a list of finite ``(x, y)`` pairs, as a list
     of tuples from the lexicographically smallest: Andrew's monotone chain
     (Andrew 1979) on floats.
@@ -49,7 +49,7 @@ def _hull(pts: list, tol: float = TOL_GEOM) -> list:
     turns by at most ``1e-15·M²``, ``M`` the largest coordinate magnitude.
     So points off a hull edge only by rounding are not vertices, and no two
     vertices nearly coincide.  A set without such a turn gives its two
-    extreme points, or one when they are within ``tol``.
+    extreme points, or one when they are within ``TOL_GEOM``.
     """
     P = sorted(set(map(tuple, pts)))
     hull = P
@@ -77,12 +77,12 @@ def _hull(pts: list, tol: float = TOL_GEOM) -> list:
             del hull[k]
         hull = [P[0], P[-1]]
     if len(hull) == 2 and hypot(hull[1][0] - hull[0][0],
-                                hull[1][1] - hull[0][1]) <= tol:
+                                hull[1][1] - hull[0][1]) <= TOL_GEOM:
         hull = hull[:1]
     return hull
 
 
-def convex_hull_2d(points, tol: float = TOL_GEOM) -> np.ndarray:
+def convex_hull_2d(points) -> np.ndarray:
     """Counterclockwise hull vertices of a 2D point set, starting at the
     lexicographically smallest.
 
@@ -91,7 +91,7 @@ def convex_hull_2d(points, tol: float = TOL_GEOM) -> np.ndarray:
     the one or two extreme points instead of raising, so callers can flag
     thin slices.
     """
-    return np.array(_hull(as_points(points).tolist(), tol),
+    return np.array(_hull(as_points(points).tolist()),
                     dtype=float).reshape(-1, 2)
 
 
@@ -100,7 +100,7 @@ class Polygon2:
 
     __slots__ = ("vertices",)
 
-    def __init__(self, vertices, validate: bool = True, tol: float = TOL_GEOM):
+    def __init__(self, vertices, validate: bool = True):
         verts = as_points(vertices)
         if validate:
             if len(verts) < 3:
@@ -108,13 +108,13 @@ class Polygon2:
             e = np.roll(verts, -1, axis=0) - verts
             cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
             scale = max(1.0, float(np.abs(verts).max()))
-            if np.any(cross < -tol * scale * scale):
+            if np.any(cross < -TOL_GEOM * scale * scale):
                 raise InvalidInput("vertices are not in convex counterclockwise order")
         self.vertices = verts
 
     @classmethod
-    def from_points(cls, points, tol: float = TOL_GEOM) -> "Polygon2":
-        verts = convex_hull_2d(points, tol)
+    def from_points(cls, points) -> "Polygon2":
+        verts = convex_hull_2d(points)
         if len(verts) < 3:
             raise DegenerateInput("points are collinear or coincident")
         return cls(verts, validate=False)
@@ -147,10 +147,10 @@ class Polygon2:
         b = np.einsum("ij,ij->i", n, v)
         return n, b
 
-    def contains(self, point, tol: float = TOL_GEOM) -> bool:
+    def contains(self, point) -> bool:
         n, b = self.edge_lines()
         p = np.asarray(point, float)
-        return bool(np.all(n @ p <= b + tol))
+        return bool(np.all(n @ p <= b + TOL_GEOM))
 
 
 @dataclass(frozen=True)
@@ -175,10 +175,6 @@ class Strip:
 class Circle2:
     center: tuple[float, float]
     radius: float
-
-    def contains(self, point, tol: float = TOL_GEOM) -> bool:
-        d = np.hypot(point[0] - self.center[0], point[1] - self.center[1])
-        return d <= self.radius + tol
 
 
 def _vertices_of(P) -> np.ndarray:
@@ -320,48 +316,49 @@ class SplitWidths:
     residual_max: float
 
 
-def clip_halfplane_2d(vertices: np.ndarray, normal, offset: float,
-                      tol: float = TOL_GEOM) -> np.ndarray:
+def clip_halfplane_2d(vertices: np.ndarray, normal, offset: float) -> np.ndarray:
     """Clip a convex polygon against ``normal . p <= offset``.
 
     The signed distances are one matrix product; the walk round the polygon
-    runs on floats and drops each point within ``tol`` of the point kept
-    before it, and the last point when it is within ``tol`` of the first."""
+    runs on floats and drops each point within ``TOL_GEOM`` of the point
+    kept before it, and the last point when it is within ``TOL_GEOM`` of
+    the first."""
     verts = as_points(vertices)
     d = (verts @ np.asarray(normal, float) - offset).tolist()
     pts = verts.tolist()
     out: list[tuple[float, float]] = []
 
     def add(x: float, y: float) -> None:
-        if not out or hypot(x - out[-1][0], y - out[-1][1]) > tol:
+        if not out or hypot(x - out[-1][0], y - out[-1][1]) > TOL_GEOM:
             out.append((x, y))
 
     for (px, py), (qx, qy), dp, dq in zip(pts, pts[1:] + pts[:1],
                                           d, d[1:] + d[:1]):
-        if dp <= tol:
+        if dp <= TOL_GEOM:
             add(px, py)
-        if (dp < -tol and dq > tol) or (dp > tol and dq < -tol):
+        if ((dp < -TOL_GEOM and dq > TOL_GEOM)
+                or (dp > TOL_GEOM and dq < -TOL_GEOM)):
             lam = dp / (dp - dq)
             add(px + lam * (qx - px), py + lam * (qy - py))
     if len(out) > 1 and hypot(out[-1][0] - out[0][0],
-                              out[-1][1] - out[0][1]) <= tol:
+                              out[-1][1] - out[0][1]) <= TOL_GEOM:
         out.pop()
     return np.array(out).reshape(-1, 2)
 
 
-def split_width_identities(P, level: float = 0.0, tol: float = TOL_GEOM) -> SplitWidths:
+def split_width_identities(P, level: float = 0.0) -> SplitWidths:
     """Split a convex polygon by the horizontal line ``t = level`` and
     report the four horizontal widths together with the identity residuals
     ``|w_h(chord) - min(upper, lower)|`` and ``|w_h(union) - max(...)|``.
     """
     poly = P if isinstance(P, Polygon2) else Polygon2.from_points(P)
     t = poly.vertices[:, 1]
-    if t.max() <= level + tol or t.min() >= level - tol:
+    if t.max() <= level + TOL_GEOM or t.min() >= level - TOL_GEOM:
         raise InvalidInput("polygon must have vertices strictly on both sides "
                            f"of t = {level}")
-    upper = clip_halfplane_2d(poly.vertices, (0.0, -1.0), -level, tol)
-    lower = clip_halfplane_2d(poly.vertices, (0.0, 1.0), level, tol)
-    chord = upper[np.abs(upper[:, 1] - level) <= 10 * tol]
+    upper = clip_halfplane_2d(poly.vertices, (0.0, -1.0), -level)
+    lower = clip_halfplane_2d(poly.vertices, (0.0, 1.0), level)
+    chord = upper[np.abs(upper[:, 1] - level) <= 10 * TOL_GEOM]
     wa, _ = horizontal_width(upper)
     wb, _ = horizontal_width(lower)
     wc, _ = horizontal_width(chord) if len(chord) else (0.0, None)
@@ -611,12 +608,12 @@ def best_fit_equilateral(P, height: float | None = None):
 # random polygon generators (for property-style tests)
 # ---------------------------------------------------------------------------
 
-def random_convex_polygon(rng: np.random.Generator, k_min: int = 5,
-                          k_max: int = 30, radius: float = 1.0) -> Polygon2:
-    """Convex hull of ``k`` uniform points in a disk, ``k`` in [k_min, k_max]."""
+def random_convex_polygon(rng: np.random.Generator) -> Polygon2:
+    """Convex hull of ``k`` uniform points in the unit disk, ``k`` in
+    [5, 30]."""
     while True:
-        k = int(rng.integers(k_min, k_max + 1))
-        r = radius * np.sqrt(rng.random(k))
+        k = int(rng.integers(5, 31))
+        r = np.sqrt(rng.random(k))
         ang = rng.random(k) * 2.0 * np.pi
         pts = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
         hull = convex_hull_2d(pts)
@@ -624,9 +621,9 @@ def random_convex_polygon(rng: np.random.Generator, k_min: int = 5,
             return Polygon2(hull, validate=False)
 
 
-def random_axis_crossing_polygon(rng: np.random.Generator, **kw) -> Polygon2:
+def random_axis_crossing_polygon(rng: np.random.Generator) -> Polygon2:
     """Random convex polygon with vertices strictly on both sides of t = 0."""
-    poly = random_convex_polygon(rng, **kw)
+    poly = random_convex_polygon(rng)
     t = poly.vertices[:, 1]
     lo, hi = float(t.min()), float(t.max())
     # place the axis strictly inside the vertical extent

@@ -33,12 +33,6 @@ class HalfSpace:
     normal: tuple[float, float, float]
     offset: float
 
-    def signed_distance(self, point) -> float:
-        return float(np.dot(self.normal, point) - self.offset)
-
-    def contains(self, point, tol: float = TOL_GEOM) -> bool:
-        return self.signed_distance(point) <= tol
-
 
 @dataclass(frozen=True)
 class WidthResult:
@@ -227,9 +221,9 @@ class Polytope3:
             verts = verts + np.asarray(translation, float)
         return Polytope3(verts, self.faces, validate=False)
 
-    def contains(self, point, tol: float = TOL_GEOM) -> bool:
+    def contains(self, point) -> bool:
         n, b = self.face_planes()
-        return bool(np.all(n @ np.asarray(point, float) <= b + tol))
+        return bool(np.all(n @ np.asarray(point, float) <= b + TOL_GEOM))
 
     def __repr__(self) -> str:
         return (f"Polytope3({len(self.vertices)} vertices, "
@@ -469,14 +463,14 @@ def _min_shadow_width(K: Polytope3, n) -> float:
 # clipping
 # ---------------------------------------------------------------------------
 
-def clip_halfspace(K: Polytope3, hs: HalfSpace, tol: float = TOL_GEOM) -> Polytope3:
+def clip_halfspace(K: Polytope3, hs: HalfSpace) -> Polytope3:
     """Intersection of a polytope with a half-space, as a new polytope.
 
-    A vertex within ``tol * scale`` of the plane counts as on it; edges
-    that cross from one side of that window to the other add their
+    A vertex within ``TOL_GEOM * scale`` of the plane counts as on it;
+    edges that cross from one side of that window to the other add their
     crossing points."""
     d = K.vertices @ np.asarray(hs.normal, float) - hs.offset
-    eps = tol * max(1.0, float(np.abs(K.vertices).max()))
+    eps = TOL_GEOM * max(1.0, float(np.abs(K.vertices).max()))
     if d.max() <= eps:
         return K
     if d.min() >= -eps:
@@ -536,12 +530,17 @@ def _icosphere_directions(level: int = 5) -> np.ndarray:
     return out
 
 
-def _cylinder_radius_for_axis(V: np.ndarray, axis: np.ndarray,
-                              seed: int = 1) -> tuple[float, Circle2]:
+def _cylinder_radius_for_axis(V: np.ndarray,
+                              axis: np.ndarray) -> tuple[float, Circle2]:
+    """Radius and circle, in the frame of :func:`plane_frame`, of the
+    cylinder around ``V`` along ``axis``: the enclosing circle's centre and
+    the farthest projected vertex, as that circle counts points within
+    ``1e-12 * scale`` outside it as inside."""
     e1, e2, _ = plane_frame(axis)
     p2 = np.stack([V @ e1, V @ e2], axis=1)
-    c = min_enclosing_circle(p2, seed=seed)
-    return c.radius, c
+    c = min_enclosing_circle(p2, seed=1)
+    r = float(np.hypot(p2[:, 0] - c.center[0], p2[:, 1] - c.center[1]).max())
+    return r, Circle2(c.center, r)
 
 
 # in-plane directions of the radius lower bound: the half extent along any
@@ -599,20 +598,48 @@ def _best_grid_axes(V: np.ndarray, axes: np.ndarray,
     return best
 
 
+def _polish_axis(f, starts, xatol: float, fatol: float,
+                 maxiter: int) -> tuple[float, np.ndarray | None]:
+    """Nelder-Mead minimum of ``f`` over unit axes in the polar angles
+    ``(arccos z, atan2(y, x))``, run once from each start whose angles no
+    earlier start has: the best run's value and axis, the first on ties."""
+    def axis(x) -> np.ndarray:
+        th, ph = x
+        return np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                         np.cos(th)])
+
+    best_f, best_axis = math.inf, None
+    seen = set()
+    for a in starts:
+        x0 = (float(np.arccos(np.clip(a[2], -1, 1))),
+              float(np.arctan2(a[1], a[0])))
+        if x0 in seen:
+            continue
+        seen.add(x0)
+        res = minimize(lambda x: f(axis(x)), np.array(x0),
+                       method="Nelder-Mead",
+                       options={"xatol": xatol, "fatol": fatol,
+                                "maxiter": maxiter})
+        if res.fun < best_f:
+            best_f, best_axis = float(res.fun), axis(res.x)
+    return best_f, best_axis
+
+
 def min_cylinder(K: Polytope3, refine: bool = True,
                  grid_level: int = 5) -> CylinderResult:
     """Smallest circumscribing circular cylinder of a polytope.
 
-    The radius for a fixed axis direction is the radius of the minimal
-    enclosing circle of the projected vertices — an exact computation — but
-    the dependence on the axis direction is only piecewise-smooth, so the
+    The radius for a fixed axis direction comes from the minimal enclosing
+    circle of the projected vertices — an exact computation — but the
+    dependence on the axis direction is only piecewise-smooth, so the
     direction search combines a dense icosphere grid, the polytope's face
     normals and edge directions, and a local simplex polish of the five
     best grid hits (see :func:`_best_grid_axes`; equal radii rank by
-    candidate index), each distinct start polished once: the candidates
-    repeat axes, and a repeated start repeats the same run.  The result is
-    a certified upper bound that is exact whenever the optimal axis is
-    among the candidates (e.g. a symmetry axis).
+    candidate index), each distinct start once (:func:`_polish_axis`).
+    The radius is the farthest projected vertex's distance from the axis,
+    so the cylinder contains the body up to rounding: an upper bound that
+    is exact whenever the optimal axis is among the candidates (e.g. a
+    symmetry axis).
     """
     V = K.vertices
     n, _ = K.face_planes()
@@ -624,29 +651,14 @@ def min_cylinder(K: Polytope3, refine: bool = True,
     cands[flip] *= -1
     best = _best_grid_axes(V, cands, 5 if refine else 1)
 
-    def spherical(a):
-        th, ph = a
-        return np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
-                         np.cos(th)])
-
     best_r, best_idx = best[0]
     best_axis = cands[best_idx]
     if refine:
-        starts = set()
-        for _, idx in best:
-            a0 = cands[idx]
-            th0 = float(np.arccos(np.clip(a0[2], -1, 1)))
-            ph0 = float(np.arctan2(a0[1], a0[0]))
-            if (th0, ph0) in starts:     # the same run: nothing new
-                continue
-            starts.add((th0, ph0))
-            res = minimize(lambda x: _cylinder_radius_for_axis(V, spherical(x))[0],
-                           np.array([th0, ph0]), method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-13,
-                                    "maxiter": 400})
-            if res.fun < best_r:
-                best_r = float(res.fun)
-                best_axis = spherical(res.x)
+        r, axis = _polish_axis(
+            lambda a: _cylinder_radius_for_axis(V, a)[0],
+            [cands[idx] for _, idx in best], 1e-10, 1e-13, 400)
+        if r < best_r:
+            best_axis = axis
 
     best_axis = _unit(best_axis)
     r, circ = _cylinder_radius_for_axis(V, best_axis)

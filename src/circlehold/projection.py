@@ -99,10 +99,6 @@ class IcebergProfile:
     margin_flipped_theta: float
     orientation: str
 
-    @property
-    def margins(self) -> np.ndarray:
-        return self.width_lower - self.width_upper
-
 
 def iceberg_profile(K: Polytope3, level: float = 0.0,
                     theta_samples: int = 720) -> IcebergProfile:

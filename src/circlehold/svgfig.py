@@ -21,9 +21,10 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def profile_svg(profile: IcebergProfile, width: int = 640,
-                height: int = 360) -> str:
-    """Plot both horizontal-width curves against the projection angle."""
+def profile_svg(profile: IcebergProfile) -> str:
+    """Plot both horizontal-width curves against the projection angle, on
+    a 640 by 360 canvas."""
+    width, height = 640, 360
     th = np.asarray(profile.thetas)
     wu = np.asarray(profile.width_upper)
     wl = np.asarray(profile.width_lower)
@@ -76,10 +77,11 @@ def profile_svg(profile: IcebergProfile, width: int = 640,
     return "\n".join(parts) + "\n"
 
 
-def planar_svg(polygons=(), circles=(), points=(), width: int = 480,
-               height: int = 480, margin_frac: float = 0.08) -> str:
+def planar_svg(polygons=(), circles=(), points=()) -> str:
     """Planar scene: polygons (point arrays), circles ((center, radius)),
-    and marked points, auto-scaled to a common frame."""
+    and marked points, auto-scaled to a common 480 by 480 frame with an 8 %
+    margin."""
+    size = 480
     xs, ys = [], []
     for poly in polygons:
         arr = np.asarray(poly, float)
@@ -96,21 +98,21 @@ def planar_svg(polygons=(), circles=(), points=(), width: int = 480,
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
-    pad = span * margin_frac
+    pad = span * 0.08
     span += 2 * pad
-    scale = min(width, height) / span
+    scale = size / span
 
     def px(x):
         return (x - lo_x + pad) * scale
 
     def py(y):
-        return height - (y - lo_y + pad) * scale
+        return size - (y - lo_y + pad) * scale
 
     palette = ["#2040c0", "#20a060", "#c08020", "#a020a0"]
     parts = [
-        f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' "
-        f"height='{height}' viewBox='0 0 {width} {height}'>",
-        f"<rect width='{width}' height='{height}' fill='white'/>",
+        f"<svg xmlns='http://www.w3.org/2000/svg' width='{size}' "
+        f"height='{size}' viewBox='0 0 {size} {size}'>",
+        f"<rect width='{size}' height='{size}' fill='white'/>",
     ]
     for i, poly in enumerate(polygons):
         arr = np.asarray(poly, float)

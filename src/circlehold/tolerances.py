@@ -3,8 +3,10 @@
 Two scales are distinguished.  ``TOL_GEOM`` guards exact-style predicates on
 coordinates that come straight from the input (point on plane, point inside
 polytope).  ``TOL_OPT`` is the looser scale for quantities produced by
-iterative optimisation (cylinder diameters, blocking margins).  Both can be
-overridden per call; the module constants are only defaults.
+iterative optimisation (cylinder diameters, blocking margins).  The
+holding-circle entry points take both per call, and ``point_location`` and
+``Strip.contains`` take ``tol``; the other planar and polytope predicates
+use ``TOL_GEOM`` as a constant.
 """
 
 TOL_GEOM = 1e-9

@@ -5,7 +5,7 @@ import functools
 
 import numpy as np
 
-from circlehold import Circle3, build_hull
+from circlehold import Circle3, CircleHoldError, build_hull
 
 
 @functools.cache
@@ -19,7 +19,7 @@ def oracle_agreement_cases(seed=7):
         pts = rng.standard_normal((rng.integers(8, 15), 3))
         try:
             body = build_hull(pts)
-        except Exception:
+        except CircleHoldError:
             out.append((pts, None, None))
             continue
         center = rng.standard_normal(3) * 1.2

@@ -53,14 +53,23 @@ def test_construct_missing_parameter(tmp_path, capsys):
 
 def test_analyze_finds_holding_circle(tmp_path, capsys):
     construct(tmp_path, "flat-tetra", "--eps", "0.2")
-    code = run(["analyze", tmp_path / "body.json", "--budget", "800",
-                "--out-dir", tmp_path])
+    code = run(["analyze", tmp_path / "body.json", "--out-dir", tmp_path])
     assert code == 0
     doc = json.loads((tmp_path / "analysis.json").read_text())
     assert doc["holding"]["verdict"] == "CertifiedHoldingEvidence"
     assert doc["holding"]["circle"]["diameter"] == pytest.approx(
         0.392232270276, abs=1e-6)
     assert "CertifiedHoldingEvidence" in capsys.readouterr().out
+
+
+def test_analyze_budget_needs_a_circle(tmp_path, capsys):
+    construct(tmp_path, "flat-tetra", "--eps", "0.2")
+    capsys.readouterr()
+    code = run(["analyze", tmp_path / "body.json", "--budget", "800"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "--circle" in captured.err
+    assert captured.out == ""
 
 
 def test_analyze_reports_the_width_of_an_nd_body(tmp_path, capsys):

@@ -15,6 +15,7 @@ from profile_reference import (inward_intervals, sampled_grid,
 
 from circlehold import (
     Circle3,
+    CircleHoldError,
     DegenerateInput,
     InvalidInput,
     InvalidStart,
@@ -118,7 +119,7 @@ def test_sampled_penetration_tracks_exact():
         pts = rng.standard_normal((int(rng.integers(8, 14)), 3))
         try:
             K = build_hull(pts)
-        except Exception:
+        except CircleHoldError:
             continue
         c = Circle3(tuple(rng.standard_normal(3) * 0.8), 0.4 + 2.0 * rng.random(),
                     tuple(rng.standard_normal(3)))
@@ -128,6 +129,21 @@ def test_sampled_penetration_tracks_exact():
             assert depth > 0.0
         if not exact.intersects:
             assert depth <= 1e-6
+
+
+def test_oracle_agreement_does_not_hide_a_fault(monkeypatch):
+    build_hull = verification.polytope.build_hull
+    calls = []
+
+    def broken_once(pts):
+        calls.append(pts)
+        if len(calls) == 1:
+            raise RuntimeError("hull kernel fault")
+        return build_hull(pts)
+
+    monkeypatch.setattr(verification.polytope, "build_hull", broken_once)
+    with pytest.raises(RuntimeError, match="hull kernel fault"):
+        verification.check_oracle_agreement(7)
 
 
 def test_surrounds_slice():

@@ -622,6 +622,19 @@ def test_min_cylinder_polishes_each_start_once(monkeypatch):
     assert got == want
 
 
+def test_min_cylinder_contains_the_body():
+    # the radius is the farthest projected vertex, not the enclosing
+    # circle's, which counts points within 1e-12 * scale of it as inside
+    bodies = [*_cylinder_bodies(), skew_tetrahedron(0.1).body,
+              wd_tetrahedron(2.0, 2.0, 1.0).body]
+    for K in bodies:
+        res = min_cylinder(K)
+        a = res.axis_direction
+        rel = K.vertices - res.axis_point
+        dist = np.linalg.norm(rel - np.outer(rel @ a, a), axis=1)
+        assert dist.max() <= (1.0 + 1e-15) * res.diameter / 2.0
+
+
 def test_icosphere_directions_are_cached_read_only():
     from circlehold.polytope import _icosphere_directions
     dirs = _icosphere_directions(3)
