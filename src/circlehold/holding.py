@@ -5,8 +5,8 @@ body's interior and that no Euclidean displacement can move arbitrarily far
 from the body.  This module provides the computational side of that notion:
 
 - an exact circle-versus-polytope interior test with witnesses,
-- cross-section circumcircle profiles along an axis,
-- translation-blocking certificates (the one-parameter escape family),
+- translation-blocking certificates (the one-parameter escape family) on
+  the cross-section profiles of :mod:`circlehold.sections`,
 - a lower bound from pairwise distances of non-adjacent edges,
 - a certified straight-line escape search over circle poses,
 - the projection chain certificate that bounds the circle diameter from
@@ -26,18 +26,15 @@ constructive: it comes with a validated collision-free path.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import (CertificationError, InvalidInput, InvalidStart,
                      NoBlockingSlice, NotFound)
-from .planar import (Circle2, Polygon2, _welzl, best_fit_equilateral,
-                     chebyshev_inscribed, clip_halfplane_2d, convex_hull_2d,
-                     golden_refine, width2)
+from .planar import (Polygon2, best_fit_equilateral, chebyshev_inscribed,
+                     clip_halfplane_2d, convex_hull_2d, width2)
 # the public forms of the slice kernel and the strip width; bench/tracing.py
 # wraps them under this module's name
 from .planar import horizontal_width, min_enclosing_circle  # noqa: F401
@@ -47,6 +44,7 @@ from .polytope import (HalfSpace, Polytope3, _min_shadow_width, _polish_axis,
 # the scalar oracle of ``_edge_pair_distances``; bench/tracing.py wraps it
 # under this module's name
 from .polytope import segment_distance  # noqa: F401
+from .sections import _SliceScanner, _waists
 from .tolerances import DEFAULT_SEED, TOL_GEOM, TOL_OPT
 
 VERDICT_EVIDENCE = "CertifiedHoldingEvidence"
@@ -222,123 +220,6 @@ def sampled_penetration(K: Polytope3, C: Circle3,
 
 
 # ---------------------------------------------------------------------------
-# cross-section scanning
-# ---------------------------------------------------------------------------
-
-class _SliceScanner:
-    """Cross-sections of a polytope perpendicular to a fixed axis.
-
-    Works in the deterministic frame of :func:`plane_frame`; 2D coordinates
-    are relative to ``origin`` so a circle centered there sits at the
-    2D origin.  Vertex heights, 2D coordinates and edges are kept as
-    Python floats: a section of a few dozen edges is one short loop, where
-    numpy would spend most of its time on per-call overhead.
-
-    Between two consecutive distinct vertex heights the same edges cross
-    every plane, so each such interval keeps its crossing edges, in edge
-    order, and a section away from the vertex heights loops over those
-    alone."""
-
-    def __init__(self, K: Polytope3, axis, origin=None):
-        axis = np.asarray(axis, float)
-        self.origin = np.zeros(3) if origin is None else np.asarray(origin, float)
-        if not (np.isfinite(K.vertices).all() and np.isfinite(axis).all()
-                and np.isfinite(self.origin).all()):
-            raise InvalidInput("vertices, axis and origin must be finite")
-        e1, e2, n = plane_frame(axis)
-        self.frame = (e1, e2, n)
-        rel = K.vertices - self.origin
-        self.h = rel @ n
-        self.scale = max(1.0, float(np.abs(K.vertices).max()))
-        self.h_min = float(self.h.min())
-        self.h_max = float(self.h.max())
-        h = self.h.tolist()
-        xy = np.stack([rel @ e1, rel @ e2], axis=1).tolist()
-        self._vertices = [(hv, x, y) for hv, (x, y) in zip(h, xy)]
-        self._edges = [(h[a], h[b], *xy[a], *xy[b]) for a, b in K.edges]
-        # _spans[k]: the edges spanning (levels[k - 1], levels[k]); the
-        # first and the last list, outside the body, stay empty
-        self._levels = sorted(set(h))
-        rank = {hv: k for k, hv in enumerate(self._levels)}
-        self._spans: list[list[tuple]] = [[] for _ in range(len(rank) + 1)]
-        for (a, b), edge in zip(K.edges, self._edges):
-            ka, kb = rank[h[a]], rank[h[b]]
-            for k in range(min(ka, kb) + 1, max(ka, kb) + 1):
-                self._spans[k].append(edge)
-
-    def _section(self, t: float) -> tuple[list[tuple[float, float]], float]:
-        """Points of the section at height ``t`` and their largest
-        ``|coordinate|`` (0 when there are none): the vertices within
-        ``1e-12 * scale`` of the plane, then the crossings of the edges
-        that cut it, in edge order.
-
-        More than twice that tolerance away from every vertex height no
-        vertex is on the plane and exactly the interval's spanning edges
-        cut it, so only those are tested."""
-        eps = 1e-12 * self.scale
-        levels = self._levels
-        k = bisect_right(levels, t)
-        if ((k and t - levels[k - 1] <= 2.0 * eps)
-                or (k < len(levels) and levels[k] - t <= 2.0 * eps)):
-            pts = [(x, y) for hv, x, y in self._vertices if abs(hv - t) <= eps]
-            big = max([abs(c) for p in pts for c in p], default=0.0)
-            edges = self._edges
-        else:
-            pts = []
-            big = 0.0
-            edges = self._spans[k]
-        for ha, hb, ax, ay, bx, by in edges:
-            da = ha - t
-            db = hb - t
-            if (da < -eps and db > eps) or (da > eps and db < -eps):
-                lam = da / (da - db)
-                x = ax + lam * (bx - ax)
-                y = ay + lam * (by - ay)
-                pts.append((x, y))
-                if x > big or -x > big:
-                    big = abs(x)
-                if y > big or -y > big:
-                    big = abs(y)
-        return pts, big
-
-    def points2(self, t: float) -> np.ndarray:
-        return np.array(self._section(float(t))[0]).reshape(-1, 2)
-
-    def circum(self, t: float) -> Circle2 | None:
-        """Smallest circle around the section (that of
-        :func:`~circlehold.planar.min_enclosing_circle`, seed 1)."""
-        pts, big = self._section(float(t))
-        if not pts:
-            return None
-        cx, cy, r = _welzl(pts, 1e-12 * max(1.0, big), 1)
-        return Circle2((cx, cy), r)
-
-    def diam(self, t: float) -> float:
-        pts, big = self._section(float(t))
-        if not pts:
-            return 0.0
-        return 2.0 * _welzl(pts, 1e-12 * max(1.0, big), 1)[2]
-
-    def lift(self, p2, t: float) -> np.ndarray:
-        e1, e2, n = self.frame
-        return self.origin + p2[0] * e1 + p2[1] * e2 + t * n
-
-    def side_max(self, lo: float, hi: float) -> tuple[float, float]:
-        """Largest section circumdiameter on ``[lo, hi]`` and its height,
-        the lowest on ties.  The circumradius is convex between consecutive
-        vertex heights, so the maximum is at ``lo``, at ``hi`` or at a
-        vertex height between them: no other height is evaluated."""
-        levels = self._levels
-        inner = levels[bisect_right(levels, lo):bisect_left(levels, hi)]
-        best_t, best_d = lo, self.diam(lo)
-        for t in (*inner, hi):
-            d = self.diam(t)
-            if d > best_d:
-                best_t, best_d = t, d
-        return best_t, best_d
-
-
-# ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
 
@@ -379,7 +260,12 @@ def translation_block_certificate(K: Polytope3, C: Circle3,
     The section circumdiameter is convex between consecutive vertex
     heights, so only each side's near end (``1e-9 * span`` off the plane)
     and its vertex heights are evaluated."""
-    sc = _SliceScanner(K, np.asarray(C.normal, float), origin=C.center_array)
+    return _block(_SliceScanner(K, C.normal, C.center), C, tol_opt)
+
+
+def _block(sc: _SliceScanner, C: Circle3,
+           tol_opt: float) -> TranslationBlock:
+    """The certificate of ``C`` from its profile ``sc``."""
     d = C.diameter
     span = sc.h_max - sc.h_min
     unblocked = SideBlock(False, None, 0.0, -d)
@@ -402,11 +288,13 @@ def surrounds_slice(K: Polytope3, C: Circle3,
     non-empty and lies inside the closed disc bounded by the circle — i.e.
     the body actually passes through the circle rather than sitting beside
     it."""
-    sc = _SliceScanner(K, np.asarray(C.normal, float), origin=C.center_array)
-    if not (sc.h_min <= 0.0 <= sc.h_max):
-        return False
+    return _surrounds(_SliceScanner(K, C.normal, C.center), C, tol)
+
+
+def _surrounds(sc: _SliceScanner, C: Circle3, tol: float) -> bool:
+    """The test for ``C`` from its profile ``sc``."""
     P = sc.points2(0.0)
-    if len(P) == 0:
+    if not (sc.h_min <= 0.0 <= sc.h_max and len(P)):
         return False
     return bool(np.linalg.norm(P, axis=1).max() <= C.radius + tol * sc.scale)
 
@@ -756,10 +644,11 @@ class HoldingReport:
 
 
 def _gates(K: Polytope3, C: Circle3, tol_geom: float, tol_opt: float):
+    """Penetration, surround and blocking, the last two from one profile."""
     pen = circle_interior_intersects(K, C, tol_opt)
-    surrounds = surrounds_slice(K, C, tol_geom) if not pen.intersects else False
-    block = translation_block_certificate(K, C, tol_opt)
-    return pen, surrounds, block
+    sc = _SliceScanner(K, C.normal, C.center)
+    surrounds = not pen.intersects and _surrounds(sc, C, tol_geom)
+    return pen, surrounds, _block(sc, C, tol_opt)
 
 
 def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
@@ -779,21 +668,17 @@ def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
     clearance bound resolves.
     """
     return _report(K, C, _gates(K, C, tol_geom, tol_opt),
-                   budget=budget, tol_opt=tol_opt)
+                   _edge_pair_distances(K), budget=budget, tol_opt=tol_opt)
 
 
-def _report(K: Polytope3, C: Circle3, gates, *, budget: int,
+def _report(K: Polytope3, C: Circle3, gates, pairs, *, budget: int,
             tol_opt: float) -> HoldingReport:
     """The body of :func:`holding_report`, given the circle's
-    :func:`_gates`."""
+    :func:`_gates` and the body's :func:`_edge_pair_distances`."""
     pen, surrounds, block = gates
     reasons: list[str] = []
-
-    edge_bound = None
-    try:
-        edge_bound, _ = nonintersecting_edge_bound(K)
-    except InvalidInput:
-        pass
+    # the distance of nonintersecting_edge_bound, None without a pair
+    edge_bound = float(pairs[2].min()) if len(pairs[2]) else None
 
     escape = None
     if pen.intersects:
@@ -916,7 +801,7 @@ def chain_certificate(K: Polytope3, C: Circle3, *, side: str = "auto",
     every link of the chain is computed, none sampled.
     """
     d = C.diameter
-    sc = _SliceScanner(K, np.asarray(C.normal, float), origin=C.center_array)
+    sc = _SliceScanner(K, C.normal, C.center)
     if not (sc.h_min < -1e-12 * sc.scale and sc.h_max > 1e-12 * sc.scale):
         raise InvalidInput("circle plane does not cut the body interior")
     if side not in ("auto", "above", "below"):
@@ -1054,13 +939,13 @@ def chain_certificate(K: Polytope3, C: Circle3, *, side: str = "auto",
 # minimal-circle search
 # ---------------------------------------------------------------------------
 
-def _axis_candidates(K: Polytope3) -> list[np.ndarray]:
+def _axis_candidates(K: Polytope3, pairs) -> list[np.ndarray]:
     axes = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
             np.array([0.0, 1.0, 0.0])]
     cyl = min_cylinder(K, refine=False, grid_level=3)
     axes.append(np.asarray(cyl.axis_direction, float))
     segs = K.vertices[np.asarray(K.edges, int)]
-    I, J, D = _edge_pair_distances(K)
+    I, J, D = pairs
     for k in np.argsort(D, kind="stable")[:3]:
         i, j = I[k], J[k]
         d1 = segs[i, 1] - segs[i, 0]
@@ -1077,147 +962,6 @@ def _axis_candidates(K: Polytope3) -> list[np.ndarray]:
         if not any(abs(float(a @ b)) > 1.0 - 1e-9 for b in uniq):
             uniq.append(a)
     return uniq
-
-
-def _secant_floor(P, j: int) -> tuple[float, float]:
-    """Lower bound ``(value, height)`` on ``[P[j], P[j + 1]]`` of a convex
-    function sampled at the sorted ``(t, f(t))`` pairs ``P``: outside its
-    chord a convex function lies above the chord's line, so there it lies
-    above the secants of the neighbouring pairs, lowest where they meet."""
-    p, q = P[j][0], P[j + 1][0]
-    lines = [(P[k][0], P[k][1],
-              (P[k + 1][1] - P[k][1]) / (P[k + 1][0] - P[k][0]))
-             for k in (j - 1, j + 1) if 0 <= k < len(P) - 1]
-    xs = [p, q]
-    if len(lines) == 2 and lines[0][2] != lines[1][2]:
-        (xa, fa, sa), (xb, fb, sb) = lines
-        x = (fb - fa + sa * xa - sb * xb) / (sa - sb)
-        if p < x < q:
-            xs.append(x)
-    return min((max(f0 + s * (x - x0) for x0, f0, s in lines), x) for x in xs)
-
-
-def _convex_min(f, P, tol: float) -> float:
-    """Smallest value of ``f``, convex on the span of the sorted samples
-    ``P`` (``(t, f(t))`` pairs whose best one is not at an end), to within
-    ``tol`` and 60 more evaluations.
-
-    The minimum lies next to the best sample, where the secants of the
-    pairs beyond it (:func:`_secant_floor`) bound ``f`` from below; the
-    search stops once that bound is within ``tol`` of the best value, and
-    keeps only the best sample and two on each side.  Until then it steps
-    to the vertex of the parabola through the best sample and its
-    neighbours if that lands between them and moves less than half the
-    step before last (Brent 1973), else to where the secants meet (exact at
-    a kink, where parabolas creep), else a golden step into the larger
-    side."""
-    e = d = 0.0
-    for _ in range(60):
-        i = min(range(len(P)), key=lambda j: P[j][1])
-        P = P[max(i - 2, 0):i + 3]
-        i = min(i, 2)
-        (lo, f0), (x, fx), (hi, f2) = P[i - 1:i + 2]
-        lb, xl = min(_secant_floor(P, i - 1), _secant_floor(P, i))
-        if fx - lb <= tol:
-            break
-        step = None
-        if e:
-            r = (x - lo) * (fx - f2)
-            q = (x - hi) * (fx - f0)
-            p = (x - lo) * r - (x - hi) * q
-            q = 2.0 * (r - q)
-            e, etemp = d, e
-            if q and lo < x - p / q < hi and 0 < abs(p / q) < 0.5 * abs(etemp):
-                step = -p / q
-        if step is None:
-            e = hi - x if hi - x > x - lo else lo - x
-            step = (xl - x if lo < xl < hi and xl != x
-                    else 0.3819660112501051 * e)
-        d = step
-        u = x + step
-        if not lo < u < hi or u == x:
-            break
-        insort(P, (u, f(u)))
-    return min(v for _, v in P)
-
-
-def _waists(sc: _SliceScanner, tol_opt: float,
-            smallest: bool = False) -> list[tuple[float, float]] | float:
-    """Local minima ``(diameter, height)`` of the section circumdiameter
-    along the scanner's axis that the blocking gate can accept, by height;
-    with ``smallest``, only the smallest diameter (``inf`` if none).
-
-    The circumdiameter is convex between consecutive vertex heights, so a
-    local minimum sits at a vertex height where the profile rises on one
-    side and does not fall on the other, or inside an interval whose ends
-    both fall inward, found by one golden-section search over it.  Ends are
-    probed ``max(4e-12 * scale, 1e-6 * (b - a))`` inside, clear of the
-    vertex window of :meth:`_SliceScanner._section`; a shorter interval is
-    one point.
-
-    A minimum ``d`` is kept only when the profile exceeds ``d + tol_opt``
-    on both sides; by convexity the vertex heights decide that.  An
-    interval is not searched when the meeting point of its end secants, a
-    lower bound, fails that test, or with ``smallest`` cannot beat the
-    smallest minimum so far.  With ``smallest`` the search is
-    :func:`_convex_min` from the ends and the probes, which stops once
-    convexity bounds the value to ``1e-13 * scale``, not at a fixed
-    bracket width.
-    """
-    levels = sc._levels
-    R = [sc.diam(t) for t in levels]
-    # below[k] / above[k]: the largest value at vertex heights k and lower /
-    # k and higher
-    below = list(accumulate(R, max))
-    above = list(accumulate(reversed(R), max))[::-1]
-    eps = 1e-12 * sc.scale
-    probes = []                          # per interval: value inside each end
-    for a, b, ra, rb in zip(levels, levels[1:], R, R[1:]):
-        delta = max(4.0 * eps, 1e-6 * (b - a))
-        if b - a > 2.0 * delta:
-            probes.append((sc.diam(a + delta), sc.diam(b - delta), delta))
-        else:                            # too short for probes: one point
-            probes.append((rb, ra, 0.0))
-
-    out = []
-    for k in range(1, len(levels) - 1):
-        left, right = probes[k - 1][1], probes[k][0]
-        if (min(left, right) >= R[k] and max(left, right) > R[k]
-                and below[k - 1] > R[k] + tol_opt < above[k + 1]):
-            out.append((R[k], levels[k]))
-    best = min(out)[0] if out else math.inf
-    # the interval searches, by ascending secant bound
-    todo = []
-    for k, (pa, pb, delta) in enumerate(probes):
-        if not (pa < R[k] and pb < R[k + 1]):
-            continue
-        sa = (pa - R[k]) / delta
-        sb = (R[k + 1] - pb) / delta
-        gap = levels[k + 1] - levels[k] - 2.0 * delta    # probe to probe
-        x = min(max((pb - pa - sb * gap) / (sa - sb), 0.0), gap)
-        # the margin covers rounding in the secant slopes
-        lb = pa + sa * x - 1e-9 * sc.scale
-        if below[k] > lb + tol_opt < above[k + 1]:
-            todo.append((lb, k))
-    todo.sort()
-    for lb, k in todo:
-        if smallest and lb >= best:
-            break
-        a, b = levels[k], levels[k + 1]
-        if smallest:
-            pa, pb, delta = probes[k]
-            t, d = None, _convex_min(sc.diam, [(a, R[k]), (a + delta, pa),
-                                               (b - delta, pb), (b, R[k + 1])],
-                                     1e-13 * sc.scale)
-        else:
-            t, d = golden_refine(sc.diam, a, b)
-        if below[k] > d + tol_opt < above[k + 1]:
-            out.append((d, t))
-            best = min(best, d)
-    if smallest:
-        return best
-    out.sort(key=lambda m: m[1])
-    return out
 
 
 def _waist_candidates(K: Polytope3, axis: np.ndarray, tol_opt: float):
@@ -1259,13 +1003,14 @@ def min_holding_circle(K: Polytope3, *, tol_geom: float = TOL_GEOM,
 
     The result is an upper bound on the minimal holding diameter (evidence
     semantics as in :func:`holding_report`);
-    :func:`nonintersecting_edge_bound` supplies the matching lower bound for
+    :func:`nonintersecting_edge_bound` supplies a lower bound for
     polytopes.  Raises :class:`NotFound` when no candidate certifies.
     """
     if not np.isfinite(K.vertices).all():
         raise InvalidInput("vertices must be finite")
+    pairs = _edge_pair_distances(K)
     cands = []
-    for axis in _axis_candidates(K):
+    for axis in _axis_candidates(K, pairs):
         cands.extend(_waist_candidates(K, axis, tol_opt))
     cands.sort(key=lambda c: c[0])
 
@@ -1306,7 +1051,7 @@ def min_holding_circle(K: Polytope3, *, tol_geom: float = TOL_GEOM,
         if (not pen.intersects and surrounds and block.blocked_above
                 and block.blocked_below):
             # the gates pass, so the report runs no search: no budget
-            return circle, _report(K, circle, gates, budget=0,
+            return circle, _report(K, circle, gates, pairs, budget=0,
                                    tol_opt=tol_opt)
 
     raise NotFound("no waist candidate produced certified holding evidence")

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from circlehold.holding import _convex_min, _waists
+from circlehold.sections import _convex_min, _waists
 from circlehold.planar import golden_refine
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -9,9 +8,7 @@ import pytest
 from chain_reference import bounded_intersection_vertices, grid_golden_min
 from clearance_reference import reference_bound
 from oracle_cases import oracle_agreement_cases
-from profile_reference import (inward_intervals, sampled_grid,
-                               sampled_side_max, sampled_waists,
-                               unpruned_smallest)
+from test_sections import diam_calls  # noqa: F401 (a fixture)
 
 from circlehold import (
     Circle3,
@@ -44,12 +41,11 @@ from circlehold import (
 )
 from circlehold import families, holding, verification
 from circlehold.fileio import circle_from_dict, escape_to_dict, report_to_dict
-from circlehold.holding import (_SliceScanner, _SupportGapBound,
-                                _edge_pair_distances)
-from circlehold.planar import (golden_refine, min_enclosing_circle,
-                               periodic_min, projected_width)
+from circlehold.holding import _SupportGapBound, _edge_pair_distances
+from circlehold.planar import periodic_min, projected_width
 from circlehold.polytope import (HalfSpace, Polytope3, clip_halfspace,
                                  plane_frame)
+from circlehold.sections import _SliceScanner
 from circlehold.tolerances import TOL_OPT
 
 CUBE = build_hull(np.array([
@@ -153,115 +149,6 @@ def test_surrounds_slice():
     assert not surrounds_slice(CUBE, Circle3((0.5, 0.5, 0.5), 0.5, (0, 0, 1)))
 
 
-def _section_by_numpy(K, axis, origin, t):
-    """Section points of the earlier numpy scanner (vertices within
-    ``1e-12 * scale`` of the plane, then edge crossings), kept as the
-    reference for the float loop."""
-    e1, e2, n = plane_frame(np.asarray(axis, float))
-    rel = K.vertices - origin
-    V2 = np.stack([rel @ e1, rel @ e2], axis=1)
-    h = rel @ n
-    edges = np.asarray(K.edges, dtype=int)
-    eps = 1e-12 * max(1.0, float(np.abs(K.vertices).max()))
-    d = h - t
-    parts = [V2[np.abs(d) <= eps]]
-    a, bb = edges[:, 0], edges[:, 1]
-    da, db = d[a], d[bb]
-    m = ((da < -eps) & (db > eps)) | ((da > eps) & (db < -eps))
-    if m.any():
-        lam = (da[m] / (da[m] - db[m]))[:, None]
-        parts.append(V2[a[m]] + lam * (V2[bb[m]] - V2[a[m]]))
-    return np.vstack(parts)
-
-
-def _section_bodies():
-    rng = np.random.default_rng(30)
-    bodies = [families.octahedron_iceberg(1.2, 10.0).body,
-              families.seven_vertex_iceberg(1.38, 5.0).body,
-              families.rectangle_circle(1.38, 5.0).body,
-              families.flat_tetrahedron(0.2).body,
-              families.five_vertex_flat(0.2).body,
-              families.skew_tetrahedron(0.1).body,
-              families.bevelled_cylinder(10.0, 16).body,
-              families.wd_tetrahedron(2.0, 2.0, 1.0).body,
-              build_hull(families.simplex_hull_nd(3, 1.2, 10.0).body.vertices),
-              CUBE]
-    bodies += [build_hull(rng.standard_normal((int(rng.integers(5, 25)), 3))
-                          * rng.uniform(0.1, 10.0, size=3))
-               for _ in range(30)]
-    return bodies
-
-
-def test_float_section_matches_numpy_section():
-    rng = np.random.default_rng(31)
-    checked = 0
-    for K in _section_bodies():
-        for axis in np.vstack([np.eye(3), rng.standard_normal((2, 3))]):
-            origin = rng.standard_normal(3) * float(rng.random() < 0.5)
-            sc = _SliceScanner(K, axis, origin=origin)
-            hs = np.unique(sc.h)
-            heights = np.concatenate([hs, (hs[1:] + hs[:-1]) / 2.0,
-                                      [hs[0] - 1.0, hs[-1] + 1.0]])
-            for t in heights:
-                want = _section_by_numpy(K, axis, origin, t)
-                got = sc.points2(t)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-                if len(want) == 0:
-                    assert sc.circum(t) is None and sc.diam(t) == 0.0
-                    continue
-                c, w = sc.circum(t), min_enclosing_circle(want, seed=1)
-                assert np.array([*c.center, c.radius]).tobytes() == \
-                    np.array([*w.center, w.radius]).tobytes()
-                checked += 1
-    assert checked > 1000
-    assert _SliceScanner(CUBE, (0, 0, 1)).diam(float("nan")) == 0.0
-
-
-def _section_by_full_loop(sc, t):
-    """The section of every vertex and every edge, in the float loop of
-    the scanner before the per-interval edge lists, and the largest
-    ``|coordinate|`` of its points."""
-    eps = 1e-12 * sc.scale
-    pts = [(x, y) for hv, x, y in sc._vertices if abs(hv - t) <= eps]
-    for ha, hb, ax, ay, bx, by in sc._edges:
-        da = ha - t
-        db = hb - t
-        if (da < -eps and db > eps) or (da > eps and db < -eps):
-            lam = da / (da - db)
-            pts.append((ax + lam * (bx - ax), ay + lam * (by - ay)))
-    return pts, max((abs(c) for p in pts for c in p), default=0.0)
-
-
-def test_interval_section_matches_full_edge_loop():
-    rng = np.random.default_rng(32)
-    bodies = _section_bodies() + [
-        families.octahedron_iceberg(1.01, 200.0).body,
-        families.bevelled_cylinder(10.0, 64).body,
-        families.skew_tetrahedron(0.1).body]
-    checked = near = 0
-    for K in bodies:
-        axes = np.vstack([np.eye(3), rng.standard_normal((2, 3))])
-        for axis in axes:
-            origin = rng.standard_normal(3) * float(rng.random() < 0.5)
-            sc = _SliceScanner(K, axis, origin=origin)
-            eps = 1e-12 * sc.scale
-            hs = np.unique(sc.h)
-            heights = [np.linspace(sc.h_min - 1.0, sc.h_max + 1.0, 101),
-                       sampled_grid(sc, sc.h_min, sc.h_max, 100)]
-            heights += [hs + k * eps for k in range(-3, 4)]
-            for i, t in enumerate(np.concatenate(heights).tolist()):
-                got, want = sc._section(t), _section_by_full_loop(sc, t)
-                assert got == want
-                checked += 1
-                near += bool(want[0]) and min(abs(hs - t)) <= 2.0 * eps
-                if i % 7 == 0 and want[0]:
-                    assert sc.diam(t) == 2.0 * sc.circum(t).radius
-                elif i % 7 == 0:
-                    assert sc.diam(t) == 0.0 and sc.circum(t) is None
-    assert checked > 10_000 and near > 1000
-
-
 def test_sampled_penetration_matches_sample_by_face_matrix():
     def by_sample_rows(K, C, samples):
         t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
@@ -338,135 +225,6 @@ def test_translation_block_waist_vs_prism():
     # constant cross-sections never block
     tb2 = translation_block_certificate(CUBE, Circle3((0.5, 0.5, 0.5), 1.8, (0, 0, 1)))
     assert not tb2.above.blocked and not tb2.below.blocked
-
-
-# --- the exact slice profile ------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _profile_cases():
-    """(body, unit axis) pairs: the families along their circle normals and
-    the coordinate axes, and 100 random hulls along the coordinate axes and
-    one random axis."""
-    rng = np.random.default_rng(40)
-    insts = [octahedron_iceberg(1.2, 10.0), octahedron_iceberg(1.01, 200.0),
-             flat_tetrahedron(0.2), skew_tetrahedron(0.1),
-             wd_tetrahedron(2.0, 2.0, 1.0), bevelled_cylinder(10.0, 16),
-             families.seven_vertex_iceberg(1.38, 5.0)]
-    cases = [(inst.body, axis) for inst in insts
-             for axis in (np.asarray(inst.circle.normal), *np.eye(3))]
-    for _ in range(100):
-        K = build_hull(rng.standard_normal((int(rng.integers(5, 14)), 3))
-                       * rng.uniform(0.3, 3.0, size=3))
-        axis = rng.standard_normal(3)
-        cases += [(K, a) for a in (*np.eye(3), axis / np.linalg.norm(axis))]
-    return cases
-
-
-@pytest.fixture
-def diam_calls(monkeypatch):
-    """A one-element list counting ``_SliceScanner.diam`` calls."""
-    calls = [0]
-    diam = _SliceScanner.diam
-
-    def counted(self, t):
-        calls[0] += 1
-        return diam(self, t)
-    monkeypatch.setattr(_SliceScanner, "diam", counted)
-    return calls
-
-
-def test_exact_waists_are_never_above_the_sampled_ones(diam_calls):
-    sampled = pruned_calls = full_calls = 0
-    for K, axis in _profile_cases():
-        sc = _SliceScanner(K, axis)
-        exact = [d for d, _ in holding._waists(sc, -np.inf)]
-        step = (sc.h_max - sc.h_min) / 199
-        for d, t in sampled_waists(sc):
-            # a grid minimum at the end of a plateau, where the profile
-            # stays level on one side, is no strict local minimum
-            if min(sc.diam(t - step), sc.diam(t + step)) <= d + 1e-12:
-                continue
-            sampled += 1
-            assert min(exact) <= d + 1e-12 * sc.scale
-        # the polish objective: skipping intervals changes no value (the
-        # same search on every interval, since golden-section and
-        # _convex_min differ in the last bits)
-        diam_calls[0] = 0
-        holding._waists(sc, TOL_OPT)
-        full_calls += diam_calls[0]
-        diam_calls[0] = 0
-        pruned = holding._waists(sc, TOL_OPT, smallest=True)
-        pruned_calls += diam_calls[0]
-        assert pruned == unpruned_smallest(sc, TOL_OPT)
-    assert sampled > 100 and pruned_calls < full_calls
-
-
-def test_convex_min_matches_golden_section_with_fewer_evaluations(diam_calls):
-    # every inward interval of 60 random hulls along 20 random axes each:
-    # the certified stop is never above the 60-step golden-section value by
-    # more than Welzl's inclusion slack, at under 40 % of its evaluations
-    # (the search starts from the ends and probes, which _waists has)
-    rng = np.random.default_rng(42)
-    n = calls = golden_calls = 0
-    for _ in range(60):
-        K = build_hull(rng.standard_normal((int(rng.integers(5, 14)), 3))
-                       * rng.uniform(0.3, 3.0, size=3))
-        for _ in range(20):
-            axis = rng.standard_normal(3)
-            sc = _SliceScanner(K, axis / np.linalg.norm(axis))
-            for _, samples in inward_intervals(sc):
-                diam_calls[0] = 0
-                want = golden_refine(sc.diam, samples[0][0],
-                                      samples[-1][0])[1]
-                golden_calls += diam_calls[0]
-                diam_calls[0] = 0
-                got = holding._convex_min(sc.diam, samples, 1e-13 * sc.scale)
-                calls += diam_calls[0]
-                assert got <= want + 4e-12 * sc.scale
-                n += 1
-    assert n >= 300 and calls <= 0.4 * golden_calls
-
-
-def test_waists_keep_exactly_the_blockable_minima():
-    dropped = 0
-    for K, axis in _profile_cases():
-        sc = _SliceScanner(K, axis)
-        levels = np.unique(sc.h)
-        R = np.array([sc.diam(t) for t in levels])
-
-        def blockable(d, t):
-            return (R[levels < t].max(initial=0.0) > d + TOL_OPT
-                    and R[levels > t].max(initial=0.0) > d + TOL_OPT)
-        every = holding._waists(sc, -np.inf)
-        kept = [m for m in every if blockable(*m)]
-        assert holding._waists(sc, TOL_OPT) == kept
-        dropped += len(every) - len(kept)
-    assert dropped >= 10
-
-
-def test_blocking_maximum_is_at_the_side_end_or_a_vertex_height():
-    rng = np.random.default_rng(41)
-    sides = 0
-    for K, axis in _profile_cases():
-        h = K.vertices @ axis
-        lo, hi = h.min(), h.max()
-        center = K.centroid + rng.uniform(-0.3, 0.3) * (hi - lo) * axis
-        C = Circle3(tuple(center), 1.0, tuple(axis))
-        tb = translation_block_certificate(K, C)
-        sc = _SliceScanner(K, np.asarray(C.normal), origin=C.center_array)
-        eps = 1e-9 * max(sc.h_max - sc.h_min, 1.0)
-        for blk, a, b in ((tb.above, eps, sc.h_max),
-                          (tb.below, sc.h_min, -eps)):
-            if b <= a:
-                assert not blk.blocked and blk.height is None
-                continue
-            sides += 1
-            inner = [float(v) for v in np.unique(sc.h) if a < v < b]
-            want = max(sc.diam(t) for t in [a, *inner, b])
-            assert blk.circumdiameter == want
-            assert sc.diam(blk.height) == want
-            assert want >= sampled_side_max(sc, a, b)[1] - 1e-8 * sc.scale
-    assert sides > 600
 
 
 @pytest.mark.parametrize("a", [1.002, 1.005, 1.05, 1.2])
@@ -1047,9 +805,10 @@ def test_min_holding_circle_flat_tetrahedron():
 def test_min_holding_circle_reports_with_the_gates_it_computed(monkeypatch):
     inst = flat_tetrahedron(0.2)
     blocked = []
-    block = holding.translation_block_certificate
-    monkeypatch.setattr(holding, "translation_block_certificate",
-                        lambda K, C, *a: blocked.append(C) or block(K, C, *a))
+    block = holding._block
+    monkeypatch.setattr(
+        holding, "_block",
+        lambda sc, C, *a: blocked.append(C) or block(sc, C, *a))
     circ, rep = min_holding_circle(inst.body)
     # each candidate circle is blocked once, the reported one included
     assert circ in blocked and len(set(blocked)) == len(blocked)

@@ -635,6 +635,29 @@ def test_min_cylinder_contains_the_body():
         assert dist.max() <= (1.0 + 1e-15) * res.diameter / 2.0
 
 
+def test_min_cylinder_is_invariant_under_rigid_motion():
+    # the cube, wd(2, 2, 1) and oct(1.2, 10) have several minimal axes
+    # (3, 2 and 3), and a moved copy may find another of them: so the
+    # moved cylinder, moved back, must be a minimal cylinder of the body
+    # (same diameter, containing it), not the same axis line
+    rng = np.random.default_rng(5)
+    bodies = [build_hull(CUBE), flat_tetrahedron(0.2).body,
+              octahedron_iceberg(1.2, 10.0).body, skew_tetrahedron(0.1).body,
+              wd_tetrahedron(2.0, 2.0, 1.0).body]
+    bodies += [build_hull(rng.standard_normal((int(rng.integers(5, 14)), 3)))
+               for _ in range(4)]
+    for K in bodies:
+        d = min_cylinder(K).diameter
+        for _ in range(2):
+            R, shift = random_rotation(rng), rng.uniform(-5.0, 5.0, 3)
+            res = min_cylinder(build_hull(K.vertices @ R.T + shift))
+            assert abs(res.diameter - d) <= 1e-9 * d
+            a = R.T @ res.axis_direction
+            rel = K.vertices - R.T @ (res.axis_point - shift)
+            dist = np.linalg.norm(rel - np.outer(rel @ a, a), axis=1)
+            assert abs(dist.max() - d / 2.0) <= 1e-9 * d
+
+
 def test_icosphere_directions_are_cached_read_only():
     from circlehold.polytope import _icosphere_directions
     dirs = _icosphere_directions(3)
