@@ -19,9 +19,11 @@ minima are exact and take no angle count.
 
 Exit codes: 0 success (or certified evidence), 1 usage error or failed
 verification, 2 an escape was found, 3 inconclusive (``analyze`` with
-``--require-verdict``).  All randomness is seeded (``--seed``); JSON output
-is canonical (sorted keys, 12 significant digits), so identical inputs,
-seed and package version give byte-identical files.
+``--require-verdict``).  The tolerances are the constants of
+:mod:`circlehold.tolerances`.  Only ``verify-paper`` takes ``--seed``, for
+its random inputs; every other result depends on its inputs alone.  JSON
+output is canonical (sorted keys, 12 significant digits), so identical
+inputs, seed and package version give byte-identical files.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import __version__, families, fileio, holding, polytope, projection
 from . import svgfig, verification
-from .errors import CircleHoldError, InvalidInput, NoBlockingSlice, NotFound
+from .errors import CircleHoldError, InvalidInput, NotFound
 from .polytope import Polytope3
 from .tolerances import DEFAULT_SEED, TOL_GEOM, TOL_OPT
 
@@ -57,6 +59,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _write(args, name: str, text: str, written: list[str]) -> None:
@@ -190,7 +203,7 @@ def cmd_analyze(args) -> int:
                  "vertices": len(body.vertices), "width": w.width,
                  "width_direction": w.direction,
                  "cylinder_diameter": cyl.diameter,
-                 "tolerances": {"geom": args.tol_geom, "opt": args.tol_opt},
+                 "tolerances": {"geom": TOL_GEOM, "opt": TOL_OPT},
                  "version": __version__}
     print(f"body {doc['body']}: {doc['vertices']} vertices")
     print(f"width: {_g(w.width)}   minimal cylinder diameter: "
@@ -198,13 +211,10 @@ def cmd_analyze(args) -> int:
 
     report = None
     if circle is not None:
-        report = holding.holding_report(body, circle, budget=budget,
-                                        tol_geom=args.tol_geom,
-                                        tol_opt=args.tol_opt)
+        report = holding.holding_report(body, circle, budget=budget)
     else:
         try:
-            circle, report = holding.min_holding_circle(
-                body, tol_geom=args.tol_geom, tol_opt=args.tol_opt)
+            circle, report = holding.min_holding_circle(body)
             print("smallest certified circle found by waist search:")
         except NotFound as exc:
             print(f"holding-circle search: {exc}")
@@ -253,8 +263,7 @@ def cmd_analyze(args) -> int:
 def cmd_escape(args) -> int:
     body, circle = _load_pair(args, "escape search")
     budget = args.budget if args.budget is not None else 100_000
-    esc = holding.escape_search(body, circle, budget=budget, seed=args.seed,
-                                tol=args.tol_opt)
+    esc = holding.escape_search(body, circle, budget=budget)
     doc = fileio.escape_to_dict(esc)
     doc["version"] = __version__
     print(f"escape search: {esc.outcome} after {esc.checks_used} collision "
@@ -276,9 +285,7 @@ def cmd_escape(args) -> int:
 
 def cmd_chain(args) -> int:
     body, circle = _load_pair(args, "the chain certificate")
-    cert = holding.chain_certificate(body, circle, side=args.side,
-                                     tol_geom=args.tol_geom,
-                                     tol_opt=args.tol_opt)
+    cert = holding.chain_certificate(body, circle, side=args.side)
     doc = fileio.chain_to_dict(cert)
     doc["version"] = __version__
     v = cert.values
@@ -335,9 +342,8 @@ def cmd_render(args) -> int:
 
     if circle is not None:
         try:
-            cert = holding.chain_certificate(
-                body, circle, tol_geom=args.tol_geom, tol_opt=args.tol_opt)
-        except (NoBlockingSlice, CircleHoldError) as exc:
+            cert = holding.chain_certificate(body, circle)
+        except CircleHoldError as exc:
             print(f"region figure skipped: {exc}")
         else:
             svg = svgfig.planar_svg(polygons=[cert.region2],
@@ -354,16 +360,13 @@ def cmd_render(args) -> int:
 
 # the shared flags; each subcommand takes only those it reads
 _FLAGS = {
-    "tol-geom": dict(type=float, default=TOL_GEOM,
-                     help="geometric predicate tolerance"),
-    "tol-opt": dict(type=float, default=TOL_OPT,
-                    help="optimization / strictness tolerance"),
     "theta-samples": dict(type=int, default=720,
                           help="projected-width profile angles per half-turn"),
-    "budget": dict(type=int, help="escape-search collision-check budget "
-                   "(analyze reads it only with --circle)"),
+    "budget": dict(type=_positive_int,
+                   help="escape-search collision-check budget "
+                        "(analyze reads it only with --circle)"),
     "seed": dict(type=int, default=DEFAULT_SEED,
-                 help="random seed (all randomness is seeded)"),
+                 help="seed of the random inputs"),
     "out-dir": dict(type=Path, help="directory for output files"),
     "json": dict(action="store_true",
                  help="print the JSON document to stdout"),
@@ -392,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze", help="widths, cylinder and holding evidence")
-    _add_flags(p, "tol-geom", "tol-opt", "theta-samples", "budget",
-               "out-dir", "json")
+    _add_flags(p, "theta-samples", "budget", "out-dir", "json")
     p.add_argument("body", help="body JSON file")
     p.add_argument("--circle", help="circle JSON file (default: search "
                    "for the smallest certified circle)")
@@ -408,13 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("escape", help="search for an escape path of a circle")
-    _add_flags(p, "tol-opt", "budget", "seed", "out-dir", "json")
+    _add_flags(p, "budget", "out-dir", "json")
     p.add_argument("body")
     p.add_argument("circle")
     p.set_defaults(func=cmd_escape)
 
     p = sub.add_parser("chain", help="projection chain certificate for a pair")
-    _add_flags(p, "tol-geom", "tol-opt", "out-dir", "json")
+    _add_flags(p, "out-dir", "json")
     p.add_argument("body")
     p.add_argument("circle")
     p.add_argument("--side", choices=("auto", "above", "below"),
@@ -430,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="write OBJ/SVG figures for a body")
-    _add_flags(p, "tol-geom", "tol-opt", "theta-samples", "out-dir")
+    _add_flags(p, "theta-samples", "out-dir")
     p.add_argument("body")
     p.add_argument("--circle")
     p.add_argument("--profile-level", type=float, default=None)

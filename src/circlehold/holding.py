@@ -245,10 +245,10 @@ class TranslationBlock:
         return self.below.blocked
 
 
-def translation_block_certificate(K: Polytope3, C: Circle3,
-                                  tol_opt: float = TOL_OPT) -> TranslationBlock:
+def translation_block_certificate(K: Polytope3,
+                                  C: Circle3) -> TranslationBlock:
     """Check, on each side of the circle's plane, for a cross-section whose
-    circumcircle diameter exceeds the circle's by more than ``tol_opt``.
+    circumcircle diameter exceeds the circle's by more than ``TOL_OPT``.
 
     Such a section cannot pass through the circle, so it blocks the
     one-parameter escape family that slides the circle along its own axis
@@ -260,11 +260,10 @@ def translation_block_certificate(K: Polytope3, C: Circle3,
     The section circumdiameter is convex between consecutive vertex
     heights, so only each side's near end (``1e-9 * span`` off the plane)
     and its vertex heights are evaluated."""
-    return _block(_SliceScanner(K, C.normal, C.center), C, tol_opt)
+    return _block(_SliceScanner(K, C.normal, C.center), C)
 
 
-def _block(sc: _SliceScanner, C: Circle3,
-           tol_opt: float) -> TranslationBlock:
+def _block(sc: _SliceScanner, C: Circle3) -> TranslationBlock:
     """The certificate of ``C`` from its profile ``sc``."""
     d = C.diameter
     span = sc.h_max - sc.h_min
@@ -274,7 +273,7 @@ def _block(sc: _SliceScanner, C: Circle3,
         if hi - lo <= 1e-12 * max(span, 1.0):
             return unblocked
         t, best = sc.side_max(lo, hi)
-        return SideBlock(best > d + tol_opt, t, best, best - d)
+        return SideBlock(best > d + TOL_OPT, t, best, best - d)
 
     eps = 1e-9 * max(span, 1.0)
     above = side(eps, sc.h_max) if sc.h_max > eps else unblocked
@@ -282,21 +281,21 @@ def _block(sc: _SliceScanner, C: Circle3,
     return TranslationBlock(above, below)
 
 
-def surrounds_slice(K: Polytope3, C: Circle3,
-                    tol: float = TOL_GEOM) -> bool:
+def surrounds_slice(K: Polytope3, C: Circle3) -> bool:
     """True when the body's cross-section in the circle's own plane is
     non-empty and lies inside the closed disc bounded by the circle — i.e.
     the body actually passes through the circle rather than sitting beside
     it."""
-    return _surrounds(_SliceScanner(K, C.normal, C.center), C, tol)
+    return _surrounds(_SliceScanner(K, C.normal, C.center), C)
 
 
-def _surrounds(sc: _SliceScanner, C: Circle3, tol: float) -> bool:
+def _surrounds(sc: _SliceScanner, C: Circle3) -> bool:
     """The test for ``C`` from its profile ``sc``."""
     P = sc.points2(0.0)
     if not (sc.h_min <= 0.0 <= sc.h_max and len(P)):
         return False
-    return bool(np.linalg.norm(P, axis=1).max() <= C.radius + tol * sc.scale)
+    return bool(np.linalg.norm(P, axis=1).max()
+                <= C.radius + TOL_GEOM * sc.scale)
 
 
 def _edge_pair_distances(K: Polytope3) -> tuple[np.ndarray, np.ndarray,
@@ -480,8 +479,7 @@ class _SupportGapBound:
 
 
 def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
-                  seed: int = DEFAULT_SEED,
-                  tol: float = TOL_OPT) -> EscapeResult:
+                  seed: int = DEFAULT_SEED) -> EscapeResult:
     """Search for a certified collision-free translation of the circle
     leading far away; every pose keeps the start's diameter and normal.
 
@@ -522,7 +520,7 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     step = circum / 50.0
     escape_radius = 10.0 * circum
 
-    start_pen = circle_interior_intersects(K, start, tol)
+    start_pen = circle_interior_intersects(K, start, TOL_OPT)
     if start_pen.intersects:
         raise InvalidStart(
             f"start pose penetrates the body (depth {start_pen.penetration:.3g})")
@@ -576,7 +574,7 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
         path = [start] + [Circle3(tuple(c), start.diameter, start.normal)
                           for c in centers]
         for pose in path:
-            if circle_interior_intersects(K, pose, tol).intersects:
+            if circle_interior_intersects(K, pose, TOL_OPT).intersects:
                 raise CertificationError(
                     "escape path failed post-hoc validation")
         return EscapeResult("found", path, checks, 0, seed, step,
@@ -643,17 +641,16 @@ class HoldingReport:
         return self.block.blocked_below
 
 
-def _gates(K: Polytope3, C: Circle3, tol_geom: float, tol_opt: float):
+def _gates(K: Polytope3, C: Circle3):
     """Penetration, surround and blocking, the last two from one profile."""
-    pen = circle_interior_intersects(K, C, tol_opt)
+    pen = circle_interior_intersects(K, C, TOL_OPT)
     sc = _SliceScanner(K, C.normal, C.center)
-    surrounds = not pen.intersects and _surrounds(sc, C, tol_geom)
-    return pen, surrounds, _block(sc, C, tol_opt)
+    surrounds = not pen.intersects and _surrounds(sc, C)
+    return pen, surrounds, _block(sc, C)
 
 
-def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
-                   tol_geom: float = TOL_GEOM,
-                   tol_opt: float = TOL_OPT) -> HoldingReport:
+def holding_report(K: Polytope3, C: Circle3, *,
+                   budget: int = 20_000) -> HoldingReport:
     """Gather every certificate this package can produce for one circle pose
     and summarize them in a verdict.
 
@@ -667,12 +664,11 @@ def holding_report(K: Polytope3, C: Circle3, *, budget: int = 20_000,
     faces, where the bound is sampled) lies closer to it than the
     clearance bound resolves.
     """
-    return _report(K, C, _gates(K, C, tol_geom, tol_opt),
-                   _edge_pair_distances(K), budget=budget, tol_opt=tol_opt)
+    return _report(K, C, _gates(K, C), _edge_pair_distances(K), budget=budget)
 
 
-def _report(K: Polytope3, C: Circle3, gates, pairs, *, budget: int,
-            tol_opt: float) -> HoldingReport:
+def _report(K: Polytope3, C: Circle3, gates, pairs, *,
+            budget: int) -> HoldingReport:
     """The body of :func:`holding_report`, given the circle's
     :func:`_gates` and the body's :func:`_edge_pair_distances`."""
     pen, surrounds, block = gates
@@ -699,7 +695,7 @@ def _report(K: Polytope3, C: Circle3, gates, pairs, *, budget: int,
             reasons.append("no blocking cross-section above the circle plane")
         if not block.blocked_below:
             reasons.append("no blocking cross-section below the circle plane")
-        escape = escape_search(K, C, budget=budget, tol=tol_opt)
+        escape = escape_search(K, C, budget=budget)
         if escape.start_clearance <= 0.0:
             reasons.append(
                 f"the escape search did no work: the start clearance bound "
@@ -781,44 +777,48 @@ class ChainCertificate:
         return all(self.checks.values())
 
 
-def chain_certificate(K: Polytope3, C: Circle3, *, side: str = "auto",
-                      tol_geom: float = TOL_GEOM,
-                      tol_opt: float = TOL_OPT) -> ChainCertificate:
+def chain_certificate(K: Polytope3, C: Circle3, *,
+                      side: str = "auto") -> ChainCertificate:
     """Build the projection chain certificate for a circle pose.
 
-    Requires the circle's plane to cut the body and a cross-section on the
-    chosen side whose circumdiameter exceeds the circle diameter (else
-    :class:`NoBlockingSlice`).  ``side="auto"`` builds the blocked sides in
-    turn, above first, and returns the first certificate whose checks all
-    hold; only when none holds is every side built, to fall back to the one
-    with the fewest failures.  The chain is asymmetric, so typically only
-    the side whose far half is the wide one can certify.
+    Requires the body to pass through the circle (:func:`surrounds_slice`,
+    else :class:`InvalidInput`) and a cross-section on the chosen side whose
+    circumdiameter exceeds the circle diameter by more than ``TOL_OPT``
+    (else :class:`NoBlockingSlice`).  ``side="auto"`` builds the blocked
+    sides in turn, above first, and returns the first certificate whose
+    checks all hold; only when none holds is every side built, to fall back
+    to the one with the fewest failures.  The chain is asymmetric, so
+    typically only the side whose far half is the wide one can certify.
 
-    Each side's blocking section is its largest, over the circle's plane
-    and that side's vertex heights (the profile is convex in between).  The
-    prism is the working cube clipped by the tangent half-spaces.  The
-    minimal shadow widths of the far half and of the prism are exact, so
-    every link of the chain is computed, none sampled.
+    Each side's blocking section is that of
+    :func:`translation_block_certificate`: its largest, over the side's
+    near end (just off the circle's plane, never on it, where the prism
+    direction would be undefined) and its vertex heights (the profile is
+    convex in between).  The prism is the working cube clipped by the
+    tangent half-spaces.  The minimal shadow widths of the far half and of
+    the prism are exact, so every link of the chain is computed, none
+    sampled.
     """
     d = C.diameter
     sc = _SliceScanner(K, C.normal, C.center)
     if not (sc.h_min < -1e-12 * sc.scale and sc.h_max > 1e-12 * sc.scale):
         raise InvalidInput("circle plane does not cut the body interior")
+    if not _surrounds(sc, C):
+        raise InvalidInput("body does not pass through the circle")
     if side not in ("auto", "above", "below"):
         raise InvalidInput(f"side must be 'above', 'below' or 'auto', got {side!r}")
 
-    t_up, d_up = sc.side_max(0.0, sc.h_max)
-    t_dn, d_dn = sc.side_max(sc.h_min, 0.0)
-    candidates = []
-    if side in ("auto", "above") and d_up > d + tol_opt:
-        candidates.append(("above", t_up, d_up, 1.0))
-    if side in ("auto", "below") and d_dn > d + tol_opt:
-        candidates.append(("below", t_dn, d_dn, -1.0))
+    block = _block(sc, C)
+    candidates = [(name, sb.height, sb.circumdiameter, sgn)
+                  for name, sb, sgn in (("above", block.above, 1.0),
+                                        ("below", block.below, -1.0))
+                  if side in ("auto", name) and sb.blocked]
     if not candidates:
+        d_up, d_dn = block.above.circumdiameter, block.below.circumdiameter
         d_best = {"auto": max(d_up, d_dn), "above": d_up, "below": d_dn}[side]
         raise NoBlockingSlice(
             f"no cross-section on the {side} side exceeds the circle "
-            f"diameter ({d_best:.12g} <= {d:.12g} + {tol_opt:g})")
+            f"diameter ({d_best:.12g} <= {d:.12g} + {TOL_OPT:g})")
 
     e1, e2, nrm = sc.frame
     w = width3(K).width
@@ -898,10 +898,10 @@ def chain_certificate(K: Polytope3, C: Circle3, *, side: str = "auto",
 
         inscribed_r = chebyshev_inscribed(region_poly).radius
 
-        abs_tol = tol_geom * sc.scale
+        abs_tol = TOL_GEOM * sc.scale
         map_tol = 1e-9 * max(1.0, d)
         checks = {
-            "section_exceeds_circle": d_h > d + tol_opt,
+            "section_exceeds_circle": d_h > d + TOL_OPT,
             "ratio_in_unit_interval": 0.0 < rho < 1.0,
             "contacts_on_section_circumcircle":
                 bool(np.all(np.abs(dist[dist >= d_h / 2.0 - contact_tol]
@@ -911,8 +911,8 @@ def chain_certificate(K: Polytope3, C: Circle3, *, side: str = "auto",
             "contacts_surround_circle": surround,
             "circle_inscribed_in_region": inscribed_r >= d / 2.0 - map_tol,
             "width_le_far_half": w <= min_wh_far + abs_tol,
-            "far_half_lt_region": min_wh_far < min_wh_region - tol_geom,
-            "region_min_equals_width2": abs(min_wh_region - w2_region) < tol_opt,
+            "far_half_lt_region": min_wh_far < min_wh_region - TOL_GEOM,
+            "region_min_equals_width2": abs(min_wh_region - w2_region) < TOL_OPT,
             "width2_le_three_halves_diameter": w2_region <= 1.5 * d + abs_tol,
         }
 
@@ -964,21 +964,19 @@ def _axis_candidates(K: Polytope3, pairs) -> list[np.ndarray]:
     return uniq
 
 
-def _waist_candidates(K: Polytope3, axis: np.ndarray, tol_opt: float):
+def _waist_candidates(K: Polytope3, axis: np.ndarray):
     """The waists of :func:`_waists` along an axis: (diameter, height,
     center2, scanner)."""
     sc = _SliceScanner(K, axis)
     out = []
-    for d, t in _waists(sc, tol_opt):
+    for d, t in _waists(sc, TOL_OPT):
         c = sc.circum(t)
         if c is not None and d > 0:
             out.append((d, t, np.asarray(c.center), sc))
     return out
 
 
-def min_holding_circle(K: Polytope3, *, tol_geom: float = TOL_GEOM,
-                       tol_opt: float = TOL_OPT
-                       ) -> tuple[Circle3, HoldingReport]:
+def min_holding_circle(K: Polytope3) -> tuple[Circle3, HoldingReport]:
     """Search for the smallest circle with certified holding evidence.
 
     A circle that fails to meet the body's interior while the body passes
@@ -996,7 +994,7 @@ def min_holding_circle(K: Polytope3, *, tol_geom: float = TOL_GEOM,
     The profile is convex between consecutive vertex heights, so waists are
     found exactly, not on a height grid (:func:`_waists`).  A waist is a
     candidate only if the profile exceeds its diameter by more than
-    ``tol_opt`` on both sides, else the blocking gate rejects its circle;
+    ``TOL_OPT`` on both sides, else the blocking gate rejects its circle;
     the polish minimises the smallest such waist over the axis, each
     interval searched only until convexity bounds its value to
     ``1e-13 * scale`` (:func:`_convex_min`).
@@ -1011,7 +1009,7 @@ def min_holding_circle(K: Polytope3, *, tol_geom: float = TOL_GEOM,
     pairs = _edge_pair_distances(K)
     cands = []
     for axis in _axis_candidates(K, pairs):
-        cands.extend(_waist_candidates(K, axis, tol_opt))
+        cands.extend(_waist_candidates(K, axis))
     cands.sort(key=lambda c: c[0])
 
     filtered = []
@@ -1033,12 +1031,12 @@ def min_holding_circle(K: Polytope3, *, tol_geom: float = TOL_GEOM,
         dia0, cen0, ax0 = filtered[0]
 
         def waist_along(axis) -> float:
-            return min(_waists(_SliceScanner(K, axis), tol_opt, smallest=True),
+            return min(_waists(_SliceScanner(K, axis), TOL_OPT, smallest=True),
                        1e30)
 
         dia, axis = _polish_axis(waist_along, [ax0], 1e-7, 1e-12, 60)
         if dia < dia0 - 1e-12:
-            extra = _waist_candidates(K, axis, tol_opt)
+            extra = _waist_candidates(K, axis)
             extra.sort(key=lambda c: c[0])
             if extra:
                 dd, tt, cc2, ssc = extra[0]
@@ -1046,13 +1044,12 @@ def min_holding_circle(K: Polytope3, *, tol_geom: float = TOL_GEOM,
 
     for dia, center, axis in filtered:
         circle = Circle3(tuple(center), dia, tuple(axis))
-        gates = _gates(K, circle, tol_geom, tol_opt)
+        gates = _gates(K, circle)
         pen, surrounds, block = gates
         if (not pen.intersects and surrounds and block.blocked_above
                 and block.blocked_below):
             # the gates pass, so the report runs no search: no budget
-            return circle, _report(K, circle, gates, pairs, budget=0,
-                                   tol_opt=tol_opt)
+            return circle, _report(K, circle, gates, pairs, budget=0)
 
     raise NotFound("no waist candidate produced certified holding evidence")
 

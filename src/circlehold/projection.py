@@ -50,17 +50,11 @@ def split_body(K: Polytope3, level: float = 0.0) -> tuple[Polytope3, Polytope3]:
     return upper, lower
 
 
-def split_project(K: Polytope3, theta: float, level: float = 0.0,
-                  halves: tuple[Polytope3, Polytope3] | None = None) -> ProjectedPair:
+def split_project(K: Polytope3, theta: float,
+                  level: float = 0.0) -> ProjectedPair:
     """Project the two halves of a split body into the vertical plane
-    through direction ``theta``.
-
-    Pass precomputed ``halves`` (from :func:`split_body`) when sweeping many
-    angles; the split is independent of ``theta``.
-    """
-    if halves is None:
-        halves = split_body(K, level)
-    upper, lower = halves
+    through direction ``theta``."""
+    upper, lower = split_body(K, level)
     c, s = np.cos(theta), np.sin(theta)
 
     def project(part: Polytope3) -> np.ndarray:

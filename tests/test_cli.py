@@ -59,6 +59,7 @@ def test_analyze_finds_holding_circle(tmp_path, capsys):
     assert doc["holding"]["verdict"] == "CertifiedHoldingEvidence"
     assert doc["holding"]["circle"]["diameter"] == pytest.approx(
         0.392232270276, abs=1e-6)
+    assert doc["tolerances"] == {"geom": 1e-9, "opt": 1e-6}
     assert "CertifiedHoldingEvidence" in capsys.readouterr().out
 
 
@@ -151,12 +152,49 @@ def test_chain_certificate(tmp_path, capsys):
     ["chain", "body.json", "circle.json", "--theta-samples", "90"],
     # verify-paper reads no tolerance
     ["verify-paper", "--tol-opt", "1e-3"],
+    # the tolerances are constants, and the escape search draws no random
+    # numbers
+    ["analyze", "body.json", "--tol-opt", "1e-3"],
+    ["chain", "body.json", "circle.json", "--tol-geom", "1e-6"],
+    ["render", "body.json", "--tol-geom", "1e-6"],
+    ["escape", "body.json", "circle.json", "--tol-opt", "1e-3"],
+    ["escape", "body.json", "circle.json", "--seed", "3"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["escape", "body.json", "circle.json", "--budget", "-5"],
+    ["escape", "body.json", "circle.json", "--budget", "0"],
+    ["analyze", "body.json", "--circle", "circle.json", "--budget", "-5"],
+])
+def test_budget_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    assert "argument --budget: expected a positive integer" in (
+        capsys.readouterr().err)
+
+
+def test_chain_rejects_a_circle_the_body_does_not_pass(tmp_path, capsys):
+    # the unit cube's square sections do not fit in this circle
+    pts = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    (tmp_path / "body.json").write_text(json.dumps({"vertices": pts}))
+    (tmp_path / "circle.json").write_text(json.dumps(
+        {"center": [0.5, 0.5, 0.5], "diameter": 1.2, "normal": [0, 0, 1]}))
+    assert run(["chain", tmp_path / "body.json", tmp_path / "circle.json"]) == 1
+    assert "error: body does not pass through the circle" in (
+        capsys.readouterr().err)
+    assert run(["render", tmp_path / "body.json", "--circle",
+                tmp_path / "circle.json", "--out-dir", tmp_path]) == 0
+    assert "region figure skipped: body does not pass through the circle" in (
+        capsys.readouterr().out)
+    assert (tmp_path / "scene.obj").exists()
+    assert not (tmp_path / "region.svg").exists()
 
 
 def test_verify_suite_exit_codes(tmp_path):

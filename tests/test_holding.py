@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -760,7 +761,7 @@ def test_march_never_frees_a_linked_circle_blocked_on_both_sides():
     for _ in range(10):
         K = build_hull(rng.standard_normal((rng.integers(5, 14), 3)))
         for axis in np.eye(3):
-            for d, t, c2, sc in holding._waist_candidates(K, axis, TOL_OPT):
+            for d, t, c2, sc in holding._waist_candidates(K, axis):
                 poses += [(K, Circle3(tuple(sc.lift(c2, t)), d * (1.0 + eps),
                                       tuple(sc.frame[2])))
                           for eps in (0.0, 1e-3)]
@@ -961,6 +962,30 @@ def test_auto_chain_builds_sides_until_one_holds(monkeypatch, maker, args,
 def test_chain_needs_a_blocking_slice():
     with pytest.raises(NoBlockingSlice):
         chain_certificate(CUBE, Circle3((0.5, 0.5, 0.5), 1.8, (0, 0, 1)))
+    # the unit square section does not fit in these circles: the body does
+    # not pass through them, and the largest section above lies in their
+    # own plane, where the chain would divide by the blocking height
+    for d in (1.0, 1.2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="does not pass through"):
+                chain_certificate(CUBE, Circle3((0.5, 0.5, 0.5), d, (0, 0, 1)))
+
+
+def test_chain_blocking_height_is_off_the_circle_plane():
+    # at scale 2000 the surround test admits a circle 3e-6 narrower than
+    # the square section in its plane, more than TOL_OPT: the section there
+    # would block, but the chain divides by the blocking height
+    s = 2000.0
+    K = build_hull(np.array([[x, y, z] for x in (0.0, s) for y in (0.0, s)
+                             for z in (0.0, s)]))
+    C = Circle3((s / 2, s / 2, s / 2), s * np.sqrt(2.0) - 3e-6, (0, 0, 1))
+    assert surrounds_slice(K, C)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = chain_certificate(K, C)
+    assert cert.side == "above" and 0.0 < cert.height < 1e-8 * s
+    assert np.isfinite(cert.delta_direction).all()
 
 
 def test_extremality_of_octahedron_waist():

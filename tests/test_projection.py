@@ -39,13 +39,6 @@ def test_split_project_cube():
     assert horizontal_width(pair.upper)[0] == pytest.approx(want, abs=1e-9)
 
 
-def test_split_project_reuses_halves():
-    halves = split_body(CUBE, 0.5)
-    a = split_project(CUBE, 1.1, 0.5, halves=halves)
-    b = split_project(CUBE, 1.1, 0.5)
-    assert np.allclose(np.sort(a.upper, axis=0), np.sort(b.upper, axis=0))
-
-
 def test_profile_of_balanced_body_is_indeterminate():
     prof = iceberg_profile(CUBE, level=0.5, theta_samples=120)
     assert prof.orientation == "indeterminate"
