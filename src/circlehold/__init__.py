@@ -12,8 +12,7 @@ from .errors import (CertificationError, CircleHoldError, DegenerateInput,
                      EmptyResult, InvalidInput, InvalidParam, InvalidStart,
                      NoBlockingSlice, NoSolution, NotFound)
 from .tolerances import DEFAULT_SEED, TOL_GEOM, TOL_OPT
-from .planar import (Circle2, Polygon2, SplitWidths, Strip,
-                     best_fit_equilateral, chebyshev_inscribed,
+from .planar import (Circle2, Polygon2, SplitWidths, Strip, chebyshev_inscribed,
                      clip_halfplane_2d, convex_hull_2d, equilateral_triangle,
                      hausdorff_distance, horizontal_width,
                      min_enclosing_circle, point_polygon_distance,
@@ -59,8 +58,7 @@ __all__ = [
     "clip_halfplane_2d", "split_width_identities", "min_enclosing_circle",
     "chebyshev_inscribed",
     "point_polygon_distance", "hausdorff_distance", "equilateral_triangle",
-    "best_fit_equilateral", "random_convex_polygon",
-    "random_axis_crossing_polygon",
+    "random_convex_polygon", "random_axis_crossing_polygon",
     # polytope
     "HalfSpace", "Polytope3", "WidthResult", "CylinderResult",
     "build_hull", "width3", "clip_halfspace", "min_cylinder",

@@ -33,8 +33,9 @@ import numpy as np
 
 from .errors import (CertificationError, InvalidInput, InvalidStart,
                      NoBlockingSlice, NotFound)
-from .planar import (Polygon2, best_fit_equilateral, chebyshev_inscribed,
-                     clip_halfplane_2d, convex_hull_2d, width2)
+from .planar import (Polygon2, chebyshev_inscribed, clip_halfplane_2d,
+                     convex_hull_2d, equilateral_triangle, hausdorff_distance,
+                     width2)
 # the public forms of the slice kernel and the strip width; bench/tracing.py
 # wraps them under this module's name
 from .planar import horizontal_width, min_enclosing_circle  # noqa: F401
@@ -781,10 +782,12 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
                       side: str = "auto") -> ChainCertificate:
     """Build the projection chain certificate for a circle pose.
 
-    Requires the body to pass through the circle (:func:`surrounds_slice`,
-    else :class:`InvalidInput`) and a cross-section on the chosen side whose
-    circumdiameter exceeds the circle diameter by more than ``TOL_OPT``
-    (else :class:`NoBlockingSlice`).  ``side="auto"`` builds the blocked
+    Requires the body to pass through the circle (:func:`surrounds_slice`)
+    and the circle to avoid the body's interior to depth ``TOL_OPT``
+    (:func:`circle_interior_intersects`), else :class:`InvalidInput`, and
+    a cross-section on the chosen side whose circumdiameter exceeds the
+    circle diameter by more than ``TOL_OPT`` (else
+    :class:`NoBlockingSlice`).  ``side="auto"`` builds the blocked
     sides in turn, above first, and returns the first certificate whose
     checks all hold; only when none holds is every side built, to fall back
     to the one with the fewest failures.  The chain is asymmetric, so
@@ -795,9 +798,10 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
     near end (just off the circle's plane, never on it, where the prism
     direction would be undefined) and its vertex heights (the profile is
     convex in between).  The prism is the working cube clipped by the
-    tangent half-spaces.  The minimal shadow widths of the far half and of
-    the prism are exact, so every link of the chain is computed, none
-    sampled.
+    tangent half-spaces; the far half is the profile's vertices beyond the
+    plane and its section in the plane, so the body is cut once.  The
+    minimal shadow widths of the far half and of the prism are exact, so
+    every link of the chain is computed, none sampled.
     """
     d = C.diameter
     sc = _SliceScanner(K, C.normal, C.center)
@@ -805,6 +809,10 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
         raise InvalidInput("circle plane does not cut the body interior")
     if not _surrounds(sc, C):
         raise InvalidInput("body does not pass through the circle")
+    pen = circle_interior_intersects(K, C, TOL_OPT)
+    if pen.intersects:
+        raise InvalidInput(f"circle penetrates the body (depth "
+                           f"{pen.penetration:.3g})")
     if side not in ("auto", "above", "below"):
         raise InvalidInput(f"side must be 'above', 'below' or 'auto', got {side!r}")
 
@@ -880,12 +888,12 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
                             for s3 in (1.0, -1.0)])
         for hs in tangent_hs:
             prism = clip_halfspace(prism, hs)
-        min_wh_region = _min_shadow_width(prism, nrm)
+        min_wh_region = _min_shadow_width(prism.vertices, nrm)
 
-        # far half of the body
-        far_normal = tuple(sgn * np.asarray(C.normal, float))
-        far = clip_halfspace(K, HalfSpace(far_normal,
-                                          float(np.dot(far_normal, C.center))))
+        # the far half of the body: its vertices strictly beyond the
+        # circle's plane and the profile's section in that plane
+        far = np.vstack([K.vertices[sgn * sc.h < -1e-12 * sc.scale],
+                         *(sc.lift(p, 0.0) for p in sc.points2(0.0))])
         min_wh_far = _min_shadow_width(far, nrm)
 
         values = {
@@ -1064,15 +1072,18 @@ class ExtremalityDiagnostics:
 
     In the extremal limit the chain's region is an equilateral triangle
     circumscribing the circle and the contacts concentrate near three
-    equally spaced points on it.  ``hausdorff`` measures the region's
-    distance from its best-fit equilateral triangle; ``cluster_distance``
-    the worst contact's distance to the nearest of three ideal tangency
-    points (optimized over their common rotation).  ``slacks``
-    lists the gaps in the chain inequalities — all of them shrink to zero
-    exactly in the extremal limit.
+    equally spaced points on it.  ``cluster_distance`` is the worst
+    contact's distance to the nearest of three ideal tangency points,
+    minimised exactly over their common rotation ``cluster_rotation``.
+    ``triangle`` circumscribes the circle and touches it at those points
+    (in the chain's plane coordinates), and ``hausdorff`` is the region's
+    exact distance from it (``inf`` for a strip): nothing is fitted.
+    ``slacks`` lists the gaps in the chain inequalities — all of them
+    shrink to zero exactly in the extremal limit.
     """
 
     hausdorff: float
+    triangle: Polygon2
     cluster_distance: float
     cluster_rotation: float
     slacks: dict[str, float]
@@ -1082,17 +1093,11 @@ class ExtremalityDiagnostics:
 def extremality_diagnostics(K: Polytope3, C: Circle3,
                             chain: ChainCertificate | None = None
                             ) -> ExtremalityDiagnostics:
-    """Quantify how near a certified circle is to the sharp two-thirds bound."""
+    """Quantify how near a certified circle is to the sharp two-thirds
+    bound, in closed form (see :class:`ExtremalityDiagnostics`)."""
     if chain is None:
         chain = chain_certificate(K, C)
     d = C.diameter
-
-    if chain.region_kind == "polygon":
-        _, haus, _, _ = best_fit_equilateral(
-            Polygon2.from_points(chain.region2),
-            height=chain.values["width2_region"])
-    else:
-        haus = float("inf")
 
     # the contacts lie on the circle, so the cost grows with each contact's
     # angle to its nearest ideal point: the best rotation centres the
@@ -1110,6 +1115,11 @@ def extremality_diagnostics(K: Polytope3, C: Circle3,
     ideal = (d / 2.0) * np.stack([np.cos(ideal), np.sin(ideal)], axis=1)
     v_best = float(np.linalg.norm(q[:, None] - ideal, axis=2).min(axis=1).max())
 
+    # the extremal triangle: its edges touch the circle at the ideal points
+    triangle = equilateral_triangle(1.5 * d, psi_best + np.pi, (0.0, 0.0))
+    haus = (hausdorff_distance(Polygon2.from_points(chain.region2), triangle)
+            if chain.region_kind == "polygon" else float("inf"))
+
     v = chain.values
     slacks = {
         "width_vs_far_half": v["min_wh_far_half"] - v["width"],
@@ -1117,6 +1127,6 @@ def extremality_diagnostics(K: Polytope3, C: Circle3,
         "region_vs_diameter_bound": v["diameter_bound"] - v["width2_region"],
     }
     return ExtremalityDiagnostics(
-        hausdorff=haus, cluster_distance=v_best, cluster_rotation=psi_best,
-        slacks=slacks, chain=chain,
+        hausdorff=haus, triangle=triangle, cluster_distance=v_best,
+        cluster_rotation=psi_best, slacks=slacks, chain=chain,
     )

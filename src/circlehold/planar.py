@@ -21,7 +21,6 @@ from math import hypot, inf
 from random import Random
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegenerateInput, InvalidInput
 from .tolerances import TOL_GEOM
@@ -124,16 +123,6 @@ class Polygon2:
 
     def __repr__(self) -> str:
         return f"Polygon2({len(self.vertices)} vertices)"
-
-    @property
-    def centroid(self) -> np.ndarray:
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        cr = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        a = cr.sum() / 2.0
-        if abs(a) < 1e-300:
-            return v.mean(axis=0)
-        return (v + w).T @ cr / (6.0 * a)
 
     def edge_lines(self) -> tuple[np.ndarray, np.ndarray]:
         """Outward unit normals and offsets: interior is ``n.x <= b``."""
@@ -571,37 +560,6 @@ def equilateral_triangle(height: float, angle: float = 0.0,
     ang = angle + np.array([0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
     verts = c + rc * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     return Polygon2(verts, validate=False)
-
-
-def best_fit_equilateral(P, height: float | None = None):
-    """Best rotation+translation fit of an equilateral triangle to a polygon.
-
-    The triangle height is fixed (default: the polygon's planar width, which
-    is the height the triangle would have if the fit were perfect).  Returns
-    ``(triangle, hausdorff_distance, angle, center)``.  Deterministic:
-    coarse angle grid followed by a Nelder-Mead polish.
-    """
-    poly = P if isinstance(P, Polygon2) else Polygon2.from_points(P)
-    if height is None:
-        height, _ = width2(poly)
-    cen = poly.centroid
-
-    def cost(x):
-        ang, cx, cy = x
-        return hausdorff_distance(poly, equilateral_triangle(height, ang, (cx, cy)))
-
-    best = None
-    for ang in np.linspace(0.0, 2.0 * np.pi / 3.0, 48, endpoint=False):
-        c = cost((ang, cen[0], cen[1]))
-        if best is None or c < best[1]:
-            best = ((ang, cen[0], cen[1]), c)
-    x0 = np.array(best[0])
-    res = minimize(cost, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 600})
-    x = res.x if res.fun <= best[1] else x0
-    d = min(float(res.fun), best[1])
-    tri = equilateral_triangle(height, float(x[0]), (float(x[1]), float(x[2])))
-    return tri, d, float(x[0]), (float(x[1]), float(x[2]))
 
 
 # ---------------------------------------------------------------------------

@@ -435,12 +435,13 @@ def width3(K: Polytope3) -> WidthResult:
                        int(np.argmax(proj[:, k])))
 
 
-def _min_shadow_width(K: Polytope3, n) -> float:
-    """Exact minimum over ``theta`` of the horizontal width of ``K``'s
-    shadow on the plane spanned by ``u = cos(theta) e1 + sin(theta) e2``
-    and the unit vector ``n``.  That width is ``min_a breadth(u - a n)``,
-    so the minimum is that of ``breadth(v) / |v x n|`` over ``v`` not
-    parallel to ``n``.
+def _min_shadow_width(V: np.ndarray, n) -> float:
+    """Exact minimum over ``theta`` of the horizontal width of the shadow
+    of ``K = conv(V)`` on the plane spanned by ``u = cos(theta) e1 +
+    sin(theta) e2`` and the unit vector ``n``.  That width is ``min_a
+    breadth(u - a n)``, so the minimum is that of ``breadth(v) / |v x n|``
+    over ``v`` not parallel to ``n``.  Points of ``V`` inside the hull do
+    not change it.
 
     Breadth is the support function of ``K - K``, linear on each cell of
     its normal fan, the overlay of the Gauss maps of ``K`` and ``-K``.
@@ -450,11 +451,11 @@ def _min_shadow_width(K: Polytope3, n) -> float:
     a facet normal of ``K - K`` (:func:`_difference_normals`), rounded as
     in :func:`width3`.  For these unit candidates ``|v x n| =
     sqrt(1 - (v . n)^2)``."""
-    cands = _sign_rounded(_difference_normals(K.vertices))
+    cands = _sign_rounded(_difference_normals(V))
     cos = cands @ np.asarray(n, float)
     sin = np.sqrt(1.0 - np.minimum(cos * cos, 1.0))
     ok = sin > 1e-12  # directions along n cast no finite ratio
-    proj = K.vertices @ cands[ok].T
+    proj = V @ cands[ok].T
     ratio = (proj.max(axis=0) - proj.min(axis=0)) / sin[ok]
     return float(ratio.min(initial=math.inf))
 

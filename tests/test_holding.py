@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from chain_reference import bounded_intersection_vertices, grid_golden_min
 from clearance_reference import reference_bound
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_cases import oracle_agreement_cases
 from test_sections import diam_calls  # noqa: F401 (a fixture)
 
@@ -19,6 +21,7 @@ from circlehold import (
     InvalidStart,
     NoBlockingSlice,
     NotFound,
+    Polygon2,
     VERDICT_ESCAPE,
     VERDICT_EVIDENCE,
     VERDICT_INCONCLUSIVE,
@@ -40,12 +43,12 @@ from circlehold import (
     translation_block_certificate,
     wd_tetrahedron,
 )
-from circlehold import families, holding, verification
+from circlehold import families, holding, polytope, verification
 from circlehold.fileio import circle_from_dict, escape_to_dict, report_to_dict
 from circlehold.holding import _SupportGapBound, _edge_pair_distances
 from circlehold.planar import periodic_min, projected_width
-from circlehold.polytope import (HalfSpace, Polytope3, clip_halfspace,
-                                 plane_frame)
+from circlehold.polytope import (HalfSpace, Polytope3, _min_shadow_width,
+                                 clip_halfspace, plane_frame)
 from circlehold.sections import _SliceScanner
 from circlehold.tolerances import TOL_OPT
 
@@ -857,8 +860,9 @@ def test_verify_paper_chain_values_unchanged():
 
 def _chain_parts(a, h):
     """The chain certificate of a spindle's waist circle, its frame, centre
-    and working box, the boxed prism as the certificate clips it, and the
-    projected widths of the prism and of the far half."""
+    and working box, the boxed prism as the certificate clips it, the far
+    half as a second plane cut of the body (``clip_halfspace``), and the
+    projected widths of the prism and of that far half."""
     inst = octahedron_iceberg(a, h)
     C = inst.circle
     cert = chain_certificate(inst.body, C)
@@ -879,7 +883,7 @@ def _chain_parts(a, h):
         pts = [((V - c0) @ ax).tolist() for ax in frame]
         return lambda th: projected_width(*pts, th)
 
-    return (cert, frame, c0, box, prism, widths(prism.vertices),
+    return (cert, frame, c0, box, prism, far, widths(prism.vertices),
             widths(far.vertices))
 
 
@@ -972,20 +976,41 @@ def test_chain_needs_a_blocking_slice():
                 chain_certificate(CUBE, Circle3((0.5, 0.5, 0.5), d, (0, 0, 1)))
 
 
-def test_chain_blocking_height_is_off_the_circle_plane():
-    # at scale 2000 the surround test admits a circle 3e-6 narrower than
-    # the square section in its plane, more than TOL_OPT: the section there
-    # would block, but the chain divides by the blocking height
+def _big_cube_circle(narrower):
+    """The side-2000 cube and a circle about its middle square section,
+    ``narrower`` than the square's diagonal."""
     s = 2000.0
     K = build_hull(np.array([[x, y, z] for x in (0.0, s) for y in (0.0, s)
                              for z in (0.0, s)]))
-    C = Circle3((s / 2, s / 2, s / 2), s * np.sqrt(2.0) - 3e-6, (0, 0, 1))
+    return K, Circle3((s / 2, s / 2, s / 2), s * np.sqrt(2.0) - narrower,
+                      (0, 0, 1))
+
+
+def test_chain_blocking_height_is_off_the_circle_plane():
+    # at scale 2000 the surround test admits a circle 1.2e-6 narrower than
+    # the square section in its plane, more than TOL_OPT: the section there
+    # would block, but the chain divides by the blocking height.  The
+    # circle cuts the square's corners 4.2e-7 deep, less than TOL_OPT.
+    K, C = _big_cube_circle(1.2e-6)
     assert surrounds_slice(K, C)
+    assert holding_report(K, C).verdict == VERDICT_EVIDENCE
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cert = chain_certificate(K, C)
-    assert cert.side == "above" and 0.0 < cert.height < 1e-8 * s
+    assert cert.side == "above" and 0.0 < cert.height < 1e-8 * 2000.0
     assert np.isfinite(cert.delta_direction).all()
+
+
+def test_chain_rejects_a_circle_that_meets_the_interior():
+    # 3e-6 narrower, the circle cuts the corners 1.06e-6 deep, more than
+    # TOL_OPT: the body passes through it, but it is no holding circle
+    K, C = _big_cube_circle(3e-6)
+    assert surrounds_slice(K, C)
+    pen = circle_interior_intersects(K, C, TOL_OPT)
+    assert pen.intersects and pen.penetration > TOL_OPT
+    assert holding_report(K, C).verdict == VERDICT_INCONCLUSIVE
+    with pytest.raises(InvalidInput, match="penetrates the body"):
+        chain_certificate(K, C)
 
 
 def test_extremality_of_octahedron_waist():
@@ -996,3 +1021,128 @@ def test_extremality_of_octahedron_waist():
     assert diag.hausdorff < 1e-9
     assert diag.slacks["region_vs_diameter_bound"] == pytest.approx(0.0, abs=1e-9)
     assert diag.slacks["width_vs_far_half"] > 0.0
+
+
+EXTREMAL_SPINDLES = [*(octahedron_iceberg(a, h)
+                       for a, h in CHAIN_SPINDLES + [(1.05, 50.0)]),
+                     families.seven_vertex_iceberg(1.2, 10.0)]
+
+
+@pytest.mark.parametrize("inst", EXTREMAL_SPINDLES)
+def test_spindle_regions_are_the_extremal_triangle(inst):
+    diag = extremality_diagnostics(inst.body, inst.circle)
+    assert diag.hausdorff < 1e-12 * inst.circle.diameter
+
+
+@pytest.mark.parametrize("inst", [*EXTREMAL_SPINDLES,
+                                  families.rectangle_circle(1.2, 3.0)])
+def test_extremal_triangle_touches_the_circle_at_the_ideal_points(inst):
+    diag = extremality_diagnostics(inst.body, inst.circle)
+    d = inst.circle.diameter
+    normals, offsets = diag.triangle.edge_lines()
+    # the edges lie at d/2 from the centre, so the circle is inscribed,
+    # and the outward normals point at the three ideal points
+    assert np.abs(offsets - d / 2.0).max() <= 1e-12 * d
+    ang = diag.cluster_rotation + 2.0 * np.pi / 3.0 * np.arange(3)
+    ideal = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    gap = np.linalg.norm(normals[:, None] - ideal[None], axis=2)
+    assert gap.min(axis=0).max() <= 1e-12 and gap.min(axis=1).max() <= 1e-12
+
+
+def _boundary_samples(P, step):
+    v = P.vertices
+    pts = []
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        k = int(np.ceil(np.linalg.norm(b - a) / step))
+        pts.append(a + (np.arange(k) / k)[:, None] * (b - a))
+    return np.vstack(pts)
+
+
+def _sampled_hausdorff(P, Q, step):
+    """Hausdorff distance of two convex polygons from their boundaries
+    sampled ``step`` apart: a directed supremum is attained on the
+    boundary, and a boundary point outside the other polygon is nearest
+    to that polygon's boundary."""
+    from scipy.spatial import cKDTree
+
+    def directed(A, B):
+        a, b = _boundary_samples(A, step), _boundary_samples(B, step)
+        n, off = B.edge_lines()
+        outside = (a @ n.T > off).any(axis=1)
+        return float(cKDTree(b).query(a[outside])[0].max(initial=0.0))
+
+    return max(directed(P, Q), directed(Q, P))
+
+
+def test_extremal_hausdorff_matches_sampled_boundaries():
+    inst = families.rectangle_circle(1.2, 3.0)
+    diag = extremality_diagnostics(inst.body, inst.circle)
+    region = Polygon2.from_points(diag.chain.region2)
+    step = 1e-3
+    want = _sampled_hausdorff(region, diag.triangle, step)
+    assert abs(diag.hausdorff - want) <= step
+    # the circumscribing triangle is no fit: here it is 1.37 away
+    assert diag.hausdorff == pytest.approx(1.3715555016, abs=1e-9)
+
+
+@pytest.mark.parametrize("a, h", CHAIN_SPINDLES)
+def test_far_half_from_the_profile_equals_the_plane_cut(a, h):
+    cert, frame, *_, far, _, _ = _chain_parts(a, h)
+    want = _min_shadow_width(far.vertices, frame[2])
+    got = cert.values["min_wh_far_half"]
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("a, h", CHAIN_SPINDLES)
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_chain_side_hulls_the_prism_alone(monkeypatch, a, h, side):
+    inst = octahedron_iceberg(a, h)
+    hulls, clipped = [], []
+    inner_hull, inner_clip = polytope.build_hull, holding.clip_halfspace
+
+    def hull(points):
+        hulls.append(len(points))
+        return inner_hull(points)
+
+    monkeypatch.setattr(polytope, "build_hull", hull)
+    monkeypatch.setattr(holding, "build_hull", hull)
+    monkeypatch.setattr(holding, "clip_halfspace",
+                        lambda K, hs: clipped.append(K) or inner_clip(K, hs))
+    cert = chain_certificate(inst.body, inst.circle, side=side)
+    # the working box and one hull per tangent cut of it: the far half is
+    # read off the profile, so the body is never cut or hulled again
+    assert len(hulls) == 1 + len(cert.tangent_halfspaces)
+    assert len(clipped) == len(cert.tangent_halfspaces)
+    assert all(K is not inst.body for K in clipped)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(inst=st.sampled_from([*EXTREMAL_SPINDLES,
+                             families.rectangle_circle(1.2, 3.0),
+                             skew_tetrahedron(0.1),
+                             wd_tetrahedron(2.0, 2.0, 1.0)]),
+       motion=st.integers(0, 2**32 - 1))
+def test_chain_is_invariant_under_rigid_motion_and_vertex_order(inst, motion):
+    # scaling is left out: the tolerances are absolute (ROADMAP item 2)
+    K, C = inst.body, inst.circle
+    rng = np.random.default_rng(motion)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    R = q if np.linalg.det(q) > 0 else -q
+    shift = rng.uniform(-5.0, 5.0, 3) * K.circumradius
+    perm = rng.permutation(len(K.vertices))
+    new_index = np.argsort(perm)
+    moved = Polytope3(K.vertices[perm] @ R.T + shift,
+                      [[int(new_index[i]) for i in f] for f in K.faces],
+                      validate=False)
+    C2 = Circle3(R @ C.center_array + shift, C.diameter,
+                 R @ np.asarray(C.normal, float))
+    want = extremality_diagnostics(K, C)
+    got = extremality_diagnostics(moved, C2)
+    d = C.diameter
+    assert got.chain.side == want.chain.side
+    for k, v in want.chain.values.items():
+        assert abs(got.chain.values[k] - v) <= 1e-9 * max(1.0, abs(v))
+    assert got.chain.checks == want.chain.checks
+    assert (got.hausdorff == want.hausdorff
+            or abs(got.hausdorff - want.hausdorff) <= 1e-9 * d)
+    assert abs(got.cluster_distance - want.cluster_distance) <= 1e-9 * d

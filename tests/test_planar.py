@@ -8,7 +8,6 @@ from circlehold import (
     DegenerateInput,
     InvalidInput,
     Polygon2,
-    best_fit_equilateral,
     chebyshev_inscribed,
     clip_halfplane_2d,
     convex_hull_2d,
@@ -480,12 +479,6 @@ def test_hausdorff_between_squares():
     Q = Polygon2.from_points(SQUARE + np.array([0.25, 0.0]))
     assert hausdorff_distance(Polygon2.from_points(SQUARE), Q) == \
         pytest.approx(0.25, abs=1e-9)
-
-
-def test_best_fit_equilateral_recovers_exact():
-    tri = equilateral_triangle(2.5, angle=0.7, center=(0.3, -0.2))
-    fit, haus, theta, center = best_fit_equilateral(tri, height=2.5)
-    assert haus < 1e-7
 
 
 def test_clip_halfplane():

@@ -408,7 +408,7 @@ def _grid_shadow_width(K, n):
 
 
 def _assert_exact_shadow_min(K, n):
-    got = _min_shadow_width(K, n)
+    got = _min_shadow_width(K.vertices, n)
     want = _grid_shadow_width(K, n)
     # at most every sample, up to the candidates' rounding to 14 decimals,
     # and no further below the sampled minimum than that
@@ -435,7 +435,8 @@ def test_min_shadow_width_matches_the_sampled_minimum_on_random_hulls():
 
 def test_min_shadow_width_closed_forms():
     # the unit cube seen along z: every shadow is at least 1 wide
-    assert _min_shadow_width(build_hull(CUBE), np.array([0.0, 0.0, 1.0])) == 1.0
+    assert _min_shadow_width(build_hull(CUBE).vertices,
+                             np.array([0.0, 0.0, 1.0])) == 1.0
     # below its waist a spindle keeps its bottom triangle (circumradius 2),
     # whose breadth is at least its altitude 3 in every shadow; a strip
     # sheared along a side edge attains 3
@@ -443,7 +444,7 @@ def test_min_shadow_width_closed_forms():
         inst = octahedron_iceberg(a, h)
         zc = inst.circle.center[2]
         far = clip_halfspace(inst.body, HalfSpace((0.0, 0.0, 1.0), zc))
-        got = _min_shadow_width(far, np.array([0.0, 0.0, 1.0]))
+        got = _min_shadow_width(far.vertices, np.array([0.0, 0.0, 1.0]))
         assert abs(got - 3.0) <= 1e-12 * 3.0
 
 
@@ -463,16 +464,12 @@ def test_min_shadow_width_is_invariant_under_motion_scaling_and_order(
     s = 10.0 ** log_scale
     R = random_rotation(rng)
     shift = rng.uniform(-5.0, 5.0, 3) * K.circumradius
-    w0 = _min_shadow_width(K, n)
-    # the same polytope with its vertices renumbered, moved and scaled (not
-    # re-hulled: the property is of the minimum, not of build_hull)
-    perm = rng.permutation(len(K.vertices))
-    new_index = np.argsort(perm)
-    faces = [[int(new_index[i]) for i in f] for f in K.faces]
-    V = K.vertices[perm]
+    w0 = _min_shadow_width(K.vertices, n)
+    # the same vertices renumbered, moved and scaled (not re-hulled: the
+    # property is of the minimum, not of build_hull)
+    V = K.vertices[rng.permutation(len(K.vertices))]
     for pts, m, want in ((V @ R.T + shift, R @ n, w0), (s * V, n, s * w0)):
-        moved = Polytope3(pts, faces, validate=False)
-        assert abs(_min_shadow_width(moved, m) - want) <= 1e-12 * want
+        assert abs(_min_shadow_width(pts, m) - want) <= 1e-12 * want
 
 
 def test_min_cylinder_cube():
