@@ -20,7 +20,7 @@ def main() -> None:
     print(f"spindle a=1.38 h=5: waist circle diameter "
           f"{inst.circle.diameter:.6f} at z = {level:.6f}")
 
-    prof = iceberg_profile(inst.body, level=level, theta_samples=720)
+    prof = iceberg_profile(inst.body, level=level)
     print(f"orientation: {prof.orientation}")
     print(f"worst-angle margin: {prof.margin:.6f} at theta = "
           f"{prof.margin_theta:.4f}")
@@ -35,7 +35,7 @@ def main() -> None:
     from circlehold import build_hull
 
     flipped = build_hull(inst.body.vertices * np.array([1.0, 1.0, -1.0]))
-    prof2 = iceberg_profile(flipped, level=-level, theta_samples=720)
+    prof2 = iceberg_profile(flipped, level=-level)
     print(f"flipped copy: orientation {prof2.orientation} "
           f"(margin {prof2.margin:.6f})")
 

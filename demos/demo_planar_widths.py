@@ -29,7 +29,7 @@ def main() -> None:
     # reproduce the minimum of the pieces exactly
     rng = np.random.default_rng(7)
     P = random_axis_crossing_polygon(rng)
-    sw = split_width_identities(P, 0.0)
+    sw = split_width_identities(P)
     print(f"random polygon split at 0: upper {sw.upper:.6f}, lower "
           f"{sw.lower:.6f}, chord {sw.chord:.6f}, whole {sw.union:.6f}")
     print(f"  identity residuals: {sw.residual_min:.2e}, {sw.residual_max:.2e}")

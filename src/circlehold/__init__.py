@@ -21,8 +21,7 @@ from .planar import (Circle2, Polygon2, SplitWidths, Strip, chebyshev_inscribed,
 from .polytope import (CylinderResult, HalfSpace, Polytope3, WidthResult,
                        build_hull, clip_halfspace, min_cylinder, plane_frame,
                        point_location, segment_distance, width3)
-from .projection import (IcebergProfile, iceberg_profile, split_body,
-                         split_project)
+from .projection import IcebergProfile, iceberg_profile, split_project
 from .holding import (VERDICT_ESCAPE, VERDICT_EVIDENCE, VERDICT_INCONCLUSIVE,
                       ChainCertificate, Circle3, EscapeResult,
                       ExtremalityDiagnostics, HoldingReport,
@@ -64,7 +63,7 @@ __all__ = [
     "build_hull", "width3", "clip_halfspace", "min_cylinder",
     "point_location", "segment_distance", "plane_frame",
     # projection
-    "split_body", "split_project", "IcebergProfile", "iceberg_profile",
+    "split_project", "IcebergProfile", "iceberg_profile",
     # holding
     "Circle3", "PenetrationWitness", "circle_interior_intersects",
     "sampled_penetration", "TranslationBlock",

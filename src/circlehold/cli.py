@@ -13,9 +13,10 @@ Subcommands
   against independent arithmetic, suite by suite
 - ``render``       write the OBJ scene and SVG figures for a body
 
-Each subcommand takes only the flags it reads.  ``--theta-samples`` sets
-the projected-width profile of ``analyze`` and ``render``; the chain's
-minima are exact and take no angle count.
+Each subcommand takes only the flags it reads; ``construct`` takes only
+the parameters of the family it builds.  The projected-width profile of
+``analyze`` and ``render`` samples 720 angles; the chain's minima are
+exact and take no angle count.
 
 Exit codes: 0 success (or certified evidence), 1 usage error or failed
 verification, 2 an escape was found, 3 inconclusive (``analyze`` with
@@ -123,9 +124,15 @@ def cmd_construct(args) -> int:
             print(f"error: family {args.family!r} requires --{p}",
                   file=sys.stderr)
             return 1
-        kwargs[p] = int(val) if p in _INT_PARAMS else float(val)
+        kwargs[p] = val
     if args.family == "seven-vertex" and args.apex_height is not None:
-        kwargs["apex_height"] = float(args.apex_height)
+        kwargs["apex_height"] = args.apex_height
+    extra = ", ".join("--" + p.replace("_", "-") for p in _FAMILY_PARAMS
+                      if p not in kwargs and getattr(args, p) is not None)
+    if extra:
+        print(f"error: family {args.family!r} takes no {extra}",
+              file=sys.stderr)
+        return 1
 
     inst = maker(**kwargs)
     body_doc, pred_doc = fileio.family_to_dicts(inst)
@@ -234,8 +241,7 @@ def cmd_analyze(args) -> int:
     level = _profile_level(args, circle)
     prof = None
     if level is not None:
-        prof = projection.iceberg_profile(body, level=level,
-                                          theta_samples=args.theta_samples)
+        prof = projection.iceberg_profile(body, level=level)
         doc["profile"] = fileio.profile_to_dict(prof)
         print(f"projected widths at level {_g(level)}: {prof.orientation} "
               f"(margin {_g(prof.margin)}, flipped "
@@ -335,8 +341,7 @@ def cmd_render(args) -> int:
 
     level = _profile_level(args, circle)
     if level is not None:
-        prof = projection.iceberg_profile(body, level=level,
-                                          theta_samples=args.theta_samples)
+        prof = projection.iceberg_profile(body, level=level)
         _write(args, "profile.svg", svgfig.profile_svg(prof), written)
         _write(args, "profile.csv", fileio.profile_csv(prof), written)
 
@@ -360,8 +365,6 @@ def cmd_render(args) -> int:
 
 # the shared flags; each subcommand takes only those it reads
 _FLAGS = {
-    "theta-samples": dict(type=int, default=720,
-                          help="projected-width profile angles per half-turn"),
     "budget": dict(type=_positive_int,
                    help="escape-search collision-check budget "
                         "(analyze reads it only with --circle)"),
@@ -391,11 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(families.FAMILIES))
     for name in _FAMILY_PARAMS:
         flag = "--" + name.replace("_", "-")
-        p.add_argument(flag, type=float, default=None)
+        p.add_argument(flag, type=int if name in _INT_PARAMS else float,
+                       default=None)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze", help="widths, cylinder and holding evidence")
-    _add_flags(p, "theta-samples", "budget", "out-dir", "json")
+    _add_flags(p, "budget", "out-dir", "json")
     p.add_argument("body", help="body JSON file")
     p.add_argument("--circle", help="circle JSON file (default: search "
                    "for the smallest certified circle)")
@@ -432,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="write OBJ/SVG figures for a body")
-    _add_flags(p, "theta-samples", "out-dir")
+    _add_flags(p, "out-dir")
     p.add_argument("body")
     p.add_argument("--circle")
     p.add_argument("--profile-level", type=float, default=None)

@@ -221,8 +221,9 @@ def report_to_dict(report: HoldingReport) -> dict:
 # OBJ scenes
 # ---------------------------------------------------------------------------
 
-def scene_obj(body, circles=(), segments: int = 128) -> str:
-    """Wavefront OBJ text: the body mesh plus each circle as a polyline."""
+def scene_obj(body, circles=()) -> str:
+    """Wavefront OBJ text: the body mesh plus each circle as a closed
+    polyline of 128 points."""
     if not isinstance(body, Polytope3):
         raise InvalidInput("OBJ scenes need a 3D body")
     out = ["# polytope with holding circles"]
@@ -232,11 +233,10 @@ def scene_obj(body, circles=(), segments: int = 128) -> str:
         out.append("f " + " ".join(str(i + 1) for i in face))
     offset = len(body.vertices)
     for C in circles:
-        pts = C.points(np.linspace(0.0, 2.0 * np.pi, segments,
-                                   endpoint=False))
+        pts = C.points(np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False))
         for p in pts:
             out.append(f"v {p[0]:.12g} {p[1]:.12g} {p[2]:.12g}")
-        idx = [str(offset + i + 1) for i in range(segments)]
+        idx = [str(offset + i + 1) for i in range(len(pts))]
         out.append("l " + " ".join(idx + [idx[0]]))
-        offset += segments
+        offset += len(pts)
     return "\n".join(out) + "\n"

@@ -254,9 +254,9 @@ def translation_block_certificate(K: Polytope3,
     Such a section cannot pass through the circle, so it blocks the
     one-parameter escape family that slides the circle along its own axis
     following the curve of section circumcenters.  This is a necessary
-    condition for holding — a body blocked on both sides may still be
-    escapable by richer motions, which is what :func:`escape_search`
-    probes.
+    condition for holding.  A body blocked on both sides admits no
+    translation past those sections, but rotations are not examined
+    anywhere: :func:`escape_search` translates the circle only.
 
     The section circumdiameter is convex between consecutive vertex
     heights, so only each side's near end (``1e-9 * span`` off the plane)
@@ -890,11 +890,8 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
             prism = clip_halfspace(prism, hs)
         min_wh_region = _min_shadow_width(prism.vertices, nrm)
 
-        # the far half of the body: its vertices strictly beyond the
-        # circle's plane and the profile's section in that plane
-        far = np.vstack([K.vertices[sgn * sc.h < -1e-12 * sc.scale],
-                         *(sc.lift(p, 0.0) for p in sc.points2(0.0))])
-        min_wh_far = _min_shadow_width(far, nrm)
+        # the far half of the body, off the pose's profile
+        min_wh_far = _min_shadow_width(sc.half(-sgn), nrm)
 
         values = {
             "width": w,

@@ -269,16 +269,15 @@ def golden_refine(f, lo: float, hi: float) -> tuple[float, float]:
     return xm, f(xm)
 
 
-def periodic_min(f, period: float, n: int, values=None) -> tuple[float, float]:
+def periodic_min(f, period: float, values) -> tuple[float, float]:
     """Minimum ``(x, f(x))`` of a ``period``-periodic scalar function.
 
-    The first argmin of ``f`` on ``n`` equally spaced samples from 0
-    (``values``, when the caller has them already) is refined by
-    :func:`golden_refine` within one sample step on each side; the sample
-    wins ties, and ``x`` is reduced mod ``period``."""
+    The first argmin of ``values``, the values of ``f`` on equally spaced
+    samples from 0, is refined by :func:`golden_refine` within one sample
+    step on each side; the sample wins ties, and ``x`` is reduced mod
+    ``period``."""
+    n = len(values)
     grid = np.linspace(0.0, period, n, endpoint=False)
-    if values is None:
-        values = np.array([f(x) for x in grid])
     k = int(np.argmin(values))
     step = period / n
     x, v = golden_refine(f, grid[k] - step, grid[k] + step)
@@ -335,19 +334,19 @@ def clip_halfplane_2d(vertices: np.ndarray, normal, offset: float) -> np.ndarray
     return np.array(out).reshape(-1, 2)
 
 
-def split_width_identities(P, level: float = 0.0) -> SplitWidths:
-    """Split a convex polygon by the horizontal line ``t = level`` and
+def split_width_identities(P) -> SplitWidths:
+    """Split a convex polygon by the horizontal line ``t = 0`` and
     report the four horizontal widths together with the identity residuals
     ``|w_h(chord) - min(upper, lower)|`` and ``|w_h(union) - max(...)|``.
     """
     poly = P if isinstance(P, Polygon2) else Polygon2.from_points(P)
     t = poly.vertices[:, 1]
-    if t.max() <= level + TOL_GEOM or t.min() >= level - TOL_GEOM:
+    if t.max() <= TOL_GEOM or t.min() >= -TOL_GEOM:
         raise InvalidInput("polygon must have vertices strictly on both sides "
-                           f"of t = {level}")
-    upper = clip_halfplane_2d(poly.vertices, (0.0, -1.0), -level)
-    lower = clip_halfplane_2d(poly.vertices, (0.0, 1.0), level)
-    chord = upper[np.abs(upper[:, 1] - level) <= 10 * TOL_GEOM]
+                           "of t = 0")
+    upper = clip_halfplane_2d(poly.vertices, (0.0, -1.0), 0.0)
+    lower = clip_halfplane_2d(poly.vertices, (0.0, 1.0), 0.0)
+    chord = upper[np.abs(upper[:, 1]) <= 10 * TOL_GEOM]
     wa, _ = horizontal_width(upper)
     wb, _ = horizontal_width(lower)
     wc, _ = horizontal_width(chord) if len(chord) else (0.0, None)
@@ -375,23 +374,23 @@ def _circum_3(ax, ay, bx, by, cx, cy) -> tuple[float, float, float] | None:
 
 
 @lru_cache(maxsize=256)
-def _shuffled_order(n: int, seed: int) -> tuple[int, ...]:
+def _shuffled_order(n: int) -> tuple[int, ...]:
     order = list(range(n))
-    Random(seed).shuffle(order)
+    Random(1).shuffle(order)
     return tuple(order)
 
 
-def _welzl(pts: list, eps: float, seed: int) -> tuple[float, float, float]:
+def _welzl(pts: list, eps: float) -> tuple[float, float, float]:
     """Smallest circle ``(cx, cy, r)`` around a non-empty list of finite
     ``(x, y)`` pairs: Welzl's randomized incremental build on plain floats.
 
-    The points are taken in a fixed pseudo-random order per ``(len(pts),
-    seed)``; a point counts as inside when it is within ``eps`` of the
-    circle.
+    The points are taken in a fixed pseudo-random order per ``len(pts)``
+    (``random.Random(1)``); a point counts as inside when it is within
+    ``eps`` of the circle.
     """
     n = len(pts)
     if n > 3:
-        pts = [pts[i] for i in _shuffled_order(n, seed)]
+        pts = [pts[i] for i in _shuffled_order(n)]
     cx, cy = pts[0]
     r = 0.0
     for i in range(1, n):
@@ -422,20 +421,21 @@ def _welzl(pts: list, eps: float, seed: int) -> tuple[float, float, float]:
     return cx, cy, r
 
 
-def min_enclosing_circle(points, seed: int = 1) -> Circle2:
+def min_enclosing_circle(points) -> Circle2:
     """Smallest circle containing all points (randomized incremental build).
 
-    Deterministic for a given ``seed``.  The circle touches at least two of
-    the points; when it touches exactly two they are antipodal.  No hull is
-    needed first: the smallest circle of a set is that of its hull.  Points
-    within ``1e-12`` times the largest coordinate magnitude (at least 1) of
-    the circle count as inside.
+    Deterministic: the build order depends on the number of points alone.
+    The circle touches at least two of the points; when it touches exactly
+    two they are antipodal.  No hull is needed first: the smallest circle
+    of a set is that of its hull.  Points within ``1e-12`` times the
+    largest coordinate magnitude (at least 1) of the circle count as
+    inside.
     """
     pts = as_points(points)
     if not len(pts):
         raise InvalidInput("need at least one point")
     eps = 1e-12 * max(1.0, float(np.abs(pts).max()))
-    cx, cy, r = _welzl(pts.tolist(), eps, seed)
+    cx, cy, r = _welzl(pts.tolist(), eps)
     return Circle2((cx, cy), r)
 
 

@@ -539,7 +539,7 @@ def _cylinder_radius_for_axis(V: np.ndarray,
     ``1e-12 * scale`` outside it as inside."""
     e1, e2, _ = plane_frame(axis)
     p2 = np.stack([V @ e1, V @ e2], axis=1)
-    c = min_enclosing_circle(p2, seed=1)
+    c = min_enclosing_circle(p2)
     r = float(np.hypot(p2[:, 0] - c.center[0], p2[:, 1] - c.center[1]).max())
     return r, Circle2(c.center, r)
 
@@ -592,8 +592,8 @@ def _best_grid_axes(V: np.ndarray, axes: np.ndarray,
             break
         lo = i - i % 256
         X, Y = projections(lo)
-        r = min_enclosing_circle(np.stack([X[i - lo], Y[i - lo]], axis=1),
-                                 seed=1).radius
+        r = min_enclosing_circle(
+            np.stack([X[i - lo], Y[i - lo]], axis=1)).radius
         insort(best, (r, i))
         del best[keep:]
     return best

@@ -27,7 +27,8 @@ from .planar import convex_hull_2d, periodic_min, projected_width
 # the width of a projected pair; bench/tracing.py wraps it under this
 # module's name
 from .planar import horizontal_width  # noqa: F401
-from .polytope import HalfSpace, Polytope3, clip_halfspace
+from .polytope import Polytope3
+from .sections import _SliceScanner
 
 
 @dataclass
@@ -39,30 +40,27 @@ class ProjectedPair:
     lower: np.ndarray  # hull vertices in (s, t), t <= 0
 
 
-def split_body(K: Polytope3, level: float = 0.0) -> tuple[Polytope3, Polytope3]:
-    """Split a polytope by the horizontal plane ``z = level`` into its upper
-    and lower closed parts.  The plane must cut the interior."""
-    z = K.vertices[:, 2]
-    if z.max() <= level or z.min() >= level:
+def _halves(K: Polytope3, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of one section profile at the plane ``z = level``,
+    which must cut the interior (:meth:`_SliceScanner.half`), in
+    coordinates ``(x, y, z - level)``."""
+    sc = _SliceScanner(K, (0.0, 0.0, 1.0), (0.0, 0.0, level))
+    if sc.h_max <= 0.0 or sc.h_min >= 0.0:
         raise InvalidInput(f"plane z = {level} does not cut the body interior")
-    upper = clip_halfspace(K, HalfSpace((0.0, 0.0, -1.0), -level))
-    lower = clip_halfspace(K, HalfSpace((0.0, 0.0, 1.0), level))
-    return upper, lower
+    return sc.half(1.0) - sc.origin, sc.half(-1.0) - sc.origin
 
 
 def split_project(K: Polytope3, theta: float,
                   level: float = 0.0) -> ProjectedPair:
-    """Project the two halves of a split body into the vertical plane
-    through direction ``theta``."""
-    upper, lower = split_body(K, level)
+    """Project the two halves of a body split by the plane ``z = level``
+    into the vertical plane through direction ``theta``."""
     c, s = np.cos(theta), np.sin(theta)
 
-    def project(part: Polytope3) -> np.ndarray:
-        v = part.vertices
-        st = np.stack([v[:, 0] * c + v[:, 1] * s, v[:, 2] - level], axis=1)
-        return convex_hull_2d(st)
+    def project(v: np.ndarray) -> np.ndarray:
+        return convex_hull_2d(np.stack([v[:, 0] * c + v[:, 1] * s, v[:, 2]],
+                                       axis=1))
 
-    return ProjectedPair(float(theta), project(upper), project(lower))
+    return ProjectedPair(float(theta), *map(project, _halves(K, level)))
 
 
 @dataclass
@@ -94,38 +92,29 @@ class IcebergProfile:
     orientation: str
 
 
-def iceberg_profile(K: Polytope3, level: float = 0.0,
-                    theta_samples: int = 720) -> IcebergProfile:
+def iceberg_profile(K: Polytope3, level: float = 0.0) -> IcebergProfile:
     """Sweep all vertical projection planes and compare the horizontal
-    widths of the upper and lower parts of the split body.
+    widths of the upper and lower parts of the body split by the plane
+    ``z = level``.
 
-    Widths are computed exactly per angle; ``theta_samples`` controls only
-    the grid density.  The reported margins are grid minima refined by a
+    Widths are computed exactly per angle, on a grid of 720 angles over
+    ``[0, pi)``.  The reported margins are grid minima refined by a
     golden-section search around the worst grid cell
     (:func:`~circlehold.planar.periodic_min`), so a strictly positive
     reported margin is a reliable certificate for bodies whose width
     functions vary smoothly between samples.  The orientation counts a
     margin as strict beyond ``1e-7``.
     """
-    if theta_samples < 8:
-        raise InvalidInput("need at least 8 angular samples")
-
-    def coords(part: Polytope3) -> tuple[list, list, list]:
-        # (x, y, z - level), the coordinates split_project projects
-        v = part.vertices
-        return v[:, 0].tolist(), v[:, 1].tolist(), (v[:, 2] - level).tolist()
-
-    upper, lower = map(coords, split_body(K, level))
-    thetas = np.linspace(0.0, np.pi, theta_samples, endpoint=False)
+    upper, lower = (v.T.tolist() for v in _halves(K, level))
+    thetas = np.linspace(0.0, np.pi, 720, endpoint=False)
     wa = np.array([projected_width(*upper, th) for th in thetas])
     wb = np.array([projected_width(*lower, th) for th in thetas])
 
     def margin_at(th: float) -> float:
         return projected_width(*lower, th) - projected_width(*upper, th)
 
-    m_theta, m_given = periodic_min(margin_at, np.pi, theta_samples, wb - wa)
-    mf_theta, m_flip = periodic_min(lambda th: -margin_at(th), np.pi,
-                                    theta_samples, wa - wb)
+    m_theta, m_given = periodic_min(margin_at, np.pi, wb - wa)
+    mf_theta, m_flip = periodic_min(lambda th: -margin_at(th), np.pi, wa - wb)
 
     if m_given > 1e-7:
         orientation = "as_given"

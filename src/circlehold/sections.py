@@ -37,6 +37,7 @@ class _SliceScanner:
             raise InvalidInput("vertices, axis and origin must be finite")
         e1, e2, n = plane_frame(axis)
         self.frame = (e1, e2, n)
+        self.vertices = K.vertices
         rel = K.vertices - self.origin
         self.h = rel @ n
         self.scale = max(1.0, float(np.abs(K.vertices).max()))
@@ -96,22 +97,29 @@ class _SliceScanner:
 
     def circum(self, t: float) -> Circle2 | None:
         """Smallest circle around the section (that of
-        :func:`~circlehold.planar.min_enclosing_circle`, seed 1)."""
+        :func:`~circlehold.planar.min_enclosing_circle`)."""
         pts, big = self._section(float(t))
         if not pts:
             return None
-        cx, cy, r = _welzl(pts, 1e-12 * max(1.0, big), 1)
+        cx, cy, r = _welzl(pts, 1e-12 * max(1.0, big))
         return Circle2((cx, cy), r)
 
     def diam(self, t: float) -> float:
         pts, big = self._section(float(t))
         if not pts:
             return 0.0
-        return 2.0 * _welzl(pts, 1e-12 * max(1.0, big), 1)[2]
+        return 2.0 * _welzl(pts, 1e-12 * max(1.0, big))[2]
 
     def lift(self, p2, t: float) -> np.ndarray:
         e1, e2, n = self.frame
         return self.origin + p2[0] * e1 + p2[1] * e2 + t * n
+
+    def half(self, sgn: float) -> np.ndarray:
+        """Points spanning the body's part on side ``sgn`` (±1) of the
+        plane: the vertices more than ``1e-12 * scale`` on that side, then
+        the section at height 0, lifted."""
+        return np.vstack([self.vertices[sgn * self.h > 1e-12 * self.scale],
+                          *(self.lift(p, 0.0) for p in self.points2(0.0))])
 
     def side_max(self, lo: float, hi: float) -> tuple[float, float]:
         """Largest section circumdiameter on ``[lo, hi]`` and its height,

@@ -132,7 +132,7 @@ def check_split_identities(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     worst = 0.0
     for _ in range(1000):
         poly = planar.random_axis_crossing_polygon(rng)
-        sw = planar.split_width_identities(poly, 0.0)
+        sw = planar.split_width_identities(poly)
         worst = max(worst, sw.residual_min, sw.residual_max)
     return [_res("split-residuals-1000-random", worst < 1e-9,
                  "max residual < 1e-9", f"{worst:.3g}", "1e-9",

@@ -51,6 +51,40 @@ def test_construct_missing_parameter(tmp_path, capsys):
     assert "h" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["flat-tetra", "--eps", "0.2", "--a", "5", "--m", "3",
+      "--apex-height", "2"],
+     "family 'flat-tetra' takes no --a, --m, --apex-height"),
+    (["octahedron-iceberg", "--a", "1.2", "--h", "10", "--apex-height", "2"],
+     "family 'octahedron-iceberg' takes no --apex-height"),
+    (["skew-tetra", "--eps", "0.1", "--n", "4"],
+     "family 'skew-tetra' takes no --n"),
+])
+def test_construct_rejects_parameters_the_family_does_not_take(
+        tmp_path, capsys, argv, message):
+    assert run(["construct", *argv, "--out-dir", tmp_path]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["bevelled-cylinder", "--R", "10", "--m", "64.7"],
+    ["simplex-hull", "--n", "4.5", "--a", "1.001", "--h", "1000"],
+])
+def test_construct_integer_parameters_must_be_integers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["construct", *argv])
+    assert exc.value.code == 1
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_construct_seven_vertex_takes_an_apex_height(tmp_path):
+    construct(tmp_path, "seven-vertex", "--a", "1.2", "--h", "10",
+              "--apex-height", "2")
+    body = json.loads((tmp_path / "body.json").read_text())
+    assert [0.0, 0.0, 2.0] in body["vertices"]
+
+
 def test_analyze_finds_holding_circle(tmp_path, capsys):
     construct(tmp_path, "flat-tetra", "--eps", "0.2")
     code = run(["analyze", tmp_path / "body.json", "--out-dir", tmp_path])
@@ -101,8 +135,7 @@ def test_analyze_profile_outputs(tmp_path):
     construct(tmp_path, "octahedron-iceberg", "--a", "1.2", "--h", "10")
     code = run(["analyze", tmp_path / "body.json",
                 "--circle", tmp_path / "circle.json",
-                "--budget", "2000", "--theta-samples", "90",
-                "--csv", "--svg", "--out-dir", tmp_path])
+                "--budget", "2000", "--csv", "--svg", "--out-dir", tmp_path])
     assert code == 0
     assert (tmp_path / "profile.csv").exists()
     assert (tmp_path / "profile.svg").exists()
@@ -159,6 +192,9 @@ def test_chain_certificate(tmp_path, capsys):
     ["render", "body.json", "--tol-geom", "1e-6"],
     ["escape", "body.json", "circle.json", "--tol-opt", "1e-3"],
     ["escape", "body.json", "circle.json", "--seed", "3"],
+    # the projected-width profile samples a fixed 720 angles
+    ["analyze", "body.json", "--theta-samples", "90"],
+    ["render", "body.json", "--theta-samples", "90"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -232,8 +268,7 @@ def test_render_writes_figures(tmp_path):
     out = tmp_path / "fig"
     out.mkdir()
     code = run(["render", tmp_path / "body.json",
-                "--circle", tmp_path / "circle.json",
-                "--theta-samples", "90", "--out-dir", out])
+                "--circle", tmp_path / "circle.json", "--out-dir", out])
     assert code == 0
     assert (out / "scene.obj").exists()
     assert (out / "profile.svg").exists()

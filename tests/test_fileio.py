@@ -61,10 +61,10 @@ def test_body_id_stability():
 def test_scene_obj_layout():
     K = build_hull(CUBE_PTS)
     C = Circle3((0.5, 0.5, 0.5), 1.8, (0, 0, 1))
-    text = fileio.scene_obj(K, circles=[C], segments=64)
+    text = fileio.scene_obj(K, circles=[C])
     lines = text.splitlines()
     n_v = sum(1 for ln in lines if ln.startswith("v "))
-    assert n_v == 8 + 64
+    assert n_v == 8 + 128
     # the circle is emitted as a closed polyline
     l_lines = [ln for ln in lines if ln.startswith("l ")]
     assert l_lines
@@ -74,14 +74,13 @@ def test_scene_obj_layout():
 
 def test_profile_serialization():
     inst = octahedron_iceberg(1.2, 10.0)
-    prof = iceberg_profile(inst.body, level=inst.circle.center[2],
-                           theta_samples=36)
+    prof = iceberg_profile(inst.body, level=inst.circle.center[2])
     doc = fileio.profile_to_dict(prof)
     json.dumps(doc)
     assert doc["orientation"] == "as_given"
-    assert doc["theta_samples"] == 36
+    assert doc["theta_samples"] == 720
     assert doc["margin"] > 0.0
     csv_text = fileio.profile_csv(prof)
     rows = csv_text.strip().splitlines()
     assert rows[0] == "theta,width_upper,width_lower,margin"
-    assert len(rows) == 37
+    assert len(rows) == 721

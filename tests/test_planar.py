@@ -217,7 +217,7 @@ def test_projected_width_is_the_width_of_the_projection():
 
 def test_split_identities_triangle():
     P = Polygon2.from_points(np.array([[0.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
-    sw = split_width_identities(P, 0.0)
+    sw = split_width_identities(P)
     assert sw.upper == pytest.approx(1.0, abs=1e-12)
     assert sw.lower == pytest.approx(2.0, abs=1e-12)
     assert sw.chord == pytest.approx(1.0, abs=1e-12)
@@ -229,7 +229,7 @@ def test_split_identities_random():
     rng = np.random.default_rng(11)
     for _ in range(300):
         P = random_axis_crossing_polygon(rng)
-        sw = split_width_identities(P, 0.0)
+        sw = split_width_identities(P)
         assert sw.residual_min < 1e-9
         assert sw.residual_max < 1e-9
 
@@ -311,12 +311,13 @@ def test_min_enclosing_circle_matches_brute_force():
         assert reach <= c.radius + 1e-11 * scale
 
 
-def test_min_enclosing_circle_same_for_every_seed():
+def test_min_enclosing_circle_same_for_every_point_order():
+    rng = np.random.default_rng(0)
     for pts in _oracle_cases():
-        c1 = min_enclosing_circle(pts, seed=1)
+        c1 = min_enclosing_circle(pts)
         scale = max(1.0, float(np.abs(pts).max()))
-        for seed in (0, 2, 7, 12345):
-            c = min_enclosing_circle(pts, seed=seed)
+        for _ in range(4):
+            c = min_enclosing_circle(pts[rng.permutation(len(pts))])
             assert abs(c.radius - c1.radius) <= 1e-11 * scale
             assert np.allclose(c.center, c1.center, rtol=0, atol=1e-9 * scale)
 
@@ -343,7 +344,7 @@ def test_slice_circle_equals_circle_of_hull():
             sc = _SliceScanner(K, axis)
             for t in np.linspace(sc.h_min, sc.h_max, 23):
                 P = sc.points2(t)
-                old = min_enclosing_circle(convex_hull_2d(P), seed=1)
+                old = min_enclosing_circle(convex_hull_2d(P))
                 assert abs(sc.circum(t).radius - old.radius) <= 1e-12 * scale
 
 

@@ -500,7 +500,7 @@ def _cylinder_radii(V, axes):
         P = np.stack([E1[lo:lo + 256] @ V.T, E2[lo:lo + 256] @ V.T],
                      axis=2)  # (chunk, V, 2)
         for i, pts in enumerate(P):
-            radii[lo + i] = min_enclosing_circle(pts, seed=1).radius
+            radii[lo + i] = min_enclosing_circle(pts).radius
     return radii
 
 

@@ -94,7 +94,7 @@ def test_float_section_matches_numpy_section():
                 if len(want) == 0:
                     assert sc.circum(t) is None and sc.diam(t) == 0.0
                     continue
-                c, w = sc.circum(t), min_enclosing_circle(want, seed=1)
+                c, w = sc.circum(t), min_enclosing_circle(want)
                 assert np.array([*c.center, c.radius]).tobytes() == \
                     np.array([*w.center, w.radius]).tobytes()
                 checked += 1
