@@ -9,7 +9,7 @@ searches), and constructs the named families that make the bounds sharp.
 """
 
 from .errors import (CertificationError, CircleHoldError, DegenerateInput,
-                     EmptyResult, InvalidInput, InvalidParam, InvalidStart,
+                     InvalidInput, InvalidParam, InvalidStart,
                      NoBlockingSlice, NoSolution, NotFound)
 from .tolerances import DEFAULT_SEED, TOL_GEOM, TOL_OPT
 from .planar import (Circle2, Polygon2, SplitWidths, Strip, chebyshev_inscribed,
@@ -19,7 +19,7 @@ from .planar import (Circle2, Polygon2, SplitWidths, Strip, chebyshev_inscribed,
                      projected_width, random_axis_crossing_polygon,
                      random_convex_polygon, split_width_identities, width2)
 from .polytope import (CylinderResult, HalfSpace, Polytope3, WidthResult,
-                       build_hull, clip_halfspace, min_cylinder, plane_frame,
+                       build_hull, min_cylinder, plane_frame,
                        point_location, segment_distance, width3)
 from .projection import IcebergProfile, iceberg_profile, split_project
 from .holding import (VERDICT_ESCAPE, VERDICT_EVIDENCE, VERDICT_INCONCLUSIVE,
@@ -47,7 +47,7 @@ __all__ = [
     "__version__",
     # errors
     "CircleHoldError", "DegenerateInput", "InvalidInput", "InvalidParam",
-    "EmptyResult", "NoSolution", "NoBlockingSlice", "InvalidStart",
+    "NoSolution", "NoBlockingSlice", "InvalidStart",
     "NotFound", "CertificationError",
     # tolerances
     "TOL_GEOM", "TOL_OPT", "DEFAULT_SEED",
@@ -60,7 +60,7 @@ __all__ = [
     "random_convex_polygon", "random_axis_crossing_polygon",
     # polytope
     "HalfSpace", "Polytope3", "WidthResult", "CylinderResult",
-    "build_hull", "width3", "clip_halfspace", "min_cylinder",
+    "build_hull", "width3", "min_cylinder",
     "point_location", "segment_distance", "plane_frame",
     # projection
     "split_project", "IcebergProfile", "iceberg_profile",

@@ -17,10 +17,6 @@ class InvalidParam(CircleHoldError, ValueError):
     """A family constructor received a parameter outside its valid range."""
 
 
-class EmptyResult(CircleHoldError):
-    """The requested region is empty (e.g. a clip removed the whole body)."""
-
-
 class NoSolution(CircleHoldError):
     """A root-finding problem has no solution in the admissible range."""
 

@@ -37,6 +37,7 @@ The families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,14 @@ __all__ = [
 
 #: Primitive cube root of unity; the triangular families live in C x R.
 J = np.exp(2j * np.pi / 3.0)
+
+
+def _require_finite(**params: float) -> None:
+    """Reject a nan or infinite parameter by name, before any arithmetic
+    (``inf`` passes the range checks ``a > 1`` and ``h > 0``)."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise InvalidParam(f"{name} must be finite, got {value}")
 
 
 def _embed(z: complex, t: float) -> tuple[float, float, float]:
@@ -121,6 +130,7 @@ def octahedron_iceberg(a: float, h: float) -> FamilyInstance:
     body although the top is narrower than the bottom in every vertical
     projection.
     """
+    _require_finite(a=a, h=h)
     if not a > 1.0:
         raise InvalidParam(f"need a > 1, got {a}")
     if not h > 0.0:
@@ -158,6 +168,7 @@ def seven_vertex_iceberg(a: float, h: float,
     obstructs the large tilted circles through top and bottom edges, so the
     supremum of holding diameters collapses to the small-circle scale.
     """
+    _require_finite(apex_height=apex_height)
     base = octahedron_iceberg(a, h)
     if not apex_height > 0.0:
         raise InvalidParam(f"need apex_height > 0, got {apex_height}")
@@ -341,6 +352,7 @@ def bevelled_cylinder(R: float, m: int) -> FamilyInstance:
     grows without bound in R.  When 4 divides m, four rim points fall on
     bevel-to-rim segments and the hull has exactly 2m vertices.
     """
+    _require_finite(R=R, m=m)
     if not R > 2.0:
         raise InvalidParam(f"need R > 2, got {R}")
     m = int(m)
@@ -390,6 +402,7 @@ def wd_tetrahedron(p: float, q: float, s: float) -> FamilyInstance:
     ``s`` the width equals the minimal holding diameter; otherwise the
     waist circle still holds but is wider than the body.
     """
+    _require_finite(p=p, q=q, s=s)
     if min(p, q, s) <= 0.0:
         raise InvalidParam(f"need p, q, s > 0, got {(p, q, s)}")
     verts = np.array([[p / 2.0, 0.0, s], [-p / 2.0, 0.0, s],
@@ -512,6 +525,7 @@ def simplex_hull_nd(n: int, a: float, h: float) -> FamilyInstance:
     holds the body, while the width approaches ``2/C(n)`` for a -> 1,
     h -> infinity, C being :func:`steinhagen_constant`.
     """
+    _require_finite(n=n, a=a, h=h)
     n = int(n)
     if n < 3:
         raise InvalidParam(f"need n >= 3, got {n}")

@@ -40,8 +40,7 @@ from .planar import (Polygon2, chebyshev_inscribed, clip_halfplane_2d,
 # wraps them under this module's name
 from .planar import horizontal_width, min_enclosing_circle  # noqa: F401
 from .polytope import (HalfSpace, Polytope3, _min_shadow_width, _polish_axis,
-                       build_hull, clip_halfspace, min_cylinder, plane_frame,
-                       width3)
+                       min_cylinder, plane_frame, width3)
 # the scalar oracle of ``_edge_pair_distances``; bench/tracing.py wraps it
 # under this module's name
 from .polytope import segment_distance  # noqa: F401
@@ -749,10 +748,13 @@ class ChainCertificate:
     at angle theta (vertical meaning the circle normal).  Both minima over
     theta are exact: each is taken over a finite candidate set of
     directions (:func:`~circlehold.polytope._min_shadow_width`), not an
-    angle grid.  For computation the prism is a large working box about
-    the circle's centre, clipped by each tangent half-space in turn
-    (:func:`~circlehold.polytope.clip_halfspace`); the box provably does
-    not change either of the two middle quantities.
+    angle grid.  For computation the prism is ``region2`` (``region``
+    clipped to a large working square about the circle's centre) moved by
+    ``L`` both ways along ``delta_direction``, and that is exact for any
+    ``L``: every tangent normal is perpendicular to ``delta``, so a
+    direction ``v = (v_h, v_z)`` has ``breadth(v) = breadth_region(v_h) +
+    2 L |v . delta|``, and the ratio ``breadth(v) / |v x n|`` is at least
+    ``width2(region)``, with equality at ``v . delta = 0``.
 
     ``values`` holds the five numbers, ``checks`` one boolean per relation
     plus internal consistency tests, and ``holds`` their conjunction.
@@ -768,7 +770,7 @@ class ChainCertificate:
     contacts3: np.ndarray          # contact points on the blocking section
     tangent_halfspaces: list[HalfSpace]
     region_kind: str               # "polygon" | "strip"
-    region2: np.ndarray            # region clipped to the working box
+    region2: np.ndarray            # region clipped to the working square
     strip_direction: np.ndarray | None
     values: dict[str, float]
     checks: dict[str, bool]
@@ -797,11 +799,11 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
     :func:`translation_block_certificate`: its largest, over the side's
     near end (just off the circle's plane, never on it, where the prism
     direction would be undefined) and its vertex heights (the profile is
-    convex in between).  The prism is the working cube clipped by the
-    tangent half-spaces; the far half is the profile's vertices beyond the
-    plane and its section in the plane, so the body is cut once.  The
-    minimal shadow widths of the far half and of the prism are exact, so
-    every link of the chain is computed, none sampled.
+    convex in between).  The prism is the boxed region moved along the
+    prism direction, so no hull is built; the far half is the profile's
+    vertices beyond the plane and its section in the plane, so the body is
+    cut once.  The minimal shadow widths of the far half and of the prism
+    are exact, so every link of the chain is computed, none sampled.
     """
     d = C.diameter
     sc = _SliceScanner(K, C.normal, C.center)
@@ -865,7 +867,7 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
             tangent_hs.append(HalfSpace(tuple(nu_world), off_tan))
 
         # cross-section of the tangent prism through the circle plane,
-        # clipped to a working box (harmless: see class docstring)
+        # clipped to a working square (harmless: see class docstring)
         box = 50.0 * d
         poly = np.array([[-box, -box], [box, -box], [box, box], [-box, box]])
         for ui in u:
@@ -880,15 +882,12 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
         w2_region, _ = width2(region_poly)
         surround = antipodal or (len(u) >= 3 and _directions_surround_origin(u))
 
-        # the prism itself, as the working cube clipped by the tangent
-        # half-spaces, for its shadow widths
-        c0 = C.center_array
-        prism = build_hull([c0 + box * (s1 * e1 + s2 * e2 + s3 * nrm)
-                            for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)
-                            for s3 in (1.0, -1.0)])
-        for hs in tangent_hs:
-            prism = clip_halfspace(prism, hs)
-        min_wh_region = _min_shadow_width(prism.vertices, nrm)
+        # the prism itself: the boxed region moved both ways along the
+        # prism direction (exact for any length: see class docstring)
+        lifted = np.array([sc.lift(p, 0.0) for p in poly])
+        min_wh_region = _min_shadow_width(
+            np.vstack([lifted + box * delta_world,
+                       lifted - box * delta_world]), nrm)
 
         # the far half of the body, off the pose's profile
         min_wh_far = _min_shadow_width(sc.half(-sgn), nrm)

@@ -1,5 +1,5 @@
-"""Convex polytopes in 3-space: hull construction, width, circumscribing
-cylinders and clipping.
+"""Convex polytopes in 3-space: hull construction, width and
+circumscribing cylinders.
 
 A :class:`Polytope3` stores hull vertices together with its facets as vertex
 index cycles (coplanar triangles merged into one facet).  Edges are derived
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateInput, EmptyResult, InvalidInput
+from .errors import DegenerateInput, InvalidInput
 from .planar import Circle2, min_enclosing_circle
 # the planar hull, as this module imported it; bench/tracing.py wraps it
 # under this module's name
@@ -194,10 +194,6 @@ class Polytope3:
 
     # -- metric queries -------------------------------------------------------
 
-    def breadth(self, u) -> float:
-        proj = self.vertices @ np.asarray(u, float)
-        return float(proj.max() - proj.min())
-
     @property
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -211,19 +207,6 @@ class Polytope3:
         """Edge endpoints as an ``(E, 2, 3)`` array."""
         idx = np.array(self.edges)
         return self.vertices[idx]
-
-    def transformed(self, rotation=None, translation=None) -> "Polytope3":
-        """Rigidly move the polytope (rotation about origin, then shift)."""
-        verts = self.vertices
-        if rotation is not None:
-            verts = verts @ np.asarray(rotation, float).T
-        if translation is not None:
-            verts = verts + np.asarray(translation, float)
-        return Polytope3(verts, self.faces, validate=False)
-
-    def contains(self, point) -> bool:
-        n, b = self.face_planes()
-        return bool(np.all(n @ np.asarray(point, float) <= b + TOL_GEOM))
 
     def __repr__(self) -> str:
         return (f"Polytope3({len(self.vertices)} vertices, "
@@ -458,33 +441,6 @@ def _min_shadow_width(V: np.ndarray, n) -> float:
     proj = V @ cands[ok].T
     ratio = (proj.max(axis=0) - proj.min(axis=0)) / sin[ok]
     return float(ratio.min(initial=math.inf))
-
-
-# ---------------------------------------------------------------------------
-# clipping
-# ---------------------------------------------------------------------------
-
-def clip_halfspace(K: Polytope3, hs: HalfSpace) -> Polytope3:
-    """Intersection of a polytope with a half-space, as a new polytope.
-
-    A vertex within ``TOL_GEOM * scale`` of the plane counts as on it;
-    edges that cross from one side of that window to the other add their
-    crossing points."""
-    d = K.vertices @ np.asarray(hs.normal, float) - hs.offset
-    eps = TOL_GEOM * max(1.0, float(np.abs(K.vertices).max()))
-    if d.max() <= eps:
-        return K
-    if d.min() >= -eps:
-        raise EmptyResult("half-space removes the whole polytope")
-    pts = [K.vertices[i] for i in np.flatnonzero(d <= eps)]
-    for a, b in K.edges:
-        da, db = d[a], d[b]
-        if (da < -eps and db > eps) or (da > eps and db < -eps):
-            lam = da / (da - db)
-            pts.append(K.vertices[a] + lam * (K.vertices[b] - K.vertices[a]))
-    if len(pts) < 4:
-        raise EmptyResult("clipped region is not full-dimensional")
-    return build_hull(np.array(pts))
 
 
 # ---------------------------------------------------------------------------

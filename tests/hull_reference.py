@@ -1,11 +1,15 @@
 """The hull kernels that ``polytope`` replaced with loops over Python
 floats, kept as the references their tests compare against: the facet
 merge with one ``np.cross`` per triangle pair, triangle and cycle vertex,
-and the face planes with Newell's sums accumulated in a numpy array."""
+and the face planes with Newell's sums accumulated in a numpy array.  Also
+the plane cut of a hull, which the section profile's halves and the
+chain's extruded prism replaced."""
 
 import numpy as np
 
-from circlehold.polytope import _chain_cycle
+from circlehold.errors import InvalidInput
+from circlehold.polytope import HalfSpace, Polytope3, _chain_cycle, build_hull
+from circlehold.tolerances import TOL_GEOM
 
 
 def merge_coplanar_by_np_cross(points, hull, angle_tol=1e-7):
@@ -92,3 +96,26 @@ def face_planes_by_numpy_newell(K):
         normals.append(nrm)
         offsets.append(off)
     return np.array(normals), np.array(offsets)
+
+
+def clip_halfspace(K: Polytope3, hs: HalfSpace) -> Polytope3:
+    """Intersection of a polytope with a half-space, as a new polytope.
+
+    A vertex within ``TOL_GEOM * scale`` of the plane counts as on it;
+    edges that cross from one side of that window to the other add their
+    crossing points."""
+    d = K.vertices @ np.asarray(hs.normal, float) - hs.offset
+    eps = TOL_GEOM * max(1.0, float(np.abs(K.vertices).max()))
+    if d.max() <= eps:
+        return K
+    if d.min() >= -eps:
+        raise InvalidInput("half-space removes the whole polytope")
+    pts = [K.vertices[i] for i in np.flatnonzero(d <= eps)]
+    for a, b in K.edges:
+        da, db = d[a], d[b]
+        if (da < -eps and db > eps) or (da > eps and db < -eps):
+            lam = da / (da - db)
+            pts.append(K.vertices[a] + lam * (K.vertices[b] - K.vertices[a]))
+    if len(pts) < 4:
+        raise InvalidInput("clipped region is not full-dimensional")
+    return build_hull(np.array(pts))

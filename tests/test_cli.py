@@ -78,6 +78,17 @@ def test_construct_integer_parameters_must_be_integers(argv, capsys):
     assert "invalid int value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simplex-hull", "--n", "3", "--a", "inf", "--h", "1000"],
+     "a must be finite, got inf"),
+])
+def test_construct_rejects_non_finite_parameters(tmp_path, capsys, argv,
+                                                  message):
+    assert run(["construct", *argv, "--out-dir", tmp_path]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_construct_seven_vertex_takes_an_apex_height(tmp_path):
     construct(tmp_path, "seven-vertex", "--a", "1.2", "--h", "10",
               "--apex-height", "2")

@@ -50,6 +50,27 @@ def test_parameter_validation(bad):
         bad()
 
 
+#: a valid value of every family parameter
+VALID_PARAMS = {"a": 1.2, "h": 10.0, "apex_height": 1.0, "eps": 0.2,
+                "R": 10.0, "m": 64, "p": 2.0, "q": 2.0, "s": 1.0, "n": 4}
+
+
+def _family_params(family):
+    params = FAMILIES[family][1]
+    return params + ("apex_height",) if family == "seven-vertex" else params
+
+
+@pytest.mark.parametrize("family, param, bad", [
+    (family, param, bad) for family in FAMILIES
+    for param in _family_params(family)
+    for bad in (float("nan"), float("inf"), float("-inf"))])
+def test_non_finite_parameters_are_rejected_by_name(family, param, bad):
+    kwargs = {p: VALID_PARAMS[p] for p in _family_params(family)}
+    kwargs[param] = bad
+    with pytest.raises(InvalidParam, match=rf"\b{param}\b"):
+        FAMILIES[family][0](**kwargs)
+
+
 # --- spindle octahedra -------------------------------------------------------
 
 def test_octahedron_predictions_match_geometry():

@@ -10,6 +10,7 @@ from chain_reference import bounded_intersection_vertices, grid_golden_min
 from clearance_reference import reference_bound
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hull_reference import clip_halfspace
 from oracle_cases import oracle_agreement_cases
 from test_sections import diam_calls  # noqa: F401 (a fixture)
 
@@ -43,12 +44,12 @@ from circlehold import (
     translation_block_certificate,
     wd_tetrahedron,
 )
-from circlehold import families, holding, polytope, verification
+from circlehold import families, fileio, holding, polytope, verification
 from circlehold.fileio import circle_from_dict, escape_to_dict, report_to_dict
 from circlehold.holding import _SupportGapBound, _edge_pair_distances
 from circlehold.planar import periodic_min, projected_width
 from circlehold.polytope import (HalfSpace, Polytope3, _min_shadow_width,
-                                 clip_halfspace, plane_frame)
+                                 plane_frame, point_location)
 from circlehold.sections import _SliceScanner
 from circlehold.tolerances import TOL_OPT
 
@@ -102,7 +103,7 @@ def test_penetration_witness():
     w = circle_interior_intersects(CUBE, Circle3((0.5, 0.5, 0.5), 0.8, (1, 0, 0)))
     assert w.intersects
     assert w.penetration == pytest.approx(0.1, abs=1e-9)
-    assert CUBE.contains(w.point)
+    assert point_location(CUBE, w.point) != "exterior"
 
 
 def test_no_penetration_for_outside_and_coplanar_rings():
@@ -858,14 +859,14 @@ def test_verify_paper_chain_values_unchanged():
     assert all(cert.checks.values())
 
 
-def _chain_parts(a, h):
-    """The chain certificate of a spindle's waist circle, its frame, centre
-    and working box, the boxed prism as the certificate clips it, the far
-    half as a second plane cut of the body (``clip_halfspace``), and the
-    projected widths of the prism and of that far half."""
-    inst = octahedron_iceberg(a, h)
+def _chain_parts(inst, side="auto"):
+    """The chain certificate of a family circle on ``side``, its frame,
+    centre and working box, the prism as the working cube clipped by the
+    tangent half-spaces, the far half as a second plane cut of the body
+    (both by ``clip_halfspace``, the construction the certificate
+    replaced), and the projected widths of that prism and far half."""
     C = inst.circle
-    cert = chain_certificate(inst.body, C)
+    cert = chain_certificate(inst.body, C, side=side)
     frame = _SliceScanner(inst.body, C.normal, origin=C.center_array).frame
     c0, box = C.center_array, 50.0 * C.diameter
     prism = build_hull([c0 + box * (s1 * frame[0] + s2 * frame[1]
@@ -892,7 +893,7 @@ CHAIN_SPINDLES = [(1.01, 200.0), (1.2, 10.0), (1.38, 5.0)]
 
 @pytest.mark.parametrize("a, h", CHAIN_SPINDLES)
 def test_periodic_min_matches_grid_golden_reference_in_the_chain(a, h):
-    cert, *_, wh_prism, wh_far = _chain_parts(a, h)
+    cert, *_, wh_prism, wh_far = _chain_parts(octahedron_iceberg(a, h))
     for f, key in ((wh_prism, "min_wh_region"), (wh_far, "min_wh_far_half")):
         grid = np.linspace(0.0, np.pi, 720, endpoint=False)
         got = periodic_min(f, np.pi, np.array([f(x) for x in grid]))
@@ -925,7 +926,7 @@ def test_cluster_distance_is_the_sampled_minimum(inst):
 
 @pytest.mark.parametrize("a, h", CHAIN_SPINDLES + [(1.05, 50.0)])
 def test_clipped_prism_matches_plane_triple_vertices(a, h):
-    cert, frame, c0, box, prism, *_ = _chain_parts(a, h)
+    cert, frame, c0, box, prism, *_ = _chain_parts(octahedron_iceberg(a, h))
     hs = list(cert.tangent_halfspaces) + [
         HalfSpace(tuple(s * ax), box + float(s * ax @ c0))
         for ax in frame for s in (1.0, -1.0)]
@@ -1088,7 +1089,7 @@ def test_extremal_hausdorff_matches_sampled_boundaries():
 
 @pytest.mark.parametrize("a, h", CHAIN_SPINDLES)
 def test_far_half_from_the_profile_equals_the_plane_cut(a, h):
-    cert, frame, *_, far, _, _ = _chain_parts(a, h)
+    cert, frame, *_, far, _, _ = _chain_parts(octahedron_iceberg(a, h))
     want = _min_shadow_width(far.vertices, frame[2])
     got = cert.values["min_wh_far_half"]
     assert abs(got - want) <= 1e-12 * want
@@ -1098,23 +1099,31 @@ def test_far_half_from_the_profile_equals_the_plane_cut(a, h):
 @pytest.mark.parametrize("side", ["above", "below"])
 def test_chain_side_hulls_the_prism_alone(monkeypatch, a, h, side):
     inst = octahedron_iceberg(a, h)
-    hulls, clipped = [], []
-    inner_hull, inner_clip = polytope.build_hull, holding.clip_halfspace
+    hulls = []
+    inner = polytope.build_hull
+    for module in (polytope, families, fileio):
+        monkeypatch.setattr(module, "build_hull",
+                            lambda points: hulls.append(len(points))
+                            or inner(points))
+    assert not hasattr(holding, "build_hull")
+    chain_certificate(inst.body, inst.circle, side=side)
+    # the prism is the boxed region moved along the prism direction and
+    # the far half is read off the profile: no hull is built at all
+    assert hulls == []
 
-    def hull(points):
-        hulls.append(len(points))
-        return inner_hull(points)
 
-    monkeypatch.setattr(polytope, "build_hull", hull)
-    monkeypatch.setattr(holding, "build_hull", hull)
-    monkeypatch.setattr(holding, "clip_halfspace",
-                        lambda K, hs: clipped.append(K) or inner_clip(K, hs))
-    cert = chain_certificate(inst.body, inst.circle, side=side)
-    # the working box and one hull per tangent cut of it: the far half is
-    # read off the profile, so the body is never cut or hulled again
-    assert len(hulls) == 1 + len(cert.tangent_halfspaces)
-    assert len(clipped) == len(cert.tangent_halfspaces)
-    assert all(K is not inst.body for K in clipped)
+@pytest.mark.parametrize("inst", [*EXTREMAL_SPINDLES,
+                                  families.rectangle_circle(1.2, 3.0),
+                                  skew_tetrahedron(0.1),
+                                  wd_tetrahedron(2.0, 2.0, 1.0),
+                                  flat_tetrahedron(0.2)])
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_extruded_region_matches_the_cube_clipped_prism(inst, side):
+    cert, frame, _, _, prism, *_ = _chain_parts(inst, side)
+    want = _min_shadow_width(prism.vertices, frame[2])
+    got = cert.values["min_wh_region"]
+    assert cert.side == side
+    assert abs(got - want) <= 1e-12 * want
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
