@@ -483,6 +483,7 @@ def steinhagen_constant(n: int) -> float:
 
 def simplex_holding_sphere_diameter(n: int, a: float) -> float:
     """Closed-form diameter of the waist sphere of ``simplex_hull_nd``."""
+    _require_finite(n=n, a=a)
     n = int(n)
     if n < 3:
         raise InvalidParam(f"need n >= 3, got {n}")
@@ -500,6 +501,7 @@ def simplex_waist_minimum(n: int, a: float) -> tuple[float, float]:
     Returns ``(lam, diameter)``; an independent check of
     :func:`simplex_holding_sphere_diameter`.
     """
+    _require_finite(n=n, a=a)
     n = int(n)
     if n < 3:
         raise InvalidParam(f"need n >= 3, got {n}")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (CertificationError, InvalidInput, InvalidStart,
                      NoBlockingSlice, NotFound)
-from .planar import (Polygon2, chebyshev_inscribed, clip_halfplane_2d,
+from .planar import (Polygon2, _hull, chebyshev_inscribed, clip_halfplane_2d,
                      convex_hull_2d, equilateral_triangle, hausdorff_distance,
                      width2)
 # the public forms of the slice kernel and the strip width; bench/tracing.py
@@ -108,11 +108,11 @@ class Circle3:
 class PenetrationWitness:
     """Outcome of the circle-interior test.
 
-    ``penetration`` is the largest interior depth found on the circle (how
-    far inside every face plane the witness point sits); negative values mean
-    the whole circle stays outside by at least that slack at the tested
-    angles.  ``intersects`` is exact for the given ``tol``; the depth is
-    informational."""
+    ``penetration`` is the in-plane margin of :func:`_pierce`, an upper
+    bound on the interior depth of every circle point: at most 0 when the
+    plane does not cut the interior, about +1e-16 at a touching waist.
+    ``intersects`` is ``penetration > tol``; then ``angle`` and ``point``
+    are a witness on the circle inside the body."""
 
     intersects: bool
     penetration: float
@@ -125,62 +125,63 @@ class PenetrationWitness:
 
 def circle_interior_intersects(K: Polytope3, C: Circle3,
                                tol: float = TOL_GEOM) -> PenetrationWitness:
-    """Exact test whether a circle meets the interior of a polytope.
+    """Exact test whether a circle meets the interior of a polytope, read
+    off the body's section in the circle's plane (:func:`_pierce`).  The
+    circle counts as meeting the interior when its margin exceeds
+    ``tol``."""
+    return _pierce(_SliceScanner(K, C.normal, C.center), C, tol)[0]
 
-    On the circle each face inequality ``n_f . p(t) < b_f - tol`` holds on an
-    open angular arc (``R_f cos(t - phi_f) < gamma_f``).  The circle meets
-    the interior iff the intersection of all arcs is non-empty, which is
-    decided exactly by cutting the circle at every arc endpoint and testing
-    one midpoint per elementary arc.  ``tol`` is the depth a point must
-    reach to count as interior.
-    """
-    n, b = K.face_planes()
-    e1, e2, _ = C.frame()
+
+def _pierce(sc: _SliceScanner, C: Circle3,
+            tol: float) -> tuple[PenetrationWitness, bool]:
+    """The penetration of ``C`` from its profile ``sc``, and the surround
+    gate: the section ``K_0`` in the circle's plane is non-empty and within
+    ``TOL_GEOM * scale`` of the closed disc.
+
+    With ``far`` and ``near`` the largest and smallest distance of ``K_0``
+    from the center, the circle meets the interior iff the plane cuts it,
+    ``far > r`` and ``near < r`` (the relative interior of ``K_0`` is then
+    convex with points on both sides of the circle).  The margin ``min(far
+    - r, r - near, -h_min, h_max)`` bounds the depth of every circle point
+    from above and must exceed ``tol``.  The witness is the midpoint of the
+    arc deepest inside ``K_0``, between crossings of the hull's edges."""
+    pts, _ = sc._section(0.0)
     r = C.radius
-    c = C.center_array
-    beta = n @ c
-    A = r * (n @ e1)
-    B = r * (n @ e2)
-    R = np.hypot(A, B)
-    phi = np.arctan2(B, A)
-    gamma = b - tol - beta
+    far = max([math.sqrt(x * x + y * y) for x, y in pts], default=math.inf)
+    surrounds = sc.h_min <= 0.0 <= sc.h_max and far <= r + TOL_GEOM * sc.scale
+    eps = 1e-12 * sc.scale
+    hull = _hull(pts) if sc.h_min < -eps and sc.h_max > eps else []
+    if len(hull) < 3:  # the plane misses the interior, or K_0 has no area
+        return (PenetrationWitness(False, min(-sc.h_min, sc.h_max, 0.0),
+                                   None, None), surrounds)
+    # per edge of the counterclockwise hull: start, direction, length
+    edges = [(ax, ay, bx - ax, by - ay, math.hypot(bx - ax, by - ay))
+             for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1])]
 
-    def depth(ts: np.ndarray) -> np.ndarray:
-        # interior depth (positive inside) at angles ts, against all faces
-        ts = np.atleast_1d(ts)
-        vals = beta[None, :] + R[None, :] * np.cos(ts[:, None] - phi[None, :])
-        return -(vals - b[None, :]).max(axis=1)
+    def depth(x: float, y: float) -> float:  # inside every edge line
+        return min((dx * (y - ay) - dy * (x - ax)) / ln
+                   for ax, ay, dx, dy, ln in edges)
 
-    flat = R <= 1e-13 * max(r, 1.0)
-    active = ~flat
-    ratio = np.empty_like(R)
-    ratio[active] = gamma[active] / R[active]
-    # some face excludes the whole circle: no arc to cut
-    if np.any(gamma[flat] <= 0.0) or np.any(ratio[active] <= -1.0):
-        probe = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-        dep = depth(probe)
-        k = int(np.argmax(dep))
-        return PenetrationWitness(False, float(dep[k]), None, None)
-
-    binding = active & (ratio < 1.0)
-    if not binding.any():
-        dep = depth(np.array([0.0]))
-        hit = bool(dep[0] > tol)
-        return PenetrationWitness(hit, float(dep[0]), 0.0 if hit else None,
-                                  C.points(0.0)[0] if hit else None)
-
-    alpha = np.arccos(np.clip(ratio[binding], -1.0, 1.0))
-    ends = np.concatenate([phi[binding] + alpha, phi[binding] - alpha])
-    ends = np.sort(np.mod(ends, 2.0 * np.pi))
-    gaps = np.diff(np.concatenate([ends, [ends[0] + 2.0 * np.pi]]))
-    mids = np.mod(ends + gaps / 2.0, 2.0 * np.pi)
-    dep = depth(mids)
-    k = int(np.argmax(dep))
-    hit = bool(dep[k] > tol)
-    t_best = float(mids[k])
-    return PenetrationWitness(hit, float(dep[k]),
-                              t_best if hit else None,
-                              C.points(t_best)[0] if hit else None)
+    near = 0.0 if depth(0.0, 0.0) >= 0.0 else math.inf
+    ts = []                             # where the circle crosses an edge
+    for ax, ay, dx, dy, ln in edges:
+        b = (ax * dx + ay * dy) / (ln * ln)
+        s = min(max(-b, 0.0), 1.0)
+        near = min(near, math.hypot(ax + s * dx, ay + s * dy))
+        disc = b * b - (ax * ax + ay * ay - r * r) / (ln * ln)
+        if disc >= 0.0:
+            ts += [math.atan2(ay + s * dy, ax + s * dx)
+                   for s in (-b - math.sqrt(disc), -b + math.sqrt(disc))
+                   if 0.0 <= s <= 1.0]
+    margin = min(far - r, r - near, -sc.h_min, sc.h_max)
+    if not margin > tol:
+        return PenetrationWitness(False, margin, None, None), surrounds
+    ts.sort()
+    mids = [(a + b) / 2.0 for a, b in
+            zip(ts, ts[1:] + [t + 2.0 * math.pi for t in ts[:1]])] or [0.0]
+    t = max(mids, key=lambda t: depth(r * math.cos(t), r * math.sin(t)))
+    t %= 2.0 * math.pi
+    return PenetrationWitness(True, margin, t, C.points(t)[0]), surrounds
 
 
 @lru_cache(maxsize=8)
@@ -286,16 +287,7 @@ def surrounds_slice(K: Polytope3, C: Circle3) -> bool:
     non-empty and lies inside the closed disc bounded by the circle — i.e.
     the body actually passes through the circle rather than sitting beside
     it."""
-    return _surrounds(_SliceScanner(K, C.normal, C.center), C)
-
-
-def _surrounds(sc: _SliceScanner, C: Circle3) -> bool:
-    """The test for ``C`` from its profile ``sc``."""
-    P = sc.points2(0.0)
-    if not (sc.h_min <= 0.0 <= sc.h_max and len(P)):
-        return False
-    return bool(np.linalg.norm(P, axis=1).max()
-                <= C.radius + TOL_GEOM * sc.scale)
+    return _pierce(_SliceScanner(K, C.normal, C.center), C, TOL_OPT)[1]
 
 
 def _edge_pair_distances(K: Polytope3) -> tuple[np.ndarray, np.ndarray,
@@ -501,8 +493,9 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     than ``budget // 4`` checks are spent, but a step under way bisects
     until ``budget`` is spent, so a search can use more than a quarter.
     Success means reaching a pose whose center is at least ten
-    circumradii of the body (``escape_radius``) from its centroid; the
-    returned path is re-validated pose by pose.  Step lengths scale with
+    circumradii of the body (``escape_radius``) from its centroid; a start
+    meeting the interior raises :class:`InvalidStart`, and the returned
+    path's later poses are validated the same way.  Step lengths scale with
     ``step``, a fiftieth of the circumradius.  The result records both,
     with the march steps accepted and rejected and the furthest center
     reached.  A march keeps only its accepted centers; circle poses are
@@ -515,15 +508,21 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     evidence, not proof, of holding.  The search is deterministic:
     ``seed`` is only recorded in the result.
     """
+    start_pen = circle_interior_intersects(K, start, TOL_OPT)
+    if start_pen.intersects:
+        raise InvalidStart(f"start pose penetrates the body "
+                           f"(margin {start_pen.penetration:.3g})")
+    return _escape(K, start, budget, seed)
+
+
+def _escape(K: Polytope3, start: Circle3, budget: int,
+            seed: int) -> EscapeResult:
+    """The marches of :func:`escape_search`, from a start off the
+    interior."""
     centroid = K.centroid
     circum = K.circumradius
     step = circum / 50.0
     escape_radius = 10.0 * circum
-
-    start_pen = circle_interior_intersects(K, start, TOL_OPT)
-    if start_pen.intersects:
-        raise InvalidStart(
-            f"start pose penetrates the body (depth {start_pen.penetration:.3g})")
 
     n_faces, b_faces = K.face_planes()
     e1, e2, _ = start.frame()
@@ -569,14 +568,13 @@ def escape_search(K: Polytope3, start: Circle3, budget: int = 100_000,
     reach = math.sqrt(d @ d)
 
     def finish(centers):
-        """The escape path, validated: the start, then a pose per accepted
-        center of the march that escaped."""
+        """The escape path: the start, then a pose per accepted center of
+        the march that escaped, each validated."""
         path = [start] + [Circle3(tuple(c), start.diameter, start.normal)
                           for c in centers]
-        for pose in path:
-            if circle_interior_intersects(K, pose, TOL_OPT).intersects:
-                raise CertificationError(
-                    "escape path failed post-hoc validation")
+        if any(circle_interior_intersects(K, pose, TOL_OPT)
+               for pose in path[1:]):
+            raise CertificationError("escape path failed post-hoc validation")
         return EscapeResult("found", path, checks, 0, seed, step,
                             escape_radius, cl0, accepted, rejected, reach)
 
@@ -642,11 +640,10 @@ class HoldingReport:
 
 
 def _gates(K: Polytope3, C: Circle3):
-    """Penetration, surround and blocking, the last two from one profile."""
-    pen = circle_interior_intersects(K, C, TOL_OPT)
+    """Penetration, surround and blocking, from one profile."""
     sc = _SliceScanner(K, C.normal, C.center)
-    surrounds = not pen.intersects and _surrounds(sc, C)
-    return pen, surrounds, _block(sc, C)
+    pen, surrounds = _pierce(sc, C, TOL_OPT)
+    return pen, surrounds and not pen.intersects, _block(sc, C)
 
 
 def holding_report(K: Polytope3, C: Circle3, *,
@@ -679,7 +676,7 @@ def _report(K: Polytope3, C: Circle3, gates, pairs, *,
     escape = None
     if pen.intersects:
         reasons.append(f"circle penetrates the body "
-                       f"(depth {pen.penetration:.3g}) — not a holding circle")
+                       f"(margin {pen.penetration:.3g}) — not a holding circle")
         verdict = VERDICT_INCONCLUSIVE
     elif surrounds and block.blocked_above and block.blocked_below:
         verdict = VERDICT_EVIDENCE
@@ -695,7 +692,7 @@ def _report(K: Polytope3, C: Circle3, gates, pairs, *,
             reasons.append("no blocking cross-section above the circle plane")
         if not block.blocked_below:
             reasons.append("no blocking cross-section below the circle plane")
-        escape = escape_search(K, C, budget=budget)
+        escape = _escape(K, C, budget, DEFAULT_SEED)  # the gates checked C
         if escape.start_clearance <= 0.0:
             reasons.append(
                 f"the escape search did no work: the start clearance bound "
@@ -785,7 +782,7 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
     """Build the projection chain certificate for a circle pose.
 
     Requires the body to pass through the circle (:func:`surrounds_slice`)
-    and the circle to avoid the body's interior to depth ``TOL_OPT``
+    and the circle to avoid the body's interior to margin ``TOL_OPT``
     (:func:`circle_interior_intersects`), else :class:`InvalidInput`, and
     a cross-section on the chosen side whose circumdiameter exceeds the
     circle diameter by more than ``TOL_OPT`` (else
@@ -809,11 +806,11 @@ def chain_certificate(K: Polytope3, C: Circle3, *,
     sc = _SliceScanner(K, C.normal, C.center)
     if not (sc.h_min < -1e-12 * sc.scale and sc.h_max > 1e-12 * sc.scale):
         raise InvalidInput("circle plane does not cut the body interior")
-    if not _surrounds(sc, C):
+    pen, surrounds = _pierce(sc, C, TOL_OPT)
+    if not surrounds:
         raise InvalidInput("body does not pass through the circle")
-    pen = circle_interior_intersects(K, C, TOL_OPT)
     if pen.intersects:
-        raise InvalidInput(f"circle penetrates the body (depth "
+        raise InvalidInput(f"circle penetrates the body (margin "
                            f"{pen.penetration:.3g})")
     if side not in ("auto", "above", "below"):
         raise InvalidInput(f"side must be 'above', 'below' or 'auto', got {side!r}")
@@ -1049,9 +1046,8 @@ def min_holding_circle(K: Polytope3) -> tuple[Circle3, HoldingReport]:
     for dia, center, axis in filtered:
         circle = Circle3(tuple(center), dia, tuple(axis))
         gates = _gates(K, circle)
-        pen, surrounds, block = gates
-        if (not pen.intersects and surrounds and block.blocked_above
-                and block.blocked_below):
+        _, surrounds, block = gates  # surrounds only when not penetrating
+        if surrounds and block.blocked_above and block.blocked_below:
             # the gates pass, so the report runs no search: no budget
             return circle, _report(K, circle, gates, pairs, budget=0)
 

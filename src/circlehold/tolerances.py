@@ -5,9 +5,10 @@ coordinates that come straight from the input (point on plane, point inside
 polytope).  ``TOL_OPT`` is the looser scale for quantities produced by
 iterative optimisation (cylinder diameters, blocking margins).  The
 holding-circle gates, the escape search and the chain certificate read
-both as constants.  Only ``circle_interior_intersects``,
-``point_location`` and ``Strip.contains`` take a ``tol``, for checks that
-test at another depth; the other planar and polytope predicates use
+both as constants; a circle penetrates when its in-plane margin exceeds
+``TOL_OPT``.  Only ``circle_interior_intersects`` (a margin),
+``point_location`` and ``Strip.contains`` (a depth) take a ``tol``, for
+checks at another one; the other planar and polytope predicates use
 ``TOL_GEOM`` as a constant.
 """
 

@@ -71,6 +71,19 @@ def test_non_finite_parameters_are_rejected_by_name(family, param, bad):
         FAMILIES[family][0](**kwargs)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", [simplex_holding_sphere_diameter,
+                               simplex_waist_minimum])
+@pytest.mark.parametrize("param, bad", [
+    (param, bad) for param in ("n", "a")
+    for bad in (float("nan"), float("inf"), float("-inf"))])
+def test_simplex_closed_forms_reject_non_finite_parameters(f, param, bad):
+    # inf passes `a > 1`; without the finite check numpy warns instead
+    kwargs = {"n": 3, "a": 1.2, param: bad}
+    with pytest.raises(InvalidParam, match=rf"\b{param}\b"):
+        f(**kwargs)
+
+
 # --- spindle octahedra -------------------------------------------------------
 
 def test_octahedron_predictions_match_geometry():

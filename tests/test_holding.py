@@ -99,10 +99,12 @@ def test_circle_rejects_center_or_normal_not_in_3d(center, normal):
 
 
 def test_penetration_witness():
-    # circle fully inside the cube: deepest point 0.1 from a face
+    # circle fully inside the cube: its section, the unit square, reaches
+    # sqrt(1/2) from the center, past the radius 0.4 by the margin; the
+    # margin bounds the 3-D depth, 0.1 from a face at angle 0
     w = circle_interior_intersects(CUBE, Circle3((0.5, 0.5, 0.5), 0.8, (1, 0, 0)))
     assert w.intersects
-    assert w.penetration == pytest.approx(0.1, abs=1e-9)
+    assert w.penetration == pytest.approx(np.sqrt(0.5) - 0.4, abs=1e-9)
     assert point_location(CUBE, w.point) != "exterior"
 
 
@@ -348,7 +350,8 @@ def test_escape_path_never_touches_body():
 
 
 def test_escape_requires_clean_start():
-    with pytest.raises(InvalidStart):
+    # the messages give the in-plane margin, sqrt(1/2) - 0.4 here
+    with pytest.raises(InvalidStart, match=r"penetrates the body \(margin 0\.307\)"):
         escape_search(CUBE, Circle3((0.5, 0.5, 0.5), 0.8, (1, 0, 0)), budget=100)
 
 
@@ -698,6 +701,8 @@ def test_holding_report_verdicts():
     rep3 = holding_report(CUBE, Circle3((0.5, 0.5, 0.5), 0.8, (1, 0, 0)), budget=500)
     assert rep3.verdict == VERDICT_INCONCLUSIVE
     assert not rep3.non_penetration
+    assert rep3.reasons == ["circle penetrates the body (margin 0.307) — "
+                            "not a holding circle"]
 
     # blocking is incomplete and the search stops near a quarter of budget
     oct_ = octahedron_iceberg(1.2, 10.0)
@@ -1011,7 +1016,7 @@ def test_chain_rejects_a_circle_that_meets_the_interior():
     pen = circle_interior_intersects(K, C, TOL_OPT)
     assert pen.intersects and pen.penetration > TOL_OPT
     assert holding_report(K, C).verdict == VERDICT_INCONCLUSIVE
-    with pytest.raises(InvalidInput, match="penetrates the body"):
+    with pytest.raises(InvalidInput, match=r"penetrates the body \(margin "):
         chain_certificate(K, C)
 
 

@@ -16,6 +16,7 @@ from circlehold import (
     bevelled_cylinder,
     build_hull,
     chain_certificate,
+    escape_search,
     extremality_diagnostics,
     flat_tetrahedron,
     holding_report,
@@ -325,8 +326,15 @@ def test_no_pose_builds_its_profile_twice(builds):
     C = oct10.circle
     loose = Circle3(C.center, 1.5 * C.diameter, C.normal)
     rep = holding_report(oct10.body, loose)
-    assert not (rep.blocked_above and rep.blocked_below) and rep.escape
-    assert run(holding_report, oct10.body, loose) == 1
+    assert not (rep.blocked_above and rep.blocked_below) and rep.escape.found
+    # the gates profile the start; validation, each later pose of the path
+    assert run(holding_report, oct10.body, loose) == len(rep.escape.path)
+    # an escape that succeeds: the start is checked once, then every later
+    # pose of the path once
+    ring = Circle3((0.5, 0.5, 0.5), 1.8, (0.0, 0.0, 1.0))
+    esc = escape_search(CUBE, ring, budget=20_000)
+    assert esc.found and len(esc.path) > 2
+    assert run(escape_search, CUBE, ring, 20_000) == len(esc.path)
     spindle = octahedron_iceberg(1.01, 200.0)
     assert run(chain_certificate, spindle.body, spindle.circle) == 1
     assert run(extremality_diagnostics, spindle.body, spindle.circle) == 1
