@@ -199,6 +199,10 @@ def sampled_penetration(K: Polytope3, C: Circle3,
                         samples: int = 10_000) -> tuple[float, float]:
     """Max interior depth over uniformly sampled circle points (an oracle
     for cross-checking the exact test).  Returns ``(depth, angle)``."""
+    if (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
+            or samples < 1):
+        raise InvalidInput(f"samples must be a positive integer, got "
+                           f"{samples!r}")
     t, cos_t, sin_t = _sample_angles(samples)
     e1, e2, _ = C.frame()
     # the arithmetic of ``C.points(t)``, one coordinate per row

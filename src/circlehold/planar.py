@@ -33,7 +33,7 @@ def as_points(points) -> np.ndarray:
         pts = pts.reshape(-1 if pts.size == 0 else 1, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidInput(f"expected (m, 2) points, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise InvalidInput("points must be finite")
     return pts
 
@@ -95,9 +95,10 @@ def convex_hull_2d(points) -> np.ndarray:
 
 
 class Polygon2:
-    """Convex polygon given by counterclockwise vertices."""
+    """Convex polygon given by counterclockwise vertices (a read-only
+    copy, so the cached edge lines stay theirs)."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_lines")
 
     def __init__(self, vertices, validate: bool = True):
         verts = as_points(vertices)
@@ -109,7 +110,9 @@ class Polygon2:
             scale = max(1.0, float(np.abs(verts).max()))
             if np.any(cross < -TOL_GEOM * scale * scale):
                 raise InvalidInput("vertices are not in convex counterclockwise order")
-        self.vertices = verts
+        self.vertices = verts.copy()
+        self.vertices.setflags(write=False)
+        self._lines: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_points(cls, points) -> "Polygon2":
@@ -125,16 +128,21 @@ class Polygon2:
         return f"Polygon2({len(self.vertices)} vertices)"
 
     def edge_lines(self) -> tuple[np.ndarray, np.ndarray]:
-        """Outward unit normals and offsets: interior is ``n.x <= b``."""
-        v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
-        n = np.stack([e[:, 1], -e[:, 0]], axis=1)
-        ln = np.linalg.norm(n, axis=1)
-        if np.any(ln <= 0):
-            raise DegenerateInput("zero-length polygon edge")
-        n = n / ln[:, None]
-        b = np.einsum("ij,ij->i", n, v)
-        return n, b
+        """Outward unit normals and offsets, read-only and computed once:
+        interior is ``n.x <= b``."""
+        if self._lines is None:
+            v = self.vertices
+            e = np.roll(v, -1, axis=0) - v
+            n = np.stack([e[:, 1], -e[:, 0]], axis=1)
+            ln = np.linalg.norm(n, axis=1)
+            if np.any(ln <= 0):
+                raise DegenerateInput("zero-length polygon edge")
+            n = n / ln[:, None]
+            b = np.einsum("ij,ij->i", n, v)
+            n.setflags(write=False)
+            b.setflags(write=False)
+            self._lines = n, b
+        return self._lines
 
     def contains(self, point) -> bool:
         n, b = self.edge_lines()
@@ -193,7 +201,7 @@ def width2(P) -> tuple[float, np.ndarray]:
     proj = poly.vertices @ n.T  # (m, edges)
     widths = b - proj.min(axis=0)
     k = int(np.argmin(widths))
-    return float(widths[k]), n[k]
+    return float(widths[k]), n[k].copy()
 
 
 def _narrowest_strip(h: list) -> tuple[float, float, float, float]:
@@ -313,7 +321,12 @@ def clip_halfplane_2d(vertices: np.ndarray, normal, offset: float) -> np.ndarray
     the first."""
     verts = as_points(vertices)
     d = (verts @ np.asarray(normal, float) - offset).tolist()
-    pts = verts.tolist()
+    return np.array(_clip(verts.tolist(), d)).reshape(-1, 2)
+
+
+def _clip(pts: list, d: list) -> list:
+    """The walk of :func:`clip_halfplane_2d` round ``(x, y)`` pairs with
+    signed distances ``d``: the points it keeps, as a list of tuples."""
     out: list[tuple[float, float]] = []
 
     def add(x: float, y: float) -> None:
@@ -331,7 +344,7 @@ def clip_halfplane_2d(vertices: np.ndarray, normal, offset: float) -> np.ndarray
     if len(out) > 1 and hypot(out[-1][0] - out[0][0],
                               out[-1][1] - out[0][1]) <= TOL_GEOM:
         out.pop()
-    return np.array(out).reshape(-1, 2)
+    return out
 
 
 def split_width_identities(P) -> SplitWidths:
@@ -340,17 +353,18 @@ def split_width_identities(P) -> SplitWidths:
     ``|w_h(chord) - min(upper, lower)|`` and ``|w_h(union) - max(...)|``.
     """
     poly = P if isinstance(P, Polygon2) else Polygon2.from_points(P)
-    t = poly.vertices[:, 1]
-    if t.max() <= TOL_GEOM or t.min() >= -TOL_GEOM:
+    V = poly.vertices.tolist()
+    t = [y for _, y in V]
+    if max(t) <= TOL_GEOM or min(t) >= -TOL_GEOM:
         raise InvalidInput("polygon must have vertices strictly on both sides "
                            "of t = 0")
-    upper = clip_halfplane_2d(poly.vertices, (0.0, -1.0), 0.0)
-    lower = clip_halfplane_2d(poly.vertices, (0.0, 1.0), 0.0)
-    chord = upper[np.abs(upper[:, 1]) <= 10 * TOL_GEOM]
-    wa, _ = horizontal_width(upper)
-    wb, _ = horizontal_width(lower)
-    wc, _ = horizontal_width(chord) if len(chord) else (0.0, None)
-    wu, _ = horizontal_width(poly)
+    upper = _clip(V, [-y for y in t])
+    lower = _clip(V, t)
+    chord = [p for p in upper if abs(p[1]) <= 10 * TOL_GEOM]
+    wa = _narrowest_strip(_hull(upper))[0]
+    wb = _narrowest_strip(_hull(lower))[0]
+    wc = _narrowest_strip(_hull(chord))[0] if chord else 0.0
+    wu = _narrowest_strip(V)[0]
     return SplitWidths(
         upper=wa, lower=wb, chord=wc, union=wu,
         residual_min=abs(wc - min(wa, wb)),

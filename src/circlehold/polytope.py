@@ -279,7 +279,8 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull) -> list[list[int]]:
                         stack.append(nb)
             members.append(sorted(facet))
 
-    faces: list[list[int]] = []
+    cycles: list[list[int]] = []     # each facet's whole boundary cycle
+    faces: list[list[int]] = []      # ... less its collinear vertices
     for gi, facet in enumerate(members):
         # each triangle wound to match the outward normal of the facet's
         # first triangle; the directed edges whose neighbour lies in another
@@ -301,17 +302,22 @@ def _merge_coplanar(points: np.ndarray, hull: ConvexHull) -> list[list[int]]:
         if len(facet) == 1:
             # a lone triangle is its own boundary cycle, and the bend test
             # below keeps all three of its vertices or fewer than three
-            faces.append([t0, t1, t2])
+            cycles.append([t0, t1, t2])
+            faces.append(cycles[-1])
             continue
         # drop vertices interior to a boundary edge (collinear chain points)
         cyc = _chain_cycle(boundary)
+        cycles.append(cyc)
         pts = [coords[v] for v in cyc]
         keep = [v for v, (px, py, pz), (vx, vy, vz), (qx, qy, qz)
                 in zip(cyc, pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
                 if _cross_norm(vx - px, vy - py, vz - pz, qx - vx, qy - vy,
                                qz - vz) > 1e-9 * scale * scale]
         faces.append(keep if len(keep) >= 3 else cyc)
-    return faces
+    # a vertex kept by one facet stays in all: next to a very short edge it
+    # may fail the bend test in some facets only
+    kept = {v for f in faces for v in f}
+    return [[v for v in cyc if v in kept] for cyc in cycles]
 
 
 def build_hull(points) -> Polytope3:
@@ -319,44 +325,51 @@ def build_hull(points) -> Polytope3:
 
     Coplanar hull triangles are merged into polygonal facets and points that
     are not hull vertices are discarded, so the result is a minimal
-    description.  Raises :class:`DegenerateInput` when the points span fewer
-    than 3 dimensions.
+    description.  Repeated points go after a lexicographic sort, the row
+    order of ``np.unique(axis=0)`` (of rows equal but for a zero's sign, the
+    first given stays).  Raises :class:`DegenerateInput` when the points
+    span fewer than 3 dimensions.  If Qhull or the merge fails, points
+    joggled by ``1e-9`` of the scale are hulled, each candidate within
+    ``1e-9`` in angle of a segment between two of its neighbours there is
+    dropped, and the rest are merged on the original coordinates.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidInput(f"expected (m, 3) points, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise InvalidInput("points must be finite")
-    pts = np.unique(pts, axis=0)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    new = np.ones(len(pts), bool)
+    new[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[new]
     if len(pts) < 4:
         raise DegenerateInput(f"need at least 4 distinct points, got {len(pts)}")
     d = pts - pts.mean(axis=0)
-    if np.linalg.matrix_rank(d, tol=1e-10 * max(1.0, np.abs(pts).max())) < 3:
+    sv = np.linalg.svd(d, compute_uv=False)  # what matrix_rank counts
+    if (sv > 1e-10 * max(1.0, np.abs(pts).max())).sum() < 3:
         raise DegenerateInput("points are not full-dimensional")
 
     try:
         hull = ConvexHull(pts)
         faces = _merge_coplanar(pts, hull)
     except (QhullError, DegenerateInput):
-        # jitter fallback: perturb, hull, then rebuild facets on the
-        # original coordinates
         rng = np.random.default_rng(0)
         scale = max(1.0, float(np.abs(pts).max()))
         jit = pts + rng.normal(scale=1e-9 * scale, size=pts.shape)
         hull = ConvexHull(jit, qhull_options="QJ")
-        # a candidate strictly between two of its joggled-hull neighbours
-        # lies inside a hull edge: drop it (the merge's bend test)
         nbrs: dict[int, set[int]] = {int(i): set() for i in hull.vertices}
         for tri in hull.simplices.tolist():
             for i in tri:
                 nbrs[i].update(tri)
-        bend = 1e-9 * float(np.abs(pts).max()) ** 2
         keep = []
         for i, adj in nbrs.items():
             d = pts[sorted(adj - {i})] - pts[i]
-            dots = d @ d.T
+            ln = _row_norms(d)
+            # relative to the lengths: a neighbour a joggle away is no
+            # evidence that the candidate lies on a segment
             crosses = np.linalg.norm(np.cross(d[:, None], d[None]), axis=2)
-            if not ((crosses <= bend) & (dots < 0.0)).any():
+            if not ((crosses <= 1e-9 * np.outer(ln, ln))
+                    & (d @ d.T < 0.0)).any():
                 keep.append(i)
         hull_pts = pts[sorted(keep)]
         hull2 = ConvexHull(hull_pts, qhull_options="QJ")

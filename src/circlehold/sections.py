@@ -25,9 +25,10 @@ class _SliceScanner:
     numpy would spend most of its time on per-call overhead.
 
     Between two consecutive distinct vertex heights the same edges cross
-    every plane, so each such interval keeps its crossing edges, in edge
-    order, and a section away from the vertex heights loops over those
-    alone."""
+    every plane.  The first section away from the vertex heights tests
+    every edge; the second builds the table of each interval's crossing
+    edges, in edge order, and from then on such a section loops over its
+    interval's alone.  So a lone penetration test builds no table."""
 
     def __init__(self, K: Polytope3, axis, origin=None):
         axis = np.asarray(axis, float)
@@ -47,15 +48,20 @@ class _SliceScanner:
         xy = np.stack([rel @ e1, rel @ e2], axis=1).tolist()
         self._vertices = [(hv, x, y) for hv, (x, y) in zip(h, xy)]
         self._edges = [(h[a], h[b], *xy[a], *xy[b]) for a, b in K.edges]
-        # _spans[k]: the edges spanning (levels[k - 1], levels[k]); the
-        # first and the last list, outside the body, stay empty
         self._levels = sorted(set(h))
+        self._swept = False     # a section away from the heights was read
+        self._spans: list[list[tuple]] | None = None
+
+    def _span_table(self) -> list[list[tuple]]:
+        """``[k]``: the edges spanning ``(levels[k - 1], levels[k])``, in
+        edge order; the first and the last list are empty."""
         rank = {hv: k for k, hv in enumerate(self._levels)}
-        self._spans: list[list[tuple]] = [[] for _ in range(len(rank) + 1)]
-        for (a, b), edge in zip(K.edges, self._edges):
-            ka, kb = rank[h[a]], rank[h[b]]
+        spans: list[list[tuple]] = [[] for _ in range(len(rank) + 1)]
+        for edge in self._edges:
+            ka, kb = rank[edge[0]], rank[edge[1]]
             for k in range(min(ka, kb) + 1, max(ka, kb) + 1):
-                self._spans[k].append(edge)
+                spans[k].append(edge)
+        return spans
 
     def _section(self, t: float) -> tuple[list[tuple[float, float]], float]:
         """Points of the section at height ``t`` and their largest
@@ -65,7 +71,7 @@ class _SliceScanner:
 
         More than twice that tolerance away from every vertex height no
         vertex is on the plane and exactly the interval's spanning edges
-        cut it, so only those are tested."""
+        cut it, so once the span table is built only those are tested."""
         eps = 1e-12 * self.scale
         levels = self._levels
         k = bisect_right(levels, t)
@@ -77,7 +83,10 @@ class _SliceScanner:
         else:
             pts = []
             big = 0.0
-            edges = self._spans[k]
+            if self._spans is None and self._swept:
+                self._spans = self._span_table()
+            self._swept = True
+            edges = self._edges if self._spans is None else self._spans[k]
         for ha, hb, ax, ay, bx, by in edges:
             da = ha - t
             db = hb - t

@@ -14,6 +14,7 @@ from penetration_reference import circle_interior_intersects as face_arcs
 from circlehold import (
     Circle3,
     CircleHoldError,
+    InvalidInput,
     bevelled_cylinder,
     build_hull,
     circle_interior_intersects,
@@ -22,6 +23,7 @@ from circlehold import (
     octahedron_iceberg,
     point_location,
     rectangle_circle,
+    sampled_penetration,
     seven_vertex_iceberg,
     skew_tetrahedron,
     wd_tetrahedron,
@@ -121,3 +123,11 @@ def test_decision_is_invariant_under_rigid_motion_and_vertex_order(cloud,
                  tuple(R @ np.asarray(C.normal)))
     assert circle_interior_intersects(moved, C2, 1e-9).intersects \
         == pen.intersects
+
+
+@pytest.mark.parametrize("samples", [0, -3, 1.5, True])
+def test_sampled_penetration_takes_only_a_positive_integer_count(samples):
+    with pytest.raises(InvalidInput, match="samples must be a positive "
+                                           "integer"):
+        sampled_penetration(CUBE, Circle3((0.5, 0.5, 0.5), 1.0,
+                                          (0.0, 0.0, 1.0)), samples=samples)

@@ -199,6 +199,77 @@ def test_hull_rejects_flat_input():
         build_hull(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float))
 
 
+def _assert_hull_matches_reference(cloud):
+    """``build_hull`` equals the construction with ``np.unique`` and
+    ``matrix_rank`` bit for bit: vertices, faces and face planes, signs of
+    zeros included.  Of rows equal up to the sign of a zero, the two may
+    keep different ones, so there only the values must agree."""
+    want = hull_reference.build_hull_by_np_unique(cloud)
+    got = build_hull(cloud)
+    signed_zero_twins = (len({r.tobytes() for r in cloud})
+                         > len({r.tobytes() for r in cloud + 0.0}))
+    assert got.faces == want.faces
+    for a, b in ((got.vertices, want.vertices), *zip(got.face_planes(),
+                                                     want.face_planes())):
+        assert np.array_equal(a, b)
+        assert signed_zero_twins or (np.signbit(a) == np.signbit(b)).all()
+
+
+@pytest.mark.parametrize("seed", [7, 3, 11])
+def test_build_hull_matches_reference_on_the_oracle_clouds(seed):
+    for cloud, body, _ in oracle_agreement_cases(seed):
+        assert body is not None
+        _assert_hull_matches_reference(cloud)
+
+
+@st.composite
+def _clouds_with_twins(draw):
+    """Gaussian clouds or integer grids, some rows repeated, some repeats
+    with their zeros negated, in a drawn order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 24))
+    if draw(st.booleans()):
+        # coplanar triangles to merge, collinear boundary points
+        pts = rng.integers(-2, 3, (n, 3)) * draw(st.sampled_from([1.0, 0.1,
+                                                                  1e3]))
+    else:
+        pts = rng.standard_normal((n, 3))
+    twins = pts[rng.integers(0, n, draw(st.integers(0, 8)))]
+    flip = rng.random(len(twins)) < 0.5
+    twins[flip] = np.where(twins[flip] == 0.0, -0.0, twins[flip])
+    pts = np.vstack([pts, twins])
+    return pts[rng.permutation(len(pts))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cloud=_clouds_with_twins())
+def test_build_hull_matches_reference_on_clouds_with_twins(cloud):
+    try:
+        hull_reference.build_hull_by_np_unique(cloud)
+    except DegenerateInput as exc:
+        with pytest.raises(DegenerateInput) as got:
+            build_hull(cloud)
+        assert str(got.value) == str(exc)
+        return
+    _assert_hull_matches_reference(cloud)
+
+
+@pytest.mark.parametrize("cloud", [
+    CUBE[:3], np.vstack([CUBE[:3], CUBE[:3]]), CUBE[[0, 1, 2, 4]],
+    np.vstack([CUBE[[0, 1, 2, 4]], -0.0 * CUBE[[0, 1]]]),
+    np.outer(np.arange(6.0), [1.0, 2.0, 3.0]),
+    np.vstack([CUBE[[0, 1, 2, 4]], [[0.5, 0.5, 1e-12]]]),
+    np.zeros((0, 3)),
+], ids=["three", "three-twice", "square", "square-signed-zeros", "collinear",
+        "square-and-a-hair", "empty"])
+def test_build_hull_rejects_flat_input_as_before(cloud):
+    with pytest.raises(DegenerateInput) as want:
+        hull_reference.build_hull_by_np_unique(cloud)
+    with pytest.raises(DegenerateInput) as got:
+        build_hull(cloud)
+    assert str(got.value) == str(want.value)
+
+
 def test_width_of_cube_and_tetrahedron():
     assert width3(build_hull(CUBE)).width == pytest.approx(1.0, abs=1e-9)
     # the width of a unit-edge regular tetrahedron is 1/sqrt(2)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from chain_reference import grid_golden_min
-from hull_reference import clip_halfspace
+from hull_reference import (build_hull_by_np_unique, clip_halfspace,
+                            plane_cut_points)
 from planar_reference import pairwise_width, qhull_hull
 
 from circlehold import (
@@ -221,19 +222,45 @@ def _random_cuts(seed):
 
 def test_halves_match_the_plane_cuts_on_random_hulls():
     thetas = np.linspace(0.0, np.pi, 24, endpoint=False)
-    apart, cut = [], 0
+    apart = []
     for seed in range(120):
         K, level, near = _random_cuts(seed)
         # away from the vertex heights both hold the same points
         assert _shadows_agree(K, level, thetas) <= 1e-15
-        try:
-            apart.append(_shadows_agree(K, near, thetas))
-        except (DegenerateInput, InvalidInput):
-            # the plane cut's hull fails (5 of these 120, a crossing
-            # 2e-9 to 5e-9 of the scale from a vertex); the profile's
-            # halves are not hulled
-            continue
-        cut += 1
-    assert cut >= 100
+        apart.append(_shadows_agree(K, near, thetas))
     # near a vertex height the two windows put points apart
     assert 0.0 < max(apart) < 1e-7
+
+
+#: (seed, side) of the cuts of ``_random_cuts`` near a vertex height whose
+#: hull the facet merge broke: an edge crossing lands 2e-9 to 4e-8 of the
+#: scale from a vertex, and the bend test dropped one of the two from some
+#: of their facets only
+CROSSING_NEXT_TO_A_VERTEX = [(3, -1.0), (46, 1.0), (47, 1.0), (73, -1.0),
+                             (73, 1.0), (91, -1.0), (91, 1.0)]
+
+
+@pytest.mark.parametrize("seed, side", CROSSING_NEXT_TO_A_VERTEX)
+@pytest.mark.parametrize("fallback", [False, True], ids=["merge", "jitter"])
+def test_build_hull_takes_a_cut_with_a_crossing_next_to_a_vertex(
+        seed, side, fallback, monkeypatch):
+    K, _, near = _random_cuts(seed)
+    pts = plane_cut_points(K, HalfSpace((0.0, 0.0, side), near * side))
+    with pytest.raises(InvalidInput, match="V - E \\+ F = 1 != 2"):
+        build_hull_by_np_unique(pts)
+    if fallback:
+        # the first merge fails, so the joggled hull's candidates are merged
+        merge = polytope._merge_coplanar
+        calls = []
+
+        def fail_first(points, hull):
+            calls.append(len(points))
+            if len(calls) == 1:
+                raise DegenerateInput("facet boundary is not a simple cycle")
+            return merge(points, hull)
+        monkeypatch.setattr(polytope, "_merge_coplanar", fail_first)
+    hull = build_hull(pts)
+    assert not fallback or len(calls) == 2
+    n, b = hull.face_planes()
+    scale = max(1.0, float(np.abs(pts).max()))
+    assert (pts @ n.T - b).max() <= 1e-7 * scale

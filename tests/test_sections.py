@@ -26,7 +26,7 @@ from circlehold import (
     translation_block_certificate,
     wd_tetrahedron,
 )
-from circlehold import families, holding, sections
+from circlehold import families, holding, sections, verification
 from circlehold.planar import golden_refine, min_enclosing_circle
 from circlehold.polytope import plane_frame
 from circlehold.sections import _SliceScanner
@@ -145,6 +145,71 @@ def test_interval_section_matches_full_edge_loop():
                 elif i % 7 == 0:
                     assert sc.diam(t) == 0.0 and sc.circum(t) is None
     assert checked > 10_000 and near > 1000
+
+
+@pytest.fixture
+def span_tables(monkeypatch):
+    """A one-element list counting the span tables built."""
+    calls = [0]
+    table = _SliceScanner._span_table
+
+    def counted(self):
+        calls[0] += 1
+        return table(self)
+    monkeypatch.setattr(_SliceScanner, "_span_table", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: octahedron_iceberg(1.2, 10.0),
+    lambda: octahedron_iceberg(1.01, 200.0),
+    lambda: families.seven_vertex_iceberg(1.38, 5.0),
+    lambda: families.rectangle_circle(1.2, 3.0), lambda: flat_tetrahedron(0.2),
+    lambda: families.five_vertex_flat(0.2), lambda: skew_tetrahedron(0.1),
+    lambda: wd_tetrahedron(2.0, 2.0, 1.0),
+    lambda: bevelled_cylinder(10.0, 16)])
+def test_section_is_the_same_with_and_without_the_span_table(make,
+                                                             span_tables):
+    inst = make()
+    for axis in (inst.circle.normal, *np.eye(3)):
+        with_table = _SliceScanner(inst.body, axis, inst.circle.center)
+        with_table._spans = with_table._span_table()
+        levels = np.array(with_table._levels)
+        eps = 1e-12 * with_table.scale
+        # at the vertex heights, at the edge of their window, between them
+        edge = np.concatenate([levels - 2.0 * eps, levels + 2.0 * eps])
+        heights = np.concatenate([
+            levels, edge, np.nextafter(edge, -np.inf),
+            np.nextafter(edge, np.inf), (levels[1:] + levels[:-1]) / 2.0])
+        for t in heights.tolist():
+            alone = _SliceScanner(inst.body, axis, inst.circle.center)
+            pts, big = alone._section(t)
+            want, want_big = with_table._section(t)
+            assert np.array(pts).tobytes() == np.array(want).tobytes()
+            assert big == want_big
+            assert alone._spans is None
+    assert span_tables[0] == 4
+
+
+def test_the_oracle_cases_build_no_span_table(span_tables, monkeypatch):
+    tests = [0]
+    pierce = holding.circle_interior_intersects
+
+    def counted(*args, **kwargs):
+        tests[0] += 1
+        return pierce(*args, **kwargs)
+    monkeypatch.setattr(holding, "circle_interior_intersects", counted)
+    assert all(r.passed for r in verification.check_oracle_agreement(7))
+    assert tests[0] == 1000
+    assert span_tables[0] == 0
+
+
+def test_a_waist_scan_builds_one_span_table(span_tables):
+    inst = octahedron_iceberg(1.2, 10.0)
+    sc = _SliceScanner(inst.body, inst.circle.normal, inst.circle.center)
+    assert sections._waists(sc, TOL_OPT)
+    sc.side_max(sc.h_min, sc.h_max)
+    assert span_tables[0] == 1
 
 
 # --- the exact slice profile ------------------------------------------------
