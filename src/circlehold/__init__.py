@@ -16,8 +16,8 @@ from .planar import (Circle2, Polygon2, SplitWidths, Strip, chebyshev_inscribed,
                      clip_halfplane_2d, convex_hull_2d, equilateral_triangle,
                      hausdorff_distance, horizontal_width,
                      min_enclosing_circle, point_polygon_distance,
-                     projected_width, random_axis_crossing_polygon,
-                     random_convex_polygon, split_width_identities, width2)
+                     random_axis_crossing_polygon, random_convex_polygon,
+                     split_width_identities, width2)
 from .polytope import (CylinderResult, HalfSpace, Polytope3, WidthResult,
                        build_hull, min_cylinder, plane_frame,
                        point_location, segment_distance, width3)
@@ -53,7 +53,7 @@ __all__ = [
     "TOL_GEOM", "TOL_OPT", "DEFAULT_SEED",
     # planar
     "Polygon2", "Strip", "Circle2", "SplitWidths", "convex_hull_2d",
-    "width2", "horizontal_width", "projected_width",
+    "width2", "horizontal_width",
     "clip_halfplane_2d", "split_width_identities", "min_enclosing_circle",
     "chebyshev_inscribed",
     "point_polygon_distance", "hausdorff_distance", "equilateral_triangle",

@@ -14,9 +14,9 @@ Subcommands
 - ``render``       write the OBJ scene and SVG figures for a body
 
 Each subcommand takes only the flags it reads; ``construct`` takes only
-the parameters of the family it builds.  The projected-width profile of
-``analyze`` and ``render`` samples 720 angles; the chain's minima are
-exact and take no angle count.
+the parameters of the family it builds.  The projected-width profile's
+margins and the chain's minima are exact; the profile's 720 angles in
+``analyze`` and ``render`` are plot samples only.
 
 Exit codes: 0 success (or certified evidence), 1 usage error or failed
 verification, 2 an escape was found, 3 inconclusive (``analyze`` with

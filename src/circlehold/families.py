@@ -45,7 +45,7 @@ from scipy.optimize import fsolve, minimize_scalar
 
 from .errors import DegenerateInput, InvalidParam, NoSolution
 from .holding import Circle3
-from .polytope import Polytope3, _difference_normals, build_hull
+from .polytope import Polytope3, _difference_hull, build_hull
 
 __all__ = [
     "J",
@@ -562,11 +562,11 @@ def width_nd(P: PolytopeND) -> float:
 
     Breadth is the support function of the difference body ``P - P``, so
     the width is that body's inradius: the smallest breadth over its facet
-    normals (:func:`~circlehold.polytope._difference_normals`), the overlay
+    normals (:func:`~circlehold.polytope._difference_hull`), the overlay
     of the Gauss maps of ``P`` and ``-P``.
     """
     V = P.vertices
-    proj = V @ _difference_normals(V).T
+    proj = V @ _difference_hull(V).equations[:, :-1].T
     return float((proj.max(axis=0) - proj.min(axis=0)).min())
 
 

@@ -247,15 +247,6 @@ def horizontal_width(P) -> tuple[float, Strip]:
     return w, Strip(a, lo, hi)
 
 
-def projected_width(x, y, t, theta: float) -> float:
-    """Horizontal width of the points ``(x cos(theta) + y sin(theta), t)``,
-    the shadow of a 3D point set on the vertical plane at angle ``theta``;
-    ``x``, ``y``, ``t`` are equal-length, non-empty float lists."""
-    c, s = float(np.cos(theta)), float(np.sin(theta))
-    pts = [(a * c + b * s, h) for a, b, h in zip(x, y, t)]
-    return _narrowest_strip(_hull(pts))[0]
-
-
 def golden_refine(f, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section minimization (60 steps) of a scalar function on
     [lo, hi]: the final bracket's midpoint and its value."""
@@ -275,23 +266,6 @@ def golden_refine(f, lo: float, hi: float) -> tuple[float, float]:
             f2 = f(x2)
     xm = (a + b) / 2.0
     return xm, f(xm)
-
-
-def periodic_min(f, period: float, values) -> tuple[float, float]:
-    """Minimum ``(x, f(x))`` of a ``period``-periodic scalar function.
-
-    The first argmin of ``values``, the values of ``f`` on equally spaced
-    samples from 0, is refined by :func:`golden_refine` within one sample
-    step on each side; the sample wins ties, and ``x`` is reduced mod
-    ``period``."""
-    n = len(values)
-    grid = np.linspace(0.0, period, n, endpoint=False)
-    k = int(np.argmin(values))
-    step = period / n
-    x, v = golden_refine(f, grid[k] - step, grid[k] + step)
-    if values[k] <= v:
-        return float(grid[k]), float(values[k])
-    return float(x % period), float(v)
 
 
 @dataclass(frozen=True)

@@ -396,21 +396,21 @@ def _sign_rounded(d: np.ndarray) -> np.ndarray:
     return np.round(d, 14) + 0.0
 
 
-def _difference_normals(V: np.ndarray) -> np.ndarray:
-    """Unit facet normals of the difference body ``K - K`` of ``K =
-    conv(V)``, the hull of all vertex differences, in any dimension.
+def _difference_hull(V: np.ndarray) -> ConvexHull:
+    """Qhull's hull of the difference body ``K - K`` of ``K = conv(V)``,
+    the hull of all vertex differences, in any dimension.
 
     The support function of ``K - K`` is ``K``'s breadth, so the width of
     ``K`` is the inradius of ``K - K``: its smallest facet offset, the
-    breadth along that facet's normal.  The normal fan of ``K - K`` is the
-    overlay of the Gauss maps of ``K`` and ``-K``, so these normals are
-    that overlay's vertices (in 3-space: face normals, and the crosses of
-    edge pairs whose Gauss arcs meet; Houle & Toussaint 1988).  Both signs
-    of each occur, and Qhull may split a facet into several that repeat
-    or nearly repeat its normal; no direction's breadth is below the
-    width, so the extras are harmless."""
+    breadth along that facet's normal (``equations[:, :-1]``).  The normal
+    fan of ``K - K`` is the overlay of the Gauss maps of ``K`` and ``-K``,
+    so these normals are that overlay's vertices (in 3-space: face normals,
+    and the crosses of edge pairs whose Gauss arcs meet; Houle & Toussaint
+    1988).  Both signs of each occur, and Qhull may split a facet into
+    several that repeat or nearly repeat its normal; no direction's breadth
+    is below the width, so the extras are harmless."""
     d = V.shape[1]
-    return ConvexHull((V[:, None] - V[None]).reshape(-1, d)).equations[:, :-1]
+    return ConvexHull((V[:, None] - V[None]).reshape(-1, d))
 
 
 def width3(K: Polytope3) -> WidthResult:
@@ -418,12 +418,13 @@ def width3(K: Polytope3) -> WidthResult:
 
     Breadth is the support function of the difference body ``K - K`` and
     the width its inradius, attained along one of its facet normals
-    (:func:`_difference_normals`).  Those are made one per line and
+    (:func:`_difference_hull`).  Those are made one per line and
     unique, and of the ones attaining the minimum the first in
     ``np.unique``'s lexicographic order wins.
     """
     V = K.vertices
-    cands = np.unique(_sign_rounded(_difference_normals(V)), axis=0)
+    cands = np.unique(_sign_rounded(_difference_hull(V).equations[:, :-1]),
+                      axis=0)
     proj = V @ cands.T  # (V, c)
     w = proj.max(axis=0) - proj.min(axis=0)
     k = int(np.argmin(w))
@@ -444,10 +445,10 @@ def _min_shadow_width(V: np.ndarray, n) -> float:
     With ``v = u - a n`` the ratio is linear in ``a`` along a meridian
     through ``n``, and a positive sinusoid in ``theta``, hence concave,
     along any other great-circle arc.  So its minimum is at a cell vertex:
-    a facet normal of ``K - K`` (:func:`_difference_normals`), rounded as
+    a facet normal of ``K - K`` (:func:`_difference_hull`), rounded as
     in :func:`width3`.  For these unit candidates ``|v x n| =
     sqrt(1 - (v . n)^2)``."""
-    cands = _sign_rounded(_difference_normals(V))
+    cands = _sign_rounded(_difference_hull(V).equations[:, :-1])
     cos = cands @ np.asarray(n, float)
     sin = np.sqrt(1.0 - np.minimum(cos * cos, 1.0))
     ok = sin > 1e-12  # directions along n cast no finite ratio

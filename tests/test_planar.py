@@ -2,7 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from planar_reference import numpy_clip, pairwise_width, qhull_hull
+from planar_reference import (numpy_clip, pairwise_width, projected_width,
+                              qhull_hull)
 
 from circlehold import (
     DegenerateInput,
@@ -16,7 +17,6 @@ from circlehold import (
     horizontal_width,
     min_enclosing_circle,
     point_polygon_distance,
-    projected_width,
     random_axis_crossing_polygon,
     random_convex_polygon,
     split_width_identities,

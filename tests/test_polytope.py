@@ -9,6 +9,7 @@ from chain_reference import grid_golden_min
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_cases import oracle_agreement_cases
+from planar_reference import projected_width
 from scipy.spatial import ConvexHull
 
 from circlehold import (
@@ -34,7 +35,6 @@ from circlehold import (
     width_nd,
 )
 from circlehold.holding import _SliceScanner
-from circlehold.planar import projected_width
 from circlehold.polytope import (_chain_cycle, _merge_coplanar,
                                  _min_shadow_width)
 

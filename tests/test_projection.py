@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from chain_reference import grid_golden_min
 from hull_reference import (build_hull_by_np_unique, clip_halfspace,
                             plane_cut_points)
-from planar_reference import pairwise_width, qhull_hull
+from planar_reference import pairwise_width, projected_width, qhull_hull
 
 from circlehold import (
+    CircleHoldError,
     HalfSpace,
+    Polytope3,
     build_hull,
     families,
     five_vertex_flat,
@@ -14,11 +18,14 @@ from circlehold import (
     horizontal_width,
     iceberg_profile,
     octahedron_iceberg,
+    planar,
     polytope,
+    projection,
+    sections,
     split_project,
 )
 from circlehold.errors import DegenerateInput, InvalidInput
-from circlehold.planar import projected_width
+from circlehold.planar import golden_refine
 from circlehold.projection import _halves
 
 
@@ -76,6 +83,8 @@ def test_profile_of_balanced_body_is_indeterminate():
     prof = iceberg_profile(CUBE, level=0.5)
     assert prof.orientation == "indeterminate"
     assert abs(prof.margin) < 1e-9
+    # equal sections: both margins are +0, and print without a sign
+    assert f"{prof.margin:.4g} / {prof.margin_flipped:.4g}" == "0 / 0"
 
 
 def test_profile_of_spindle():
@@ -141,6 +150,62 @@ def test_verify_paper_profiles_match_qhull_and_pairwise_slopes(make, margin,
             assert abs(w - pairwise_width(qhull_hull(st))) <= 1e-12
 
 
+def sampled_margin(K, level):
+    """The margin at one angle as the profile sampled it before: the
+    horizontal widths of the two halves' shadows, lower minus upper."""
+    upper, lower = (v.T.tolist() for v in _halves(K, level))
+    return lambda th: projected_width(*lower, th) - projected_width(*upper,
+                                                                    th)
+
+
+def _orientation(m_given, m_flip):
+    """The profile's orientation rule, on reference margins."""
+    if m_given > 1e-7:
+        return "as_given"
+    if m_flip > 1e-7:
+        return "flipped"
+    return "indeterminate" if max(m_given, m_flip) >= -1e-7 else "neither"
+
+
+def _assert_exact_margins(K, level):
+    """Assert that the profile's margins of ``K`` at ``level`` are at or
+    below its 720 plot samples, and agree with the sampled route's
+    grid-and-golden minima, or else lie in a basin of the sampled margin
+    that its refine missed, lower there and equal to a dense local sample
+    of it; return the ``(sign, theta)`` of those misses.
+
+    The plot samples stand in for the sampled route's grid, which they
+    equal to rounding (checked at every 4th angle): the grid only places
+    the refine's bracket, and the refine runs on the sampled margin."""
+    prof = iceberg_profile(K, level)
+    margin = sampled_margin(K, level)
+    scale = max(1.0, float(np.abs(K.vertices).max()))
+    plot = prof.width_lower - prof.width_upper
+    for th, m in zip(prof.thetas[::4], plot[::4]):
+        assert abs(m - margin(th)) <= 1e-13 * scale
+    step = np.pi / 720
+    missed, ref = [], []
+    for sign, got, theta in ((1.0, prof.margin, prof.margin_theta),
+                             (-1.0, prof.margin_flipped,
+                              prof.margin_flipped_theta)):
+        def f(th):
+            return sign * margin(th)
+        assert got <= (sign * plot).min() + 1e-13 * scale
+        grid = prof.thetas[int(np.argmin(sign * plot))]
+        want = min(f(grid), golden_refine(f, grid - step, grid + step)[1])
+        ref.append(want)
+        if abs(got - want) > 1e-12 * max(1.0, abs(want)):
+            assert got < want
+            local = theta + np.linspace(-1e-3, 1e-3, 201)
+            k = int(np.argmin([f(th) for th in local]))
+            dense = min(f(local[k]), golden_refine(f, local[max(k - 1, 0)],
+                                                   local[min(k + 1, 200)])[1])
+            assert abs(got - dense) <= 1e-12 * max(1.0, abs(got))
+            missed.append((sign, round(theta, 4)))
+    assert prof.orientation == _orientation(*ref)
+    return missed
+
+
 @pytest.mark.parametrize("make", [lambda: octahedron_iceberg(1.38, 5.0),
                                   lambda: flat_tetrahedron(0.2),
                                   lambda: five_vertex_flat(0.2)])
@@ -153,9 +218,118 @@ def test_profile_margins_match_grid_golden_reference(make):
     def margin(th):
         return projected_width(*lower, th) - projected_width(*upper, th)
 
-    assert (prof.margin_theta, prof.margin) == grid_golden_min(margin, 720)
-    assert (prof.margin_flipped_theta, prof.margin_flipped) == \
-        grid_golden_min(lambda th: -margin(th), 720)
+    samples = np.array([margin(th) for th in prof.thetas])
+    scale = max(1.0, float(np.abs(inst.body.vertices).max()))
+    # the exact margins are at or below every sample of the sampled route,
+    # and its refined minima agree with them
+    assert prof.margin <= samples.min() + 1e-13 * scale
+    assert prof.margin_flipped <= (-samples).min() + 1e-13 * scale
+    assert abs(prof.margin - grid_golden_min(margin, 720)[1]) <= 1e-12
+    assert abs(prof.margin_flipped
+               - grid_golden_min(lambda th: -margin(th), 720)[1]) <= 1e-12
+
+
+def random_profile_cases(seed):
+    """``(draw, body, level)`` for 60 draws of a random hull, skipping the
+    draws ``build_hull`` rejects, at a level 20 % to 80 % up its height."""
+    rng = np.random.default_rng(seed)
+    for draw in range(60):
+        pts = rng.standard_normal((rng.integers(5, 40), 3))
+        try:
+            K = build_hull(pts)
+        except CircleHoldError:
+            continue
+        z = K.vertices[:, 2]
+        yield draw, K, float(z.min() + (0.2 + 0.6 * rng.random())
+                             * (z.max() - z.min()))
+
+
+#: seed -> (draw, sign, theta) where the sampled route's refine stopped in
+#: another basin; on draw 29 of seed 3 (an 11-vertex hull) it reported
+#: 0.2446319 at theta 1.2967, 6.4e-5 above the minimum at 1.5045
+OTHER_BASIN = {3: [(29, 1.0, 1.5045)], 7: [], 11: []}
+
+
+@pytest.mark.parametrize("seed", sorted(OTHER_BASIN))
+def test_profile_margins_are_exact_on_random_hulls(seed):
+    missed = [(draw, *m) for draw, K, level in random_profile_cases(seed)
+              for m in _assert_exact_margins(K, level)]
+    assert missed == OTHER_BASIN[seed]
+
+
+SPINDLES = [(1.38, 5.0), (1.2, 10.0), (1.05, 50.0), (1.01, 200.0)]
+
+
+@pytest.mark.parametrize("a, h", SPINDLES)
+def test_profile_angles_follow_the_tie_rule(a, h):
+    # three minima tie at 0, pi/3 and 2pi/3: the largest is reported
+    inst = octahedron_iceberg(a, h)
+    K, level = inst.body, inst.circle.center[2]
+    base = iceberg_profile(K, level)
+    for f in (1e-3, 1.0, 1e3):
+        prof = iceberg_profile(Polytope3(K.vertices * f, K.faces), level * f)
+        assert abs(prof.margin_theta - 2.0 * np.pi / 3.0) <= 1e-12
+        assert abs(prof.margin_flipped_theta - 5.0 * np.pi / 6.0) <= 1e-12
+        for got, want in ((prof.margin, base.margin),
+                          (prof.margin_flipped, base.margin_flipped)):
+            assert abs(got - f * want) <= 1e-12 * f * abs(want)
+    for alpha in (0.1, 1.0, 2.5, 4.0):
+        c, s = np.cos(alpha), np.sin(alpha)
+        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        prof = iceberg_profile(build_hull(K.vertices @ R.T), level)
+        off = (prof.margin_theta - alpha) % (np.pi / 3.0)
+        assert min(off, np.pi / 3.0 - off) <= 1e-9
+        for got, want in ((prof.margin, base.margin),
+                          (prof.margin_flipped, base.margin_flipped)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("make", [lambda: octahedron_iceberg(1.38, 5.0).body,
+                                  lambda: CUBE], ids=["spindle", "cube"])
+def test_thin_halves_match_the_sampled_route_or_raise(make):
+    # within 1e-12 * scale of the top or the bottom no half is left;
+    # beyond it the margins are the sampled route's, and never -0
+    K = make()
+    z = K.vertices[:, 2]
+    scale = max(1.0, float(np.abs(K.vertices).max()))
+    for off in (1e-3, 1e-8, 1e-10, 2e-12 * scale, 5e-13):
+        for level in (z.max() - off, z.min() + off):
+            if off <= 1e-12 * scale:
+                with pytest.raises(InvalidInput, match="does not cut"):
+                    iceberg_profile(K, level)
+                continue
+            prof = iceberg_profile(K, level)
+            margin = sampled_margin(K, level)
+            for got, f in ((prof.margin, margin),
+                           (prof.margin_flipped, lambda th: -margin(th))):
+                assert abs(got - grid_golden_min(f, 720)[1]) <= 1e-12 * scale
+                assert math.copysign(1.0, got) == 1.0 or got < 0.0
+
+
+def test_profile_builds_three_profiles_and_two_hulls(monkeypatch):
+    counts = dict.fromkeys(["scanner", "ConvexHull", "golden_refine",
+                            "build_hull"], 0)
+
+    def counted(module, name, key=None):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key or name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    inst = octahedron_iceberg(1.38, 5.0)
+    counted(projection, "_SliceScanner", "scanner")
+    counted(polytope, "ConvexHull")
+    for module in (planar, sections, projection, polytope):
+        for name in ("golden_refine", "build_hull"):
+            if hasattr(module, name):
+                counted(module, name)
+    iceberg_profile(inst.body, level=inst.circle.center[2])
+    # the body's profile and one per difference section; one difference
+    # hull per half; no search and no 3-D hull of the body
+    assert counts == {"scanner": 3, "ConvexHull": 2, "golden_refine": 0,
+                      "build_hull": 0}
 
 
 def _shadows_agree(K, level, thetas):

@@ -1,5 +1,5 @@
 """The edge-pair width kernel that the difference body's facet normals
-(``polytope._difference_normals``) replaced, kept as the oracle ``width3``
+(``polytope._difference_hull``) replaced, kept as the oracle ``width3``
 is compared against: the face normals and the crosses of every pair of
 edge directions, a superset of the directions that can attain the width
 (Houle & Toussaint 1988).  Edge directions are deduplicated one at a time,
