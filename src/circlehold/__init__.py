@@ -10,7 +10,7 @@ searches), and constructs the named families that make the bounds sharp.
 
 from .errors import (CertificationError, CircleHoldError, DegenerateInput,
                      InvalidInput, InvalidParam, InvalidStart,
-                     NoBlockingSlice, NoSolution, NotFound)
+                     NoBlockingSlice, NotFound)
 from .tolerances import DEFAULT_SEED, TOL_GEOM, TOL_OPT
 from .planar import (Circle2, Polygon2, SplitWidths, Strip, chebyshev_inscribed,
                      clip_halfplane_2d, convex_hull_2d, equilateral_triangle,
@@ -47,7 +47,7 @@ __all__ = [
     "__version__",
     # errors
     "CircleHoldError", "DegenerateInput", "InvalidInput", "InvalidParam",
-    "NoSolution", "NoBlockingSlice", "InvalidStart",
+    "NoBlockingSlice", "InvalidStart",
     "NotFound", "CertificationError",
     # tolerances
     "TOL_GEOM", "TOL_OPT", "DEFAULT_SEED",

@@ -17,10 +17,6 @@ class InvalidParam(CircleHoldError, ValueError):
     """A family constructor received a parameter outside its valid range."""
 
 
-class NoSolution(CircleHoldError):
-    """A root-finding problem has no solution in the admissible range."""
-
-
 class NoBlockingSlice(CircleHoldError):
     """No cross-section wider than the circle exists on the required side."""
 

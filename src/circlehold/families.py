@@ -41,9 +41,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import fsolve, minimize_scalar
+from scipy.optimize import minimize_scalar
 
-from .errors import DegenerateInput, InvalidParam, NoSolution
+from .errors import DegenerateInput, InvalidParam
 from .holding import Circle3
 from .polytope import Polytope3, _difference_hull, build_hull
 
@@ -188,12 +188,17 @@ def rectangle_circle(a: float, h: float) -> FamilyInstance:
     Four points -- A, A' on the two top edges adjacent to the real-axis
     vertex, B, B' on the two bottom edges adjacent to the opposite bottom
     vertex -- form a planar rectangle whose diagonals AB and A'B' are
-    diameters of one circle.  The defining equations (equal imaginary
-    parts for A and B', and a 60-degree argument for A - B) are solved
-    numerically and cross-checked against the closed forms
-    alpha = (3a-2)/(4a), beta = 1 - (a+2)/8.
+    diameters of one circle.  The edge parameters are the closed forms
+    alpha = (3a-2)/(4a), beta = 1 - (a+2)/8 of the defining equations
+    (equal imaginary parts for A and B', and a 60-degree argument for
+    A - B); the ``residuals`` prediction evaluates those equations there.
+    B and B' stay on their edges only for ``a < 6``.
     """
     inst = octahedron_iceberg(a, h)
+    if not a < 6.0:
+        raise InvalidParam(f"need a < 6, got {a}")
+    alpha = (3.0 * a - 2.0) / (4.0 * a)
+    beta = 1.0 - (a + 2.0) / 8.0
 
     def points(alpha: float, beta: float):
         z_a = a * alpha + J * a * (1.0 - alpha)
@@ -207,14 +212,6 @@ def rectangle_circle(a: float, h: float) -> FamilyInstance:
         return [np.imag(z_a) - np.imag(z_b2),
                 np.angle(z_a - z_b) - np.pi / 3.0]
 
-    sol, info, ier, msg = fsolve(residuals, x0=[0.5, 0.5], full_output=True)
-    if ier != 1:
-        raise NoSolution(f"rectangle equations did not converge: {msg}")
-    alpha, beta = float(sol[0]), float(sol[1])
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
-        raise NoSolution(
-            f"rectangle solution leaves the edges: alpha={alpha}, beta={beta}")
-
     z_a, z_a2, z_b, z_b2 = points(alpha, beta)
     A = np.array(_embed(z_a, 0.0))
     A2 = np.array(_embed(z_a2, 0.0))
@@ -226,14 +223,12 @@ def rectangle_circle(a: float, h: float) -> FamilyInstance:
     normal /= np.linalg.norm(normal)
     circle = Circle3(tuple(center), diameter, tuple(normal))
 
-    alpha_closed = (3.0 * a - 2.0) / (4.0 * a)
-    beta_closed = 1.0 - (a + 2.0) / 8.0
     res = residuals([alpha, beta])
     predictions = {
-        "alpha": Prediction(alpha_closed, "(3a-2)/(4a)"),
-        "beta": Prediction(beta_closed, "1-(a+2)/8"),
+        "alpha": Prediction(alpha, "(3a-2)/(4a)"),
+        "beta": Prediction(beta, "1-(a+2)/8"),
         "diameter": Prediction(
-            diameter, "sqrt(h^2 + |z_A - z_B|^2) at the solved (alpha, beta)"),
+            diameter, "sqrt(h^2 + |z_A - z_B|^2) at (alpha, beta)"),
         "small_diameter": Prediction(
             inst.predicted("diameter"), "2*a*cos(arctan((a-1)/sqrt(3)))"),
         "exceeds_top_diameter": Prediction(

@@ -973,12 +973,7 @@ def _waist_candidates(K: Polytope3, axis: np.ndarray):
     """The waists of :func:`_waists` along an axis: (diameter, height,
     center2, scanner)."""
     sc = _SliceScanner(K, axis)
-    out = []
-    for d, t in _waists(sc, TOL_OPT):
-        c = sc.circum(t)
-        if c is not None and d > 0:
-            out.append((d, t, np.asarray(c.center), sc))
-    return out
+    return [(d, t, sc.circum(t).center, sc) for d, t in _waists(sc, TOL_OPT)]
 
 
 def min_holding_circle(K: Polytope3) -> tuple[Circle3, HoldingReport]:
@@ -990,11 +985,13 @@ def min_holding_circle(K: Polytope3) -> tuple[Circle3, HoldingReport]:
     circles therefore sit at *waists*: interior local minima of the
     circumdiameter profile along some axis.  The search scans a family of
     axes (coordinate axes, the minimal-cylinder axis, directions derived
-    from the closest non-adjacent edge pairs), collects waist circles in
-    ascending diameter order (at most 12 distinct ones), polishes the best
-    axis, and returns the first candidate that passes the gates of
-    ``CertifiedHoldingEvidence`` (:func:`holding_report`).  A body with a
-    non-finite vertex raises :class:`InvalidInput` before any work is done.
+    from the closest non-adjacent edge pairs) and collects their waist
+    circles.  It polishes the axis of the smallest one; when the polish
+    finds a smaller waist, the polished axis's waist circles join the
+    list.  It gates the list in ascending diameter order and returns the
+    first circle that passes the gates of ``CertifiedHoldingEvidence``
+    (:func:`holding_report`).  A body with a non-finite vertex raises
+    :class:`InvalidInput` before any work is done.
 
     The profile is convex between consecutive vertex heights, so waists are
     found exactly, not on a height grid (:func:`_waists`).  A waist is a
@@ -1007,55 +1004,38 @@ def min_holding_circle(K: Polytope3) -> tuple[Circle3, HoldingReport]:
     The result is an upper bound on the minimal holding diameter (evidence
     semantics as in :func:`holding_report`);
     :func:`nonintersecting_edge_bound` supplies a lower bound for
-    polytopes.  Raises :class:`NotFound` when no candidate certifies.
+    polytopes.  Raises :class:`NotFound` when no waist circle on the axes
+    examined passes the gates; its message counts the axes and the
+    candidates.  That is not a proof that the body holds no circle.
     """
     if not np.isfinite(K.vertices).all():
         raise InvalidInput("vertices must be finite")
     pairs = _edge_pair_distances(K)
-    cands = []
-    for axis in _axis_candidates(K, pairs):
-        cands.extend(_waist_candidates(K, axis))
-    cands.sort(key=lambda c: c[0])
-
-    filtered = []
-    for dia, t, c2, sc in cands:
-        center = sc.lift(c2, t)
-        dup = False
-        for dia2, cen2, ax2 in filtered:
-            if (abs(dia - dia2) <= 1e-9 * max(1.0, dia)
-                    and np.linalg.norm(center - cen2) <= 1e-6 * max(1.0, dia)
-                    and abs(float(sc.frame[2] @ ax2)) > 1.0 - 1e-9):
-                dup = True
-                break
-        if not dup:
-            filtered.append((dia, center, sc.frame[2]))
-        if len(filtered) >= 12:
-            break
-
-    if filtered:
-        dia0, cen0, ax0 = filtered[0]
+    axes = _axis_candidates(K, pairs)
+    cands = [c for axis in axes for c in _waist_candidates(K, axis)]
+    if cands:
+        dia0, _, _, sc0 = min(cands, key=lambda c: c[0])
 
         def waist_along(axis) -> float:
             return min(_waists(_SliceScanner(K, axis), TOL_OPT, smallest=True),
                        1e30)
 
-        dia, axis = _polish_axis(waist_along, [ax0], 1e-7, 1e-12, 60)
+        dia, axis = _polish_axis(waist_along, [sc0.frame[2]], 1e-7, 1e-12, 60)
         if dia < dia0 - 1e-12:
-            extra = _waist_candidates(K, axis)
-            extra.sort(key=lambda c: c[0])
-            if extra:
-                dd, tt, cc2, ssc = extra[0]
-                filtered.insert(0, (dd, ssc.lift(cc2, tt), ssc.frame[2]))
+            axes.append(axis)
+            cands.extend(_waist_candidates(K, axis))
+    cands.sort(key=lambda c: c[0])
 
-    for dia, center, axis in filtered:
-        circle = Circle3(tuple(center), dia, tuple(axis))
+    for dia, t, c2, sc in cands:
+        circle = Circle3(tuple(sc.lift(c2, t)), dia, tuple(sc.frame[2]))
         gates = _gates(K, circle)
         _, surrounds, block = gates  # surrounds only when not penetrating
         if surrounds and block.blocked_above and block.blocked_below:
             # the gates pass, so the report runs no search: no budget
             return circle, _report(K, circle, gates, pairs, budget=0)
 
-    raise NotFound("no waist candidate produced certified holding evidence")
+    raise NotFound(f"no waist circle passes the gates on the {len(axes)} "
+                   f"axes examined ({len(cands)} waist candidates gated)")
 
 
 # ---------------------------------------------------------------------------

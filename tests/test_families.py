@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import fsolve
 
 from circlehold import (
     Circle3,
@@ -28,6 +29,7 @@ from circlehold import (
     width3,
     width_nd,
 )
+from circlehold.families import J
 from circlehold.holding import _SliceScanner
 
 
@@ -130,6 +132,48 @@ def test_rectangle_circle_construction():
     assert p["exceeds_top_diameter"].value is True
     assert p["small_diameter"].value == pytest.approx(
         octahedron_iceberg(1.38, 5.0).predictions["diameter"].value, abs=1e-12)
+
+
+def _rectangle_by_root_finding(a, h):
+    """Center, diameter and normal of the rectangle circle, its edge
+    parameters found by root finding from (0.5, 0.5)."""
+    def corners(alpha, beta):
+        return (a * alpha + J * a * (1 - alpha),
+                a * alpha + J ** 2 * a * (1 - alpha),
+                -2 * beta - 2 * J * (1 - beta),
+                -2 * beta - 2 * J ** 2 * (1 - beta))
+
+    def equations(x):
+        z_a, _, z_b, z_b2 = corners(*x)
+        return [z_a.imag - z_b2.imag, np.angle(z_a - z_b) - np.pi / 3]
+
+    z_a, z_a2, z_b, z_b2 = corners(*fsolve(equations, [0.5, 0.5]))
+    A, A2 = (np.array([z.real, z.imag, 0.0]) for z in (z_a, z_a2))
+    B, B2 = (np.array([z.real, z.imag, -h]) for z in (z_b, z_b2))
+    normal = np.cross(B - A, B2 - A2)
+    return (A + B) / 2, np.linalg.norm(A - B), normal / np.linalg.norm(normal)
+
+
+@pytest.mark.parametrize("a", [1.01, 1.2, 1.38, 2.0, 5.0])
+def test_rectangle_circle_matches_root_finding(a):
+    center, diameter, normal = _rectangle_by_root_finding(a, 3.0)
+    c = rectangle_circle(a, 3.0).circle
+    assert c.diameter == pytest.approx(diameter, rel=1e-12)
+    assert np.allclose(c.center, center, rtol=0.0, atol=1e-12 * diameter)
+    assert np.allclose(c.normal, normal, rtol=0.0, atol=1e-12)
+
+
+def test_rectangle_closed_forms_solve_the_equations():
+    for a in np.linspace(1.0, 6.0, 51)[1:-1]:
+        res = rectangle_circle(a, 3.0).predicted("residuals")
+        assert max(map(abs, res)) <= 1e-15
+
+
+@pytest.mark.parametrize("a", [6.0, 7.0])
+def test_rectangle_circle_rejects_b_off_the_bottom_edges(a):
+    # beta = 1 - (a + 2)/8 reaches 0 at a = 6
+    with pytest.raises(InvalidParam, match=r"\ba\b"):
+        rectangle_circle(a, 3.0)
 
 
 # --- flat tetrahedra ---------------------------------------------------------

@@ -834,8 +834,32 @@ def test_min_holding_circle_matches_waist_in_equality_class():
 
 
 def test_min_holding_circle_rejects_cube():
+    with pytest.raises(NotFound, match=r"\b5 axes examined "
+                                       r"\(0 waist candidates gated\)"):
+        min_holding_circle(CUBE)
+
+
+def test_min_holding_circle_gate_and_polish_counts(monkeypatch):
+    # counts, not times: each family body certifies the first circle it
+    # gates after one polish; the cube has no waist to gate or polish
+    gated, polished = [], []
+    gates, polish = holding._gates, holding._polish_axis
+    monkeypatch.setattr(holding, "_gates",
+                        lambda K, C: gated.append(C) or gates(K, C))
+    monkeypatch.setattr(holding, "_polish_axis",
+                        lambda *a: polished.append(a) or polish(*a))
+    for inst in [octahedron_iceberg(1.2, 10.0), octahedron_iceberg(1.05, 50.0),
+                 octahedron_iceberg(1.01, 200.0), flat_tetrahedron(0.2),
+                 wd_tetrahedron(2.0, 2.0, 1.0)]:
+        gated.clear()
+        polished.clear()
+        circ, _ = min_holding_circle(inst.body)
+        assert gated == [circ] and len(polished) == 1
+    gated.clear()
+    polished.clear()
     with pytest.raises(NotFound):
         min_holding_circle(CUBE)
+    assert gated == [] and polished == []
 
 
 def test_chain_certificate_octahedron():

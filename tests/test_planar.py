@@ -50,6 +50,24 @@ def test_width_of_square_and_triangle():
     assert w == pytest.approx(3.0, abs=1e-9)
 
 
+def test_polygon_rejects_clockwise_and_two_vertices():
+    Polygon2(SQUARE)
+    with pytest.raises(InvalidInput, match="counterclockwise"):
+        Polygon2(SQUARE[::-1])
+    with pytest.raises(DegenerateInput, match="at least 3"):
+        Polygon2(SQUARE[:2])
+
+
+def test_width_of_a_segment_is_zero_across_it():
+    seg = np.array([[1.0, 2.0], [4.0, 6.0]])
+    w, u = width2(seg)
+    assert w == 0.0
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-15)
+    assert float(u @ (seg[1] - seg[0])) == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(DegenerateInput, match="coincident"):
+        width2(np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+
 # --- horizontal width -------------------------------------------------------
 
 def test_horizontal_width_thin_triangle():
