@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import DegenerateInput, InvalidParam
+from .errors import DegenerateInput, InvalidInput, InvalidParam
 from .holding import Circle3
 from .polytope import Polytope3, _difference_hull, build_hull
 
@@ -78,6 +78,15 @@ def _require_finite(**params: float) -> None:
     for name, value in params.items():
         if not math.isfinite(value):
             raise InvalidParam(f"{name} must be finite, got {value}")
+
+
+def _require_int(name: str, value) -> int:
+    """``value`` as an ``int``, or :class:`InvalidParam` naming it unless it
+    is integral (``16.0`` passes: ``params`` stores ``m`` and ``n`` as
+    floats)."""
+    if not float(value).is_integer():
+        raise InvalidParam(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def _embed(z: complex, t: float) -> tuple[float, float, float]:
@@ -350,7 +359,7 @@ def bevelled_cylinder(R: float, m: int) -> FamilyInstance:
     _require_finite(R=R, m=m)
     if not R > 2.0:
         raise InvalidParam(f"need R > 2, got {R}")
-    m = int(m)
+    m = _require_int("m", m)
     if m < 16:
         raise InvalidParam(f"need m >= 16, got {m}")
     psi = 2.0 * np.pi * np.arange(m) / m
@@ -433,6 +442,8 @@ class PolytopeND:
         self.vertices = np.asarray(self.vertices, float)
         if self.vertices.ndim != 2:
             raise DegenerateInput("vertices must be a 2D array")
+        if not np.isfinite(self.vertices).all():
+            raise InvalidInput("vertices must be finite")
         m, n = self.vertices.shape
         if n < 2 or m < n + 1:
             raise DegenerateInput(
@@ -468,7 +479,7 @@ def steinhagen_constant(n: int) -> float:
     Every convex body in R^(n-1) has inradius at least C(n)/2 times its
     width; C(3) = 2/3 is the planar equilateral-triangle case.
     """
-    n = int(n)
+    n = _require_int("n", n)
     if n < 3:
         raise InvalidParam(f"need n >= 3, got {n}")
     if n % 2 == 0:
@@ -479,7 +490,7 @@ def steinhagen_constant(n: int) -> float:
 def simplex_holding_sphere_diameter(n: int, a: float) -> float:
     """Closed-form diameter of the waist sphere of ``simplex_hull_nd``."""
     _require_finite(n=n, a=a)
-    n = int(n)
+    n = _require_int("n", n)
     if n < 3:
         raise InvalidParam(f"need n >= 3, got {n}")
     if not a > 1.0:
@@ -497,7 +508,7 @@ def simplex_waist_minimum(n: int, a: float) -> tuple[float, float]:
     :func:`simplex_holding_sphere_diameter`.
     """
     _require_finite(n=n, a=a)
-    n = int(n)
+    n = _require_int("n", n)
     if n < 3:
         raise InvalidParam(f"need n >= 3, got {n}")
     if not a > 1.0:
@@ -523,7 +534,7 @@ def simplex_hull_nd(n: int, a: float, h: float) -> FamilyInstance:
     h -> infinity, C being :func:`steinhagen_constant`.
     """
     _require_finite(n=n, a=a, h=h)
-    n = int(n)
+    n = _require_int("n", n)
     if n < 3:
         raise InvalidParam(f"need n >= 3, got {n}")
     if not a > 1.0:

@@ -39,8 +39,9 @@ from .planar import (Polygon2, _hull, chebyshev_inscribed, clip_halfplane_2d,
 # the public forms of the slice kernel and the strip width; bench/tracing.py
 # wraps them under this module's name
 from .planar import horizontal_width, min_enclosing_circle  # noqa: F401
-from .polytope import (HalfSpace, Polytope3, _min_shadow_width, _polish_axis,
-                       min_cylinder, plane_frame, width3)
+from .polytope import (HalfSpace, Polytope3, _canonical_axes,
+                       _min_shadow_width, _polish_axis, min_cylinder,
+                       plane_frame, width3)
 # the scalar oracle of ``_edge_pair_distances``; bench/tracing.py wraps it
 # under this module's name
 from .polytope import segment_distance  # noqa: F401
@@ -381,13 +382,6 @@ class EscapeResult:
     @property
     def found(self) -> bool:
         return self.outcome == "found"
-
-
-def _canonical_normal(n: np.ndarray) -> np.ndarray:
-    for k in (2, 1, 0):
-        if abs(n[k]) > 1e-12:
-            return n if n[k] > 0 else -n
-    return n
 
 
 class _SupportGapBound:
@@ -962,8 +956,7 @@ def _axis_candidates(K: Polytope3, pairs) -> list[np.ndarray]:
             if ln > 1e-9:
                 axes.append(cand / ln)
     uniq: list[np.ndarray] = []
-    for a in axes:
-        a = _canonical_normal(a)
+    for a in _canonical_axes(axes):
         if not any(abs(float(a @ b)) > 1.0 - 1e-9 for b in uniq):
             uniq.append(a)
     return uniq

@@ -19,7 +19,7 @@ from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInput, InvalidInput
-from .planar import Circle2, min_enclosing_circle
+from .planar import min_enclosing_circle
 # the planar hull, as this module imported it; bench/tracing.py wraps it
 # under this module's name
 from .planar import convex_hull_2d  # noqa: F401
@@ -462,56 +462,41 @@ def _min_shadow_width(V: np.ndarray, n) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _icosphere_directions(level: int = 5) -> np.ndarray:
-    """Near-uniform unit directions from a subdivided icosahedron (cached per
-    level, so the array is read-only).
-
-    Each level splits every triangle ``(a, b, c)`` into ``(a, ab, ca)``,
-    ``(b, bc, ab)``, ``(c, ca, bc)`` and ``(ab, bc, ca)``.  The midpoints
-    are normalised edge sums, numbered in the order their edges first occur
-    along the triangles (``ab``, ``bc``, ``ca`` within each)."""
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
-    verts = []
-    for s1 in (-1.0, 1.0):
-        for s2 in (-1.0, 1.0):
-            verts += [(0.0, s1, s2 * phi), (s1, s2 * phi, 0.0), (s2 * phi, 0.0, s1)]
-    pts = np.array(verts)
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    tris = ConvexHull(pts).simplices.astype(np.int64)
-    for _ in range(level):
-        n = len(pts)
-        ends = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        keys = ends.min(axis=1) * n + ends.max(axis=1)
-        _, first, inverse = np.unique(keys, return_index=True,
-                                      return_inverse=True)
-        # unique edges renumbered by first occurrence
-        order = np.argsort(first, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        mids = (n + rank[inverse]).reshape(-1, 3)     # ab, bc, ca
-        edge = ends[first[order]]
-        m = pts[edge[:, 0]] + pts[edge[:, 1]]
-        pts = np.vstack([pts, m / _row_norms(m)[:, None]])
-        a, b, c = tris.T
-        ab, bc, ca = mids.T
-        tris = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
-                        axis=1).reshape(-1, 3)
-    out = pts[pts[:, 2] > -1e-12]  # antipodal axes give the same cylinder
+def _hemisphere_directions(level: int = 5) -> np.ndarray:
+    """The Fibonacci lattice of ``n = 5 * 4**level`` unit directions on the
+    upper hemisphere (González 2010), row ``i`` at ``z = (i + 1/2) / n`` and
+    azimuth ``i * pi * (3 - sqrt(5))``: cached, so read-only."""
+    n = 5 * 4 ** level
+    i = np.arange(n)
+    z = (i + 0.5) / n
+    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+    s = np.sqrt(1.0 - z * z)
+    out = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
     out.setflags(write=False)
     return out
 
 
+def _canonical_axes(axes) -> np.ndarray:
+    """A copy of the rows of ``axes``, one sign per line: each is flipped
+    when the first of its z, y, x beyond ``1e-12`` in size is negative."""
+    A = np.array(axes, float)
+    big = np.abs(A[:, ::-1]) > 1e-12
+    lead = A[np.arange(len(A)), 2 - np.argmax(big, axis=1)]
+    A[big.any(axis=1) & (lead < 0)] *= -1
+    return A
+
+
 def _cylinder_radius_for_axis(V: np.ndarray,
-                              axis: np.ndarray) -> tuple[float, Circle2]:
-    """Radius and circle, in the frame of :func:`plane_frame`, of the
-    cylinder around ``V`` along ``axis``: the enclosing circle's centre and
-    the farthest projected vertex, as that circle counts points within
-    ``1e-12 * scale`` outside it as inside."""
+                              axis: np.ndarray) -> tuple[float, np.ndarray]:
+    """Radius and a point of the axis line of the cylinder around ``V``
+    along ``axis``: the enclosing circle's centre, in the frame of
+    :func:`plane_frame`, and the farthest projected vertex, as that circle
+    counts points within ``1e-12 * scale`` outside it as inside."""
     e1, e2, _ = plane_frame(axis)
     p2 = np.stack([V @ e1, V @ e2], axis=1)
     c = min_enclosing_circle(p2)
     r = float(np.hypot(p2[:, 0] - c.center[0], p2[:, 1] - c.center[1]).max())
-    return r, Circle2(c.center, r)
+    return r, c.center[0] * e1 + c.center[1] * e2
 
 
 # in-plane directions of the radius lower bound: the half extent along any
@@ -572,21 +557,21 @@ def _best_grid_axes(V: np.ndarray, axes: np.ndarray,
 def _polish_axis(f, starts, xatol: float, fatol: float,
                  maxiter: int) -> tuple[float, np.ndarray | None]:
     """Nelder-Mead minimum of ``f`` over unit axes in the polar angles
-    ``(arccos z, atan2(y, x))``, run once from each start whose angles no
-    earlier start has: the best run's value and axis, the first on ties."""
+    ``(arccos z, atan2(y, x))``, run once per line of the unit starts (to
+    ``1e-12``): the best run's value and axis, the first on ties."""
     def axis(x) -> np.ndarray:
         th, ph = x
         return np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                          np.cos(th)])
 
     best_f, best_axis = math.inf, None
-    seen = set()
+    lines: list[list[float]] = []
     for a in starts:
+        if any(_cross_norm(*a.tolist(), *b) <= 1e-12 for b in lines):
+            continue
+        lines.append(a.tolist())
         x0 = (float(np.arccos(np.clip(a[2], -1, 1))),
               float(np.arctan2(a[1], a[0])))
-        if x0 in seen:
-            continue
-        seen.add(x0)
         res = minimize(lambda x: f(axis(x)), np.array(x0),
                        method="Nelder-Mead",
                        options={"xatol": xatol, "fatol": fatol,
@@ -602,14 +587,13 @@ def min_cylinder(K: Polytope3, refine: bool = True,
 
     The radius for a fixed axis direction comes from the minimal enclosing
     circle of the projected vertices — an exact computation — but the
-    dependence on the axis direction is only piecewise-smooth, so the
-    direction search combines a dense icosphere grid, the polytope's face
-    normals and edge directions, and a local simplex polish of the five
-    best grid hits (see :func:`_best_grid_axes`; equal radii rank by
-    candidate index), each distinct start once (:func:`_polish_axis`).
-    The radius is the farthest projected vertex's distance from the axis,
-    so the cylinder contains the body up to rounding: an upper bound that
-    is exact whenever the optimal axis is among the candidates (e.g. a
+    dependence on the axis direction is only piecewise-smooth, so the five
+    best of a Fibonacci hemisphere grid, the face normals and the edge
+    directions (:func:`_best_grid_axes`; equal radii rank by candidate
+    index) are polished by a simplex search, once per axis line.  The
+    radius is the farthest projected vertex's distance from the axis, so
+    the cylinder contains the body up to rounding: an upper bound that is
+    exact whenever the optimal axis is among the candidates (e.g. a
     symmetry axis).
     """
     V = K.vertices
@@ -617,9 +601,8 @@ def min_cylinder(K: Polytope3, refine: bool = True,
     segs = K.edge_segments()
     ed = segs[:, 1] - segs[:, 0]
     ed /= np.linalg.norm(ed, axis=1)[:, None]
-    cands = np.vstack([_icosphere_directions(grid_level), n, ed, np.eye(3)])
-    flip = cands[:, 2] < 0
-    cands[flip] *= -1
+    cands = _canonical_axes(np.vstack([_hemisphere_directions(grid_level), n,
+                                       ed, np.eye(3)]))
     best = _best_grid_axes(V, cands, 5 if refine else 1)
 
     best_r, best_idx = best[0]
@@ -632,9 +615,7 @@ def min_cylinder(K: Polytope3, refine: bool = True,
             best_axis = axis
 
     best_axis = _unit(best_axis)
-    r, circ = _cylinder_radius_for_axis(V, best_axis)
-    e1, e2, _ = plane_frame(best_axis)
-    axis_point = circ.center[0] * e1 + circ.center[1] * e2
+    r, axis_point = _cylinder_radius_for_axis(V, best_axis)
     return CylinderResult(2.0 * r, axis_point, best_axis)
 
 

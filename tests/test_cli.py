@@ -131,6 +131,14 @@ def test_analyze_reports_the_width_of_an_nd_body(tmp_path, capsys):
     assert f"width: {cli._g(want)}" in out
 
 
+
+def test_analyze_rejects_a_non_finite_nd_body(tmp_path, capsys):
+    verts = [[0.0] * 4, [1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, float("nan"), 0],
+             [0, 0, 0, 1.0]]
+    (tmp_path / "body.json").write_text(json.dumps({"vertices": verts}))
+    assert run(["analyze", tmp_path / "body.json"]) == 1
+    assert capsys.readouterr().err == "error: vertices must be finite\n"
+
 def test_analyze_given_circle_escapes(tmp_path):
     # loose ring around a cube: the search slides it off the top
     pts = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]

@@ -9,6 +9,7 @@ from scipy.optimize import fsolve
 from circlehold import (
     Circle3,
     FAMILIES,
+    InvalidInput,
     InvalidParam,
     PolytopeND,
     bevelled_cylinder,
@@ -85,6 +86,28 @@ def test_simplex_closed_forms_reject_non_finite_parameters(f, param, bad):
     with pytest.raises(InvalidParam, match=rf"\b{param}\b"):
         f(**kwargs)
 
+
+
+@pytest.mark.parametrize("f, kwargs", [
+    (bevelled_cylinder, {"R": 10.0, "m": 16.9}),
+    (simplex_hull_nd, {"n": 4.5, "a": 1.2, "h": 10.0}),
+    (steinhagen_constant, {"n": 4.7}),
+    (simplex_holding_sphere_diameter, {"n": 4.5, "a": 1.2}),
+    (simplex_waist_minimum, {"n": 4.5, "a": 1.2}),
+])
+def test_integer_parameters_are_not_truncated(f, kwargs):
+    param = "m" if "m" in kwargs else "n"
+    with pytest.raises(InvalidParam, match=rf"\b{param} must be an integer"):
+        f(**kwargs)
+    # an integral float passes: params stores m and n as floats
+    f(**{**kwargs, param: float(round(kwargs[param]))})
+
+
+def test_nd_polytope_rejects_non_finite_vertices():
+    V = np.vstack([np.zeros(4), np.eye(4)])
+    V[2, 1] = np.nan
+    with pytest.raises(InvalidInput, match="vertices must be finite"):
+        PolytopeND(V)
 
 # --- spindle octahedra -------------------------------------------------------
 

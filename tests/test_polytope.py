@@ -584,11 +584,11 @@ def _best_grid_axes_by_all_radii(V, axes, keep, radii=None):
 
 def test_batched_cylinder_radii_match_scalar_path():
     from circlehold.polytope import (_cylinder_radius_for_axis,
-                                     _icosphere_directions)
+                                     _hemisphere_directions)
     rng = np.random.default_rng(4)
     for K in (build_hull(CUBE), build_hull(3.0 * rng.standard_normal((40, 3)))):
         V = K.vertices
-        axes = np.vstack([_icosphere_directions(3), np.eye(3),
+        axes = np.vstack([_hemisphere_directions(3), np.eye(3),
                           rng.standard_normal((20, 3))])
         assert len(axes) > 256  # a full and a partial chunk
         batched = _cylinder_radii(V, axes)
@@ -609,10 +609,10 @@ def _cylinder_bodies():
 
 
 def test_bounded_axis_search_matches_all_axes():
-    from circlehold.polytope import _best_grid_axes, _icosphere_directions
+    from circlehold.polytope import _best_grid_axes, _hemisphere_directions
     for j, K in enumerate(_cylinder_bodies()):
         # the families on the full grid that min_cylinder uses by default
-        axes = np.vstack([_icosphere_directions(5 if j < 4 else 3),
+        axes = np.vstack([_hemisphere_directions(5 if j < 4 else 3),
                           np.eye(3)])
         radii = _cylinder_radii(K.vertices, axes)
         for k in (1, 5):
@@ -637,17 +637,21 @@ def test_min_cylinder_matches_all_axes_search(refine, monkeypatch):
 
 def _min_cylinder_every_start(K):
     """``min_cylinder`` polishing all five best grid axes, repeated ones
-    included: the loop that skipping repeated starts replaced."""
+    included: the loop that skipping repeated starts replaced.  Returns the
+    cylinder and the starts."""
     from circlehold.polytope import (CylinderResult, _best_grid_axes,
                                      _cylinder_radius_for_axis,
-                                     _icosphere_directions, _unit, minimize)
+                                     _hemisphere_directions, _unit, minimize)
     V = K.vertices
     segs = K.edge_segments()
     ed = segs[:, 1] - segs[:, 0]
     ed /= np.linalg.norm(ed, axis=1)[:, None]
-    cands = np.vstack([_icosphere_directions(5), K.face_planes()[0], ed,
+    cands = np.vstack([_hemisphere_directions(5), K.face_planes()[0], ed,
                        np.eye(3)])
-    cands[cands[:, 2] < 0] *= -1
+    for a in cands:  # one sign per line: first of z, y, x beyond 1e-12 > 0
+        lead = next((c for c in a[::-1] if abs(c) > 1e-12), 0.0)
+        if lead < 0:
+            a *= -1
 
     def spherical(a):
         return np.array([np.sin(a[0]) * np.cos(a[1]),
@@ -655,8 +659,8 @@ def _min_cylinder_every_start(K):
 
     best = _best_grid_axes(V, cands, 5)
     best_r, best_axis = best[0][0], cands[best[0][1]]
-    for _, idx in best:
-        a0 = cands[idx]
+    starts = [cands[idx] for _, idx in best]
+    for a0 in starts:
         x0 = [float(np.arccos(np.clip(a0[2], -1, 1))),
               float(np.arctan2(a0[1], a0[0]))]
         res = minimize(lambda x: _cylinder_radius_for_axis(V, spherical(x))[0],
@@ -666,29 +670,50 @@ def _min_cylinder_every_start(K):
         if res.fun < best_r:
             best_r, best_axis = float(res.fun), spherical(res.x)
     best_axis = _unit(best_axis)
-    r, circ = _cylinder_radius_for_axis(V, best_axis)
-    e1, e2, _ = plane_frame(best_axis)
-    return CylinderResult(2.0 * r, circ.center[0] * e1 + circ.center[1] * e2,
-                          best_axis)
+    r, axis_point = _cylinder_radius_for_axis(V, best_axis)
+    return CylinderResult(2.0 * r, axis_point, best_axis), starts
 
 
-def test_min_cylinder_polishes_each_start_once(monkeypatch):
+def _count_minimize_runs(monkeypatch):
     from circlehold import polytope
-    bodies = [*_cylinder_bodies(), skew_tetrahedron(0.1).body,
-              wd_tetrahedron(2.0, 2.0, 1.0).body]
-    want = [repr(_min_cylinder_every_start(K)) for K in bodies]
     runs = []
     minimize = polytope.minimize
     monkeypatch.setattr(polytope, "minimize", lambda f, x0, **kw:
                         runs.append(1) or minimize(f, x0, **kw))
-    got = []
+    return runs
+
+
+def test_min_cylinder_polishes_each_start_once(monkeypatch):
+    bodies = [*_cylinder_bodies(), skew_tetrahedron(0.1).body,
+              wd_tetrahedron(2.0, 2.0, 1.0).body]
+    want = [_min_cylinder_every_start(K) for K in bodies]
+    runs = _count_minimize_runs(monkeypatch)
+    for j, (K, (cyl, starts)) in enumerate(zip(bodies, want)):
+        runs.clear()
+        assert repr(min_cylinder(K)) == repr(cyl)
+        lines = []
+        for a in starts:
+            if not any(abs(a @ b) > 1.0 - 1e-12 for b in lines):
+                lines.append(a)
+        assert len(runs) == len(lines)
+        if j < 2:  # the cube's 5 starts lie on the 3 coordinate axes,
+            # the bevelled cylinder's all on its own axis
+            assert len(runs) == (3, 1)[j]
+
+
+def test_min_cylinder_of_the_point_reflection(monkeypatch):
+    # -K has the same axis lines, so the same starts once signed
+    bodies = [*_cylinder_bodies()[:8], skew_tetrahedron(0.1).body,
+              wd_tetrahedron(2.0, 2.0, 1.0).body]
+    runs = _count_minimize_runs(monkeypatch)
     for K in bodies:
         runs.clear()
-        got.append(repr(min_cylinder(K)))
-        assert 1 <= len(runs) <= 5
-        if K is bodies[1]:      # the bevelled cylinder: 4 of 5 starts repeat
-            assert len(runs) == 2
-    assert got == want
+        d = min_cylinder(K).diameter
+        n = len(runs)
+        runs.clear()
+        assert abs(min_cylinder(build_hull(-K.vertices)).diameter - d) \
+            <= 1e-12 * d
+        assert len(runs) == n
 
 
 def test_min_cylinder_contains_the_body():
@@ -727,56 +752,33 @@ def test_min_cylinder_is_invariant_under_rigid_motion():
             assert abs(dist.max() - d / 2.0) <= 1e-9 * d
 
 
-def test_icosphere_directions_are_cached_read_only():
-    from circlehold.polytope import _icosphere_directions
-    dirs = _icosphere_directions(3)
-    assert _icosphere_directions(3) is dirs
-    assert not dirs.flags.writeable
-    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+def test_hemisphere_directions_are_cached_read_only():
+    from circlehold.polytope import _hemisphere_directions
+    for level in (0, 3, 5):
+        dirs = _hemisphere_directions(level)
+        assert _hemisphere_directions(level) is dirs
+        assert not dirs.flags.writeable
+        assert dirs.shape == (5 * 4 ** level, 3)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0,
+                           atol=1e-15)
+        # no two rows on one line: a line has one unit direction with
+        # z > 0, and the heights strictly increase
+        assert dirs[0, 2] > 0
+        assert (np.diff(dirs[:, 2]) > 0).all()
 
 
-def _icosphere_by_midpoint_cache(level):
-    """The icosphere directions built one triangle and one midpoint at a
-    time, with a dictionary of edge midpoints, as before the index-array
-    construction."""
-    from scipy.spatial import ConvexHull
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
-    verts = []
-    for s1 in (-1.0, 1.0):
-        for s2 in (-1.0, 1.0):
-            verts += [(0.0, s1, s2 * phi), (s1, s2 * phi, 0.0),
-                      (s2 * phi, 0.0, s1)]
-    verts = np.array(verts)
-    verts /= np.linalg.norm(verts, axis=1)[:, None]
-    tris = [tuple(t) for t in ConvexHull(verts).simplices]
-    cache = {}
-    pts = list(verts)
-
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in cache:
-            m = pts[i] + pts[j]
-            pts.append(m / np.linalg.norm(m))
-            cache[key] = len(pts) - 1
-        return cache[key]
-
-    for _ in range(level):
-        new = []
-        for a, b, c in tris:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        tris = new
-    dirs = np.array(pts)
-    return dirs[dirs[:, 2] > -1e-12]
-
-
-@pytest.mark.parametrize("level", range(6))
-def test_icosphere_matches_midpoint_cache_construction(level):
-    from circlehold.polytope import _icosphere_directions
-    want = _icosphere_by_midpoint_cache(level)
-    got = _icosphere_directions(level)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+def test_canonical_axes_sign_each_line_by_z_then_y_then_x():
+    from circlehold.polytope import _canonical_axes
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((400, 3))
+    rows[rng.random((400, 3)) < 0.3] = 0.0
+    rows[rng.random((400, 3)) < 0.2] *= 1e-13  # below the 1e-12 cut
+    rows[rng.random((400, 3)) < 0.1] = -0.0
+    got = _canonical_axes(rows)
+    for a, g in zip(rows, got):
+        lead = next((c for c in a[::-1] if abs(c) > 1e-12), 0.0)
+        assert g.tobytes() == (-a if lead < 0 else a).tobytes()
+    assert got is not rows
 
 
 def _plane_frame_by_np_cross(normal):
